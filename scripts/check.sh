@@ -87,8 +87,11 @@ echo "== concurrency =="
 # hammer, crash-under-concurrency cells and the serving wire contract.
 # Tier-1 runs these too; the named lane means a concurrency regression
 # is reported as one, not buried in the full run.  (The ~30s soak is
-# `slow`-marked and runs in the nightly lane: pytest -m slow.)
+# `slow`-marked and runs in the nightly lane: pytest -m slow.)  The
+# benchmark's self-tests ride along: their write-count test drives two
+# clients through the real batcher and requires that they coalesce.
 python -m pytest -x -q tests/concurrency tests/server
+python3 perfbench/selftest.py
 
 echo "== serve smoke =="
 # Boot the real server, drive mixed traffic over real sockets with the

@@ -725,9 +725,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     batcher = (
         None
         if args.no_batch
-        else WriteBatcher(
-            service, max_batch=args.batch_max, max_wait_s=args.batch_wait
-        )
+        else WriteBatcher(service, max_batch=args.batch_max)
     )
     app = ServingApp(service, registry=MetricsRegistry(), batcher=batcher)
     print(
@@ -1236,10 +1234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch-max", type=int, default=64,
         help="write-batcher group size cap",
-    )
-    p.add_argument(
-        "--batch-wait", type=float, default=0.002, metavar="SECONDS",
-        help="write-batcher straggler wait",
     )
     p.add_argument(
         "--no-batch", action="store_true",

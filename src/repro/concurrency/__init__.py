@@ -34,12 +34,18 @@ from repro.concurrency.service import (
     delete_op,
     insert_op,
 )
-from repro.concurrency.snapshots import Snapshot, TreeVersion, VersionStore
+from repro.concurrency.snapshots import (
+    PageTable,
+    Snapshot,
+    TreeVersion,
+    VersionStore,
+)
 
 __all__ = [
     "BatchAbortedError",
     "LockstepError",
     "Oracle",
+    "PageTable",
     "RecordingStore",
     "Snapshot",
     "TreeService",

@@ -11,8 +11,10 @@ record values) with the live page, never a mutable container.
 Cloning cost is bounded by page capacity: a data page is one dict (or
 three columns) copy, an index node one entry-list rebuild.  Only pages
 dirtied by the committing operation are cloned (see
-:meth:`repro.concurrency.TreeService` — the page table itself is copied
-as a dict of shared clone references, not re-cloned).
+:class:`repro.concurrency.TreeService`); the committed page table is a
+:class:`~repro.concurrency.snapshots.PageTable` whose commit copies
+only the chunks holding those dirty ids and shares every other clone
+reference with the previous version.
 """
 
 from __future__ import annotations

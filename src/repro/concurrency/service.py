@@ -10,9 +10,10 @@ Concurrency model (documented in full in ``docs/SERVING.md``):
   :class:`RecordingStore` that tracks which pages each operation
   touches.  After a successful operation (or group), the service clones
   exactly the dirty pages and publishes a fresh immutable
-  :class:`~repro.concurrency.snapshots.TreeVersion` — a *new* page
-  table dict sharing every clean page's clone with the previous
-  version — by swapping one reference.
+  :class:`~repro.concurrency.snapshots.TreeVersion` — a *new*
+  :class:`~repro.concurrency.snapshots.PageTable` that copies only the
+  chunks holding dirty ids and shares every other chunk with the
+  previous version — by swapping one reference.
 - **Wait-free readers.**  Opening a snapshot grabs the current version
   reference; no lock, no copy, no registration.  A snapshot stays
   consistent forever (it is unreachable garbage once dropped), so a
@@ -33,7 +34,7 @@ import threading
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.concurrency.clone import clone_page
-from repro.concurrency.snapshots import Snapshot, TreeVersion
+from repro.concurrency.snapshots import PageTable, Snapshot, TreeVersion
 from repro.core.knn import KNNResult
 from repro.core.query import QueryResult
 from repro.core.tree import BVTree
@@ -184,10 +185,10 @@ class TreeService:
         self._lock = threading.RLock()
         self._poison: BaseException | None = None
         self._commits = 0
-        pages = {
-            pid: clone_page(self._recorder.peek(pid))
+        pages = PageTable.from_items(
+            (pid, clone_page(self._recorder.peek(pid)))
             for pid in self._recorder.page_ids()
-        }
+        )
         self._version = TreeVersion(
             pages,
             tree.root_page,
@@ -436,12 +437,14 @@ class TreeService:
         recorder = self._recorder
         dirty = recorder.drain()
         old = self._version
-        pages = dict(old.pages)
+        puts: dict[int, Any] = {}
+        drops: list[int] = []
         for pid in dirty:
             if pid in recorder:
-                pages[pid] = clone_page(recorder.peek(pid))
+                puts[pid] = clone_page(recorder.peek(pid))
             else:
-                pages.pop(pid, None)
+                drops.append(pid)
+        pages = old.pages.updated(puts, drops)
         tree = self._tree
         self._commits += 1
         version = TreeVersion(

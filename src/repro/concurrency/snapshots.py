@@ -1,12 +1,13 @@
 """Immutable point-in-time views of a served tree.
 
-A :class:`TreeVersion` is one published committed state: a frozen page
-table (page id -> cloned payload) plus the tree metadata that changes
-under writes (root page, height, record count) and the version's place
-in the committed write history (``lsn``).  Versions are never mutated
-after publication — the service builds a *new* table for every commit
-and swaps one reference — so pinning a version is just holding it, and
-a reader never observes a half-applied split cascade by construction.
+A :class:`TreeVersion` is one published committed state: a frozen
+:class:`PageTable` (page id -> cloned payload) plus the tree metadata
+that changes under writes (root page, height, record count) and the
+version's place in the committed write history (``lsn``).  Versions are
+never mutated after publication — the service derives a *new* table for
+every commit and swaps one reference — so pinning a version is just
+holding it, and a reader never observes a half-applied split cascade by
+construction.
 
 A :class:`Snapshot` wraps a version with everything the core read paths
 need.  It deliberately duck-types the :class:`~repro.core.BVTree`
@@ -18,7 +19,7 @@ same code, same page-access counts, frozen data.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.concurrency.clone import clone_page
 from repro.core.columnar import locate_columnar
@@ -34,7 +35,88 @@ from repro.geometry.region import ROOT_KEY
 from repro.geometry.space import DataSpace
 from repro.obs.tracer import Tracer
 
-__all__ = ["Snapshot", "TreeVersion", "VersionStore"]
+__all__ = ["PageTable", "Snapshot", "TreeVersion", "VersionStore"]
+
+#: log2 of the page ids per :class:`PageTable` chunk: page ``pid`` lives
+#: in chunk ``pid >> CHUNK_BITS``.
+CHUNK_BITS = 6
+
+
+class PageTable:
+    """A persistent page-id -> payload map, updated in O(dirty) per commit.
+
+    A dict *spine* maps ``pid >> CHUNK_BITS`` to a chunk dict holding at
+    most ``2 ** CHUNK_BITS`` pages.  :meth:`updated` copies the spine
+    plus only the chunks holding changed ids; every untouched chunk is
+    shared by identity with the previous table, so a commit that dirties
+    a handful of pages costs ``pages / 64`` spine entries plus a few
+    64-slot chunks instead of a copy of the whole table.  A chunk that
+    becomes empty leaves the spine: page stores never reuse ids, so
+    without that the spine would keep growing under churn.
+
+    Tables are immutable once built — a published version's table is
+    shared by every reader holding it.
+    """
+
+    __slots__ = ("chunks", "_size")
+
+    def __init__(self, chunks: dict[int, dict[int, Any]], size: int):
+        #: chunk number -> {page id: payload}; never mutated after
+        #: construction (the snapshot read path indexes it directly).
+        self.chunks = chunks
+        self._size = size
+
+    @classmethod
+    def from_items(cls, items: Iterable[tuple[int, Any]]) -> "PageTable":
+        """A table holding ``items`` (later duplicates win)."""
+        return cls({}, 0).updated(dict(items))
+
+    def updated(
+        self, puts: Mapping[int, Any], drops: Iterable[int] = ()
+    ) -> "PageTable":
+        """A new table with ``puts`` stored and ``drops`` removed.
+
+        ``self`` is left untouched.  Dropping an id the table does not
+        hold is a no-op (a page allocated and freed inside one commit).
+        """
+        spine = dict(self.chunks)
+        copied: dict[int, dict[int, Any]] = {}
+        size = self._size
+        for pid, content in puts.items():
+            key = pid >> CHUNK_BITS
+            chunk = copied.get(key)
+            if chunk is None:
+                chunk = copied[key] = spine[key] = dict(spine.get(key, ()))
+            if pid not in chunk:
+                size += 1
+            chunk[pid] = content
+        for pid in drops:
+            key = pid >> CHUNK_BITS
+            chunk = copied.get(key)
+            if chunk is None:
+                if pid not in spine.get(key, ()):
+                    continue
+                chunk = copied[key] = spine[key] = dict(spine[key])
+            if pid in chunk:
+                del chunk[pid]
+                size -= 1
+        for key, chunk in copied.items():
+            if not chunk:
+                del spine[key]
+        return PageTable(spine, size)
+
+    def __getitem__(self, page_id: int) -> Any:
+        return self.chunks[page_id >> CHUNK_BITS][page_id]
+
+    def __contains__(self, page_id: int) -> bool:
+        return page_id in self.chunks.get(page_id >> CHUNK_BITS, ())
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[int]:
+        for chunk in self.chunks.values():
+            yield from chunk
 
 
 class TreeVersion:
@@ -44,7 +126,7 @@ class TreeVersion:
 
     def __init__(
         self,
-        pages: dict[int, Any],
+        pages: PageTable,
         root_page: int,
         height: int,
         count: int,
@@ -81,10 +163,13 @@ class VersionStore:
     for the read-path counter races; see ``docs/SERVING.md``).
     """
 
-    __slots__ = ("_pages", "tracer", "reads")
+    __slots__ = ("_pages", "_chunks", "tracer", "reads")
 
-    def __init__(self, pages: Mapping[int, Any]):
+    def __init__(self, pages: PageTable):
         self._pages = pages
+        #: The table's spine, indexed inline by ``read``/``peek`` so the
+        #: snapshot read path pays no extra method call per page.
+        self._chunks = pages.chunks
         #: Disabled tracer: snapshot reads are never traced (the tracer
         #: protocol is part of the store surface the read paths consult).
         self.tracer = Tracer()
@@ -92,7 +177,7 @@ class VersionStore:
 
     def read(self, page_id: int) -> Any:
         try:
-            content = self._pages[page_id]
+            content = self._chunks[page_id >> CHUNK_BITS][page_id]
         except KeyError:
             raise PageNotFoundError(
                 f"page {page_id} not in this snapshot"
@@ -102,7 +187,7 @@ class VersionStore:
 
     def peek(self, page_id: int) -> Any:
         try:
-            return self._pages[page_id]
+            return self._chunks[page_id >> CHUNK_BITS][page_id]
         except KeyError:
             raise PageNotFoundError(
                 f"page {page_id} not in this snapshot"

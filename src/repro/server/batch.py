@@ -1,13 +1,15 @@
 """Group-commit write batching for the serving layer.
 
-HTTP write requests land one at a time, but the service pays two fixed
-costs per commit — the writer lock handoff and the version publication
-(a page-table dict copy).  The batcher amortises both: requests queue
-up, a single background writer thread drains whatever has accumulated
-(up to ``max_batch``, waiting at most ``max_wait_s`` for stragglers),
-applies the whole group under **one** lock hold and **one**
-publication via :meth:`TreeService.apply_ops`, then resolves each
-request's future with its own outcome.  On a WAL-backed store this is
+HTTP write requests land one at a time, but the service pays fixed
+costs per commit — the writer lock handoff and the version publication.
+The batcher amortises them: requests queue up, and a single background
+writer thread blocks for the first one, then takes whatever else is
+*already* queued (up to ``max_batch``) and applies the whole group
+under **one** lock hold and **one** publication via
+:meth:`TreeService.apply_ops`, then resolves each request's future with
+its own outcome.  There is no timer: a group is exactly what queued
+while the previous group was committing, so coalescing happens under
+load and a lone write never waits.  On a WAL-backed store this is
 group-commit shaped: one fsync window covers the group.
 
 Requests stay independent — a failed op (duplicate key, missing key)
@@ -21,7 +23,6 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import Future
-from time import monotonic
 from typing import Any, Sequence
 
 from repro.concurrency.service import TreeService, WriteOp
@@ -68,20 +69,16 @@ _SHUTDOWN = object()
 class WriteBatcher:
     """A background writer thread that drains queued writes in groups."""
 
-    def __init__(
-        self,
-        service: TreeService,
-        *,
-        max_batch: int = 64,
-        max_wait_s: float = 0.002,
-    ):
+    def __init__(self, service: TreeService, *, max_batch: int = 64):
         if max_batch <= 0:
             raise ReproError(f"max_batch must be positive, got {max_batch}")
         self.service = service
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
         self.stats = BatchStats()
         self._queue: "queue.Queue[Any]" = queue.Queue()
+        #: Guards ``_closed`` together with the enqueue, so no request
+        #: can land behind the shutdown sentinel.
+        self._lock = threading.Lock()
         self._closed = False
         self._thread = threading.Thread(
             target=self._drain_loop, name="repro-write-batcher", daemon=True
@@ -96,43 +93,49 @@ class WriteBatcher:
         service-level failure (poisoned writer) rejects the future with
         the underlying exception.
         """
-        if self._closed:
-            raise ReproError("write batcher is closed")
         future: "Future[tuple[list[tuple[bool, Any]], int]]" = Future()
-        self._queue.put(_Pending(list(ops), future))
+        with self._lock:
+            if self._closed:
+                raise ReproError("write batcher is closed")
+            self._queue.put(_Pending(list(ops), future))
         return future
 
     def close(self) -> None:
         """Stop accepting writes, drain the queue, join the thread."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(_SHUTDOWN)
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._queue.put(_SHUTDOWN)
         self._thread.join()
 
     # -- writer thread ---------------------------------------------------
 
     def _drain_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            group = [item]
-            deadline = monotonic() + self.max_wait_s
-            while len(group) < self.max_batch:
-                remaining = deadline - monotonic()
+        inbox = self._queue
+        item = None
+        while item is not _SHUTDOWN:
+            item = inbox.get()
+            group: list[_Pending] = []
+            while item is not _SHUTDOWN:
+                group.append(item)
+                if len(group) == self.max_batch:
+                    break
                 try:
-                    nxt = self._queue.get(
-                        timeout=remaining if remaining > 0 else None,
-                        block=remaining > 0,
-                    )
+                    item = inbox.get_nowait()
                 except queue.Empty:
                     break
-                if nxt is _SHUTDOWN:
-                    self._apply_group(group)
-                    return
-                group.append(nxt)
-            self._apply_group(group)
+            if group:
+                self._apply_group(group)
+        # Nothing can follow the sentinel (``submit`` enqueues under the
+        # lock that ``close`` sets ``_closed`` under); should anything
+        # have, fail it rather than leave its caller blocked forever.
+        while True:
+            try:
+                leftover = inbox.get_nowait()
+            except queue.Empty:
+                return
+            leftover.future.set_exception(ReproError("write batcher is closed"))
 
     def _apply_group(self, group: list[_Pending]) -> None:
         flat: list[WriteOp] = []

@@ -9,8 +9,8 @@ is sub-millisecond CPU work, and the GIL means a thread pool would add
 handoffs without adding parallelism.  *Writes* are handed to the
 :class:`~repro.server.batch.WriteBatcher`'s single writer thread and
 awaited as futures, so a slow write (a split cascade, a WAL fsync)
-never stalls the accept loop, and concurrent write requests coalesce
-into group commits.  The app object itself is shared safely: its state
+never stalls the accept loop, and write requests that queue while one
+group commits coalesce into the next group commit.  The app object itself is shared safely: its state
 is the service (thread-safe by construction) and the metrics registry
 (counter increments; per-sample exactness is not load-bearing).
 

@@ -23,7 +23,7 @@ from repro.server.http import ServerHandle
 def served():
     """A running server (with batcher) plus its app, torn down cleanly."""
     service, _ = build_service()
-    batcher = WriteBatcher(service, max_batch=32, max_wait_s=0.005)
+    batcher = WriteBatcher(service, max_batch=32)
     app = ServingApp(service, batcher=batcher)
     handle = ServerHandle(app).start()
     try:
