@@ -41,9 +41,15 @@ python -m pytest -x -q tests/properties/test_columnar_equivalence.py
 
 echo "== perf smoke =="
 # Both layout lanes; each run also executes the object-vs-columnar
-# oracle probe and exits non-zero on divergence.
-python -m repro perf --scale smoke --no-write >/dev/null
+# oracle probe and exits non-zero on divergence.  The snapshot written
+# must re-score through doctor --bench, and the committed snapshot must
+# stay loadable as a baseline.
+smoke_json="${TMPDIR:-/tmp}/repro-perf-smoke.json"
+python -m repro perf --scale smoke --out "$smoke_json" >/dev/null
+python -m repro doctor --bench "$smoke_json" >/dev/null
+rm -f "$smoke_json"
 python -m repro perf --scale smoke --layout columnar --no-write >/dev/null
+python -m repro perf --scale smoke --no-write --baseline BENCH_core.json >/dev/null
 
 echo "== obs smoke =="
 # EXPLAIN and a traced workload must run end to end; the JSONL artifact

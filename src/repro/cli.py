@@ -26,6 +26,7 @@ from typing import Sequence
 from repro.analysis import capacity, figures
 from repro.bench.harness import INDEX_KINDS, build_index, index_occupancies
 from repro.bench.reporting import format_table
+from repro.errors import ReproError
 from repro.geometry.space import DataSpace
 from repro.workloads import (
     clustered,
@@ -167,6 +168,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     from repro.perf import (
         SuiteResult,
         default_path,
+        probe_failures,
         render_text,
         resolve_scale,
         run_suite,
@@ -182,7 +184,13 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     )
     # Load the baseline before the (potentially long) run so a bad path
     # fails in milliseconds, not after the whole suite has been timed.
-    baseline = SuiteResult.load(args.baseline) if args.baseline else None
+    baseline = None
+    if args.baseline:
+        try:
+            baseline = SuiteResult.load(args.baseline)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     progress = None
     if args.format == "text":
         def progress(name: str) -> None:
@@ -197,20 +205,10 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         written = result.write(out)
         if args.format == "text":
             print(f"\nwrote {written}")
-    oracle = result.columnar.get("oracle", {})
-    if oracle and not oracle.get("equal"):
-        diverged = sorted(
-            name
-            for name, equal in oracle.items()
-            if name != "equal" and not equal
-        )
-        print(
-            "perf: columnar layout oracle DIVERGED from the object "
-            f"layout on: {', '.join(diverged)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    failures = probe_failures(result)
+    for line in failures:
+        print(f"perf: {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _build_workload_tree(args: argparse.Namespace) -> "object":
@@ -479,9 +477,13 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     if args.bench is not None:
         # Snapshot mode: re-render the health block of a written
         # BENCH_<suite>.json and exit with its verdict.
-        with open(args.bench, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        health = data.get("health")
+        from repro.perf import SuiteResult
+
+        try:
+            health = SuiteResult.load(args.bench).probes.get("health")
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if not health:
             print(
                 f"doctor: {args.bench} has no health block "
@@ -747,6 +749,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Load-generator query:update mixes, as the fraction of requests that
+#: are reads.
+_LOADGEN_MIXES = {"read_heavy": 0.9, "balanced": 0.5, "write_heavy": 0.1}
+#: Endpoints the load generator drives; latency is reported per kind.
+_LOADGEN_KINDS = ("get", "range", "knn", "insert", "delete")
+
+
 def _loadgen_worker(
     url: str,
     mix_read_fraction: float,
@@ -768,7 +777,7 @@ def _loadgen_worker(
     host = parts.hostname or "127.0.0.1"
     port = parts.port or 80
     conn = http.client.HTTPConnection(host, port, timeout=10.0)
-    latencies: list[float] = []
+    latencies: dict[str, list[float]] = {kind: [] for kind in _LOADGEN_KINDS}
     reads = writes = errors = 0
     try:
         while monotonic() < stop_at:
@@ -815,7 +824,7 @@ def _loadgen_worker(
                 errors += 1
                 conn.close()
                 conn = http.client.HTTPConnection(host, port, timeout=10.0)
-            latencies.append(perf_counter() - t0)
+            latencies[path.rpartition("/")[2]].append(perf_counter() - t0)
     finally:
         conn.close()
     out["latencies"] = latencies
@@ -829,9 +838,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import threading
     from time import monotonic, perf_counter
 
-    from repro.perf.serving import MIXES, _quantile
-
-    read_fraction = MIXES[args.mix]
+    read_fraction = _LOADGEN_MIXES[args.mix]
     stop_at = monotonic() + args.duration
     slots: list[dict[str, object]] = [{} for _ in range(args.threads)]
     threads = [
@@ -854,11 +861,20 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     for thread in threads:
         thread.join()
     elapsed = perf_counter() - t0
-    latencies = sorted(
-        latency
-        for slot in slots
-        for latency in slot.get("latencies", [])  # type: ignore[union-attr]
-    )
+    recorded = [slot.get("latencies", {}) for slot in slots]
+    quantiles: dict[str, float] = {}
+    for kind in _LOADGEN_KINDS:
+        latencies = sorted(
+            latency
+            for by_kind in recorded
+            for latency in by_kind.get(kind, ())  # type: ignore[attr-defined]
+        )
+        for name, q in (("p50", 0.50), ("p99", 0.99)):
+            # Nearest-rank quantile.
+            rank = min(len(latencies) - 1, int(q * len(latencies)))
+            quantiles[f"{kind}_{name}_us"] = (
+                round(latencies[rank] * 1e6, 1) if latencies else 0.0
+            )
     reads = sum(int(slot.get("reads", 0)) for slot in slots)  # type: ignore[arg-type]
     writes = sum(int(slot.get("writes", 0)) for slot in slots)  # type: ignore[arg-type]
     errors = sum(int(slot.get("errors", 0)) for slot in slots)  # type: ignore[arg-type]
@@ -874,8 +890,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         "writes": writes,
         "errors": errors,
         "ops_per_s": round(total / elapsed, 1) if elapsed else 0.0,
-        "p50_us": round(_quantile(latencies, 0.50) * 1e6, 1),
-        "p99_us": round(_quantile(latencies, 0.99) * 1e6, 1),
+        **quantiles,
     }
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -1247,16 +1262,13 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Opens keep-alive connections to a running server and "
             "drives one of the three query:update mixes for a fixed "
-            "duration, reporting ops/sec and p50/p99 latency. Exits "
-            "non-zero if any request failed unexpectedly (the CI "
-            "smoke contract). See docs/SERVING.md."
+            "duration, reporting ops/sec and per-endpoint p50/p99 "
+            "latency. Exits non-zero if any request failed "
+            "unexpectedly (the CI smoke contract). See docs/SERVING.md."
         ),
     )
     p.add_argument("--url", default="http://127.0.0.1:8077")
-    p.add_argument(
-        "--mix", choices=["read_heavy", "balanced", "write_heavy"],
-        default="balanced",
-    )
+    p.add_argument("--mix", choices=list(_LOADGEN_MIXES), default="balanced")
     p.add_argument("--duration", type=float, default=5.0, metavar="SECONDS")
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--dims", type=int, default=2)

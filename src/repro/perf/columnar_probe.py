@@ -18,14 +18,13 @@ The figures land in the ``columnar`` block of ``BENCH_<suite>.json``:
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 from typing import Any
 
 from repro.core.tree import BVTree
-from repro.geometry.rect import Rect
-from repro.geometry.space import DataSpace
-from repro.perf.registry import Scale
-from repro.perf.scenarios import build_context
+from repro.perf.registry import Probe, Scale, register_probe
+from repro.perf.scenarios import SuiteContext, build_context
+from repro.perf.timer import measure
 from repro.storage import ColumnarStore, PageStore
 
 __all__ = ["columnar_snapshot"]
@@ -36,69 +35,54 @@ __all__ = ["columnar_snapshot"]
 PROBE_REPEATS = 3
 
 
-def _lane_tree(scale: Scale, space: DataSpace, layout: str) -> BVTree:
-    store = ColumnarStore() if layout == "columnar" else PageStore()
-    return BVTree(
-        space,
-        data_capacity=scale.data_capacity,
-        fanout=scale.fanout,
-        store=store,
-    )
-
-
-def _best(repeats: int, run: Any) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _measure_lane(
-    scale: Scale,
-    space: DataSpace,
-    layout: str,
-    records: list[tuple[tuple[float, ...], Any]],
-    query_points: list[tuple[float, ...]],
-    rects: list[Rect],
-    knn_points: list[tuple[float, ...]],
-    repeats: int,
+    scale: Scale, ctx: SuiteContext, layout: str, repeats: int
 ) -> tuple[dict[str, float], dict[str, Any]]:
     """``(per-op microseconds, oracle outputs)`` for one layout lane."""
+    space, records, rects = ctx.space, ctx.records, ctx.rects
+    query_points, knn_points = ctx.query_points, ctx.knn_points
     # Update paths: a fresh tree per repeat, inserts timed, then the
-    # deletes timed on the tree those inserts produced (so the delete
+    # deletes timed on the trees those inserts produced (so the delete
     # loop exercises merges on a realistically fragmented tree).
-    insert_best = float("inf")
-    delete_best = float("inf")
     unique = list({space.point_path(p): p for p, _ in records}.values())
-    for _ in range(repeats):
-        tree = _lane_tree(scale, space, layout)
-        start = time.perf_counter()
+    built: list[BVTree] = []
+
+    def insert_all(tree: BVTree) -> None:
         for point, value in records:
             tree.insert(point, value, replace=True)
-        insert_best = min(insert_best, time.perf_counter() - start)
-        start = time.perf_counter()
+        built.append(tree)
+
+    def delete_all(tree: BVTree) -> None:
         for point in unique:
             tree.delete(point)
-        delete_best = min(delete_best, time.perf_counter() - start)
+
+    def lane_tree() -> BVTree:
+        return BVTree(
+            space,
+            data_capacity=scale.data_capacity,
+            fanout=scale.fanout,
+            store=ColumnarStore() if layout == "columnar" else PageStore(),
+        )
+
+    def best(run: Any, setup: Any = None) -> float:
+        return measure(run, setup=setup, repeats=repeats, warmup=0).best
+
+    insert_best = best(insert_all, lane_tree)
+    delete_best = best(delete_all, built.pop)
 
     # Query paths over one bulk-loaded tree (the layout under test).
-    tree = _lane_tree(scale, space, layout)
+    tree = lane_tree()
     tree.bulk_load(records, replace=True)
     get = tree.get
     nearest = tree.nearest
     range_query = tree.range_query
 
-    exact_best = _best(
-        repeats, lambda: [get(point) for point in query_points]
+    exact_best = best(lambda _: [get(point) for point in query_points])
+    range_best = best(
+        lambda _: [range_query(r.lows, r.highs) for r in rects]
     )
-    range_best = _best(
-        repeats,
-        lambda: [range_query(r.lows, r.highs) for r in rects],
-    )
-    knn_best = _best(
-        repeats, lambda: [nearest(point, k=scale.k) for point in knn_points]
+    knn_best = best(
+        lambda _: [nearest(point, k=scale.k) for point in knn_points]
     )
 
     # Oracle pass: one untimed sweep collecting comparable outputs.
@@ -130,24 +114,14 @@ def columnar_snapshot(scale: Scale) -> dict[str, Any]:
     # The fixtures come from the shared scenario builder at an
     # object-layout copy of the scale, so both lanes see the exact same
     # records and query sets regardless of what layout the suite ran on.
-    from dataclasses import replace
-
     context = build_context(replace(scale, layout="object"))
-    space = context.space
     repeats = min(scale.repeats, PROBE_REPEATS)
 
     lanes: dict[str, dict[str, float]] = {}
     oracles: dict[str, dict[str, Any]] = {}
     for layout in ("object", "columnar"):
         lanes[layout], oracles[layout] = _measure_lane(
-            scale,
-            space,
-            layout,
-            context.records,
-            context.query_points,
-            context.rects,
-            context.knn_points,
-            repeats,
+            scale, context, layout, repeats
         )
 
     obj, col = oracles["object"], oracles["columnar"]
@@ -174,3 +148,57 @@ def columnar_snapshot(scale: Scale) -> dict[str, Any]:
         "speedups": speedups,
         "oracle": oracle,
     }
+
+
+def _rows(columnar: dict[str, Any]) -> list[list[Any]]:
+    obj, col = columnar["lanes"]["object"], columnar["lanes"]["columnar"]
+    speedups = columnar["speedups"]
+    rows: list[list[Any]] = [
+        [label, f"object {obj[key]:.2f} / columnar {col[key]:.2f} {unit}"]
+        for key, label, unit in (
+            ("exact_us_per_op", "exact match", "us/op"),
+            ("range_us_per_query", "range query", "us/query"),
+            ("knn_us_per_query", "k-NN query", "us/query"),
+            ("insert_us_per_op", "insert", "us/op"),
+            ("delete_us_per_op", "delete", "us/op"),
+        )
+    ]
+    for key in ("exact_match", "range", "knn"):
+        rows.append([f"speedup: {key}", f"{speedups[key]:.2f}x"])
+    for key in ("insert_ratio", "delete_ratio"):
+        rows.append([
+            f"update cost: {key}",
+            f"{speedups[key]:.2f}x (budget 1.20x)",
+        ])
+    rows.append([
+        "layout oracle",
+        "EQUAL" if columnar["oracle"]["equal"] else "DIVERGED",
+    ])
+    return rows
+
+
+def _failures(columnar: dict[str, Any]) -> list[str]:
+    """A layout-oracle divergence is a correctness bug: fail the run."""
+    oracle = columnar.get("oracle", {})
+    if not oracle or oracle.get("equal"):
+        return []
+    diverged = sorted(
+        name for name, equal in oracle.items() if name != "equal" and not equal
+    )
+    return [
+        "columnar layout oracle DIVERGED from the object layout on: "
+        + ", ".join(diverged)
+    ]
+
+
+register_probe(Probe(
+    name="columnar",
+    label="columnar probe (layout lanes + oracle)",
+    run=columnar_snapshot,
+    title=lambda columnar: (
+        f"columnar probe (n={columnar.get('probe_points')}, "
+        f"object vs columnar lanes)"
+    ),
+    rows=_rows,
+    failures=_failures,
+))

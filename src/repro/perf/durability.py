@@ -11,11 +11,14 @@ and the acceptance gate reads:
   loop on the in-memory :class:`~repro.storage.PageStore`.  This is the
   honest price of the durability *machinery* — encoding, framing,
   checksumming, the write syscall — and the gate holds it at or under
-  3x.  Physical fsync latency is a property of the disk, not the code,
-  so it is reported separately:
+  3x.  Both loops build a fresh tree per sample and are timed as a pair
+  (:func:`repro.perf.timer.paired`, median of per-round ratios).
+  Physical fsync latency is a property of the disk, not the code, so it
+  is reported separately:
 - ``fsync_us_per_commit`` — measured extra cost per committed operation
-  in ``sync="commit"`` mode over a smaller loop (each insert is one
-  group-committed transaction, so this is the per-fsync price).
+  in ``sync="commit"`` mode over ``sync="os"`` on a smaller loop (each
+  insert is one group-committed transaction, so this is the per-fsync
+  price).
 - ``recovery`` — wall-clock of a real crash/recover cycle: the probe
   kills the store mid-workload through a
   :class:`~repro.storage.faults.FaultPlan`, replays the WAL and
@@ -31,16 +34,19 @@ generators as the timed cases.
 
 from __future__ import annotations
 
+import itertools
 import shutil
 import tempfile
 import time
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Callable, ContextManager, Iterator
 
 from repro.core.tree import BVTree
 from repro.errors import SimulatedCrashError
 from repro.geometry.space import DataSpace
 from repro.obs import run_doctor
-from repro.perf.registry import Scale
+from repro.perf.registry import Probe, Scale, register_probe
+from repro.perf.timer import paired
 from repro.storage import PageStore
 from repro.storage.durable import (
     DurableStore,
@@ -54,10 +60,9 @@ __all__ = ["durability_snapshot"]
 
 #: Record-count cap for the overhead loops.
 PROBE_POINTS = 2000
-#: Best-of repeats for each timed loop (interleaved across backends —
-#: see ``_timed_inserts`` — so more repeats tighten the ratio, not just
-#: the absolute figures).
-PROBE_REPEATS = 5
+#: Paired rounds of the in-memory vs WAL insert loops (see
+#: :func:`repro.perf.timer.paired`).
+PROBE_ROUNDS = 5
 #: Inserts in the fsync-mode loop (each is one fsynced commit, so this
 #: loop pays PROBE_FSYNC_OPS physical syncs — keep it small).
 PROBE_FSYNC_OPS = 128
@@ -80,94 +85,69 @@ def _probe_points(scale: Scale) -> tuple[DataSpace, list[tuple[float, ...]]]:
     return space, points
 
 
-def _one_insert_run(
-    scale: Scale,
-    space: DataSpace,
-    points: list[tuple[float, ...]],
-    make_store: Any,
-) -> float:
-    """Wall clock of inserting ``points`` into one fresh tree."""
-    store = make_store()
-    tree = BVTree(
-        space,
-        data_capacity=scale.data_capacity,
-        fanout=scale.fanout,
-        store=store,
-    )
-    insert = tree.insert
-    start = time.perf_counter()
-    for i, point in enumerate(points):
-        insert(point, i, replace=True)
-    elapsed = time.perf_counter() - start
-    close = getattr(store, "close", None)
-    if close is not None:
-        close(checkpoint=False)
-    return elapsed
-
-
-def _timed_inserts(
-    scale: Scale,
-    space: DataSpace,
-    points: list[tuple[float, ...]],
-    make_stores: list[Any],
-    repeats: int = PROBE_REPEATS,
-) -> list[float]:
-    """Best-of wall clocks for several backends, *interleaved*.
-
-    Running backend A's repeats back to back and then backend B's lets
-    clock-speed drift (thermal, scheduler) masquerade as a ratio
-    between them; alternating A/B/A/B inside each repeat round cancels
-    it, which matters because the WAL-overhead gate *is* a ratio.
-    """
-    best = [float("inf")] * len(make_stores)
-    for _ in range(repeats):
-        for which, make_store in enumerate(make_stores):
-            best[which] = min(
-                best[which],
-                _one_insert_run(scale, space, points, make_store),
-            )
-    return best
-
-
 def _overhead(
     scale: Scale,
     space: DataSpace,
     points: list[tuple[float, ...]],
     workdir: str,
 ) -> dict[str, Any]:
-    counter = [0]
+    runs = itertools.count()
 
-    def durable_os() -> DurableStore:
-        counter[0] += 1
-        return DurableStore(f"{workdir}/os-{counter[0]}", sync="os")
+    def fresh(sync: str | None) -> Callable[[], ContextManager[BVTree]]:
+        """A configuration: a new tree on a new store — in memory for
+        ``sync=None``, else a WAL store in that sync mode — closed after."""
 
-    memory, wal = _timed_inserts(
-        scale, space, points, [PageStore, durable_os]
+        @contextmanager
+        def tree() -> Iterator[BVTree]:
+            store = (
+                PageStore()
+                if sync is None
+                else DurableStore(f"{workdir}/{sync}-{next(runs)}", sync=sync)
+            )
+            try:
+                yield BVTree(
+                    space,
+                    data_capacity=scale.data_capacity,
+                    fanout=scale.fanout,
+                    store=store,
+                )
+            finally:
+                if isinstance(store, DurableStore):
+                    store.close(checkpoint=False)
+
+        return tree
+
+    def inserts(tree: BVTree, batch: list[tuple[float, ...]]) -> None:
+        insert = tree.insert
+        for i, point in enumerate(batch):
+            insert(point, i, replace=True)
+
+    timing = paired(
+        inserts,
+        {"memory": fresh(None), "wal": fresh("os")},
+        [points] * PROBE_ROUNDS,
     )
-
-    # fsync mode over a deliberately small loop: one fsync per insert.
+    # fsync mode over a deliberately small loop: one fsync per insert,
+    # priced against the same loop in sync="os" mode.
     fsync_points = points[:PROBE_FSYNC_OPS]
-
-    def durable_commit() -> DurableStore:
-        counter[0] += 1
-        return DurableStore(f"{workdir}/commit-{counter[0]}", sync="commit")
-
-    (fsync_total,) = _timed_inserts(
-        scale, space, fsync_points, [durable_commit], repeats=1
-    )
-    (os_small,) = _timed_inserts(
-        scale, space, fsync_points, [durable_os], repeats=1
+    fsync = paired(
+        inserts,
+        {"commit": fresh("commit"), "os": fresh("os")},
+        [fsync_points],
     )
 
     n = len(points)
     return {
         "inserts": n,
-        "memory_us_per_insert": memory / n * 1e6,
-        "wal_us_per_insert": wal / n * 1e6,
-        "wal_overhead_ratio": wal / memory if memory > 0 else None,
+        "memory_us_per_insert": timing.median("memory") / n * 1e6,
+        "wal_us_per_insert": timing.median("wal") / n * 1e6,
+        "wal_overhead_ratio": timing.ratio("wal", "memory"),
         "fsync_commits": len(fsync_points),
         "fsync_us_per_commit": max(
-            0.0, (fsync_total - os_small) / len(fsync_points) * 1e6
+            0.0,
+            (fsync.median("commit") - fsync.median("os"))
+            / len(fsync_points)
+            * 1e6,
         ),
     }
 
@@ -267,3 +247,68 @@ def durability_snapshot(scale: Scale) -> dict[str, Any]:
         return out
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+#: The gate on ``overhead.wal_overhead_ratio``.
+WAL_OVERHEAD_BUDGET = 3.0
+
+
+def _rows(durability: dict[str, Any]) -> list[list[Any]]:
+    overhead = durability["overhead"]
+    recovery = durability["recovery"]
+    recovered = durability["recovered_health"]
+    detail = ", ".join(
+        f"{k}={v}" for k, v in sorted(recovered["verdicts"].items())
+    )
+    return [
+        ["in-memory insert", f"{overhead['memory_us_per_insert']:.2f} us/op"],
+        ["WAL insert (sync=os)", f"{overhead['wal_us_per_insert']:.2f} us/op"],
+        ["WAL overhead", f"{overhead['wal_overhead_ratio']:.2f}x"],
+        [
+            "fsync per commit (sync=commit)",
+            f"{overhead['fsync_us_per_commit']:.0f} us",
+        ],
+        [
+            "crash recovery",
+            f"{recovery['ms_total']:.1f} ms for "
+            f"{recovery['records_replayed']} records "
+            f"({recovery['recovered_records']} recovered)",
+        ],
+        ["torn tail discarded", "yes" if recovery["torn_tail"] else "no"],
+        [
+            "recovered-tree guarantees",
+            "PASS" if recovered["ok"] else f"FAIL ({detail})",
+        ],
+    ]
+
+
+def _regressions(base: dict[str, Any], cur: dict[str, Any]) -> list[str]:
+    """A WAL overhead ratio newly above its budget, or recovered-tree
+    guarantees that went from passing to failing."""
+    out: list[str] = []
+    base_ratio = (base.get("overhead") or {}).get("wal_overhead_ratio")
+    cur_ratio = (cur.get("overhead") or {}).get("wal_overhead_ratio")
+    if (
+        cur_ratio is not None
+        and cur_ratio > WAL_OVERHEAD_BUDGET
+        and (base_ratio is None or base_ratio <= WAL_OVERHEAD_BUDGET)
+    ):
+        out.append(f"WAL overhead: {cur_ratio:.2f}x exceeds the 3x budget")
+    cur_rec = cur.get("recovered_health") or {}
+    base_rec = base.get("recovered_health") or {}
+    if base_rec.get("ok", True) and cur_rec and not cur_rec.get("ok", True):
+        out.append("recovered-tree guarantees: ok -> failing")
+    return out
+
+
+register_probe(Probe(
+    name="durability",
+    label="durability probe (WAL overhead + crash recovery)",
+    run=durability_snapshot,
+    title=lambda durability: (
+        f"durability probe (n={durability.get('probe_points')}, "
+        f"WAL vs in-memory)"
+    ),
+    rows=_rows,
+    regressions=_regressions,
+))

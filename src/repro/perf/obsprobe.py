@@ -1,19 +1,17 @@
 """The observability probe: metrics snapshot + tracing-overhead figure.
 
 Runs once per ``repro perf`` suite, separately from the timed cases, and
-fills the ``observability`` field of the ``BENCH_<suite>.json`` snapshot
+fills the ``observability`` block of the ``BENCH_<suite>.json`` snapshot
 with two things the dashboards and the acceptance gate read:
 
 - a :class:`~repro.obs.MetricsRegistry` snapshot taken by replaying a
   bounded traced workload through a :class:`~repro.obs.MetricsSink`
   (per-op nodes-visited and guard-check histograms, split fan-out,
   buffer hit-ratio over time);
-- ``overhead`` — the measured cost of the *disabled* tracer on the
-  exact-match path (null sink, best-of ratio against the same loop on
-  the same tree), the number ``docs/OBSERVABILITY.md`` quotes.  The
-  tree's tracer is disabled in both timed loops; the ratio isolates
-  run-to-run noise, so values hover around 1.0 and the gate asserts the
-  *absolute* per-op cost stays small rather than chasing the ratio.
+- ``overhead`` — the cost of the exact-match path with the tracer
+  disabled (null sink, the shipping default; the number
+  ``docs/OBSERVABILITY.md`` quotes) and with a live ring-sink capture,
+  timed as a pair by :func:`repro.perf.timer.paired_lookups`.
 
 The probe workload is bounded (``PROBE_POINTS`` records) so the perf run
 stays fast at every scale; its population is drawn from the same seeded
@@ -22,8 +20,8 @@ generator as the timed cases.
 
 from __future__ import annotations
 
-import time
-from typing import Any
+from contextlib import contextmanager, nullcontext
+from typing import Any, Iterator
 
 from repro.core.tree import BVTree
 from repro.geometry.space import DataSpace
@@ -35,23 +33,26 @@ from repro.obs import (
     TimeSeriesSink,
     run_doctor,
 )
-from repro.perf.registry import Scale
+from repro.perf.registry import Probe, Scale, register_probe
+from repro.perf.timer import LOOKUP_CHUNK, LOOKUP_ROUNDS, paired_lookups
 from repro.storage import BufferPool, ColumnarStore, PageStore
 from repro.workloads import churn, nested_hotspot, uniform
 
-__all__ = ["health_snapshot", "observability_snapshot"]
+__all__ = ["health_snapshot", "observability_snapshot", "probe_tree"]
 
 #: Record-count cap for the probe workload.
 PROBE_POINTS = 2000
-#: Exact-match lookups per timed overhead loop.
+#: Exact-match lookups in the traced metrics workload.
 PROBE_LOOKUPS = 500
-#: Best-of repeats for the overhead timing.
-PROBE_REPEATS = 5
 
 
-def _probe_tree(scale: Scale) -> tuple[BVTree, list[tuple[float, ...]]]:
+def probe_tree(
+    scale: Scale, cap: int = PROBE_POINTS
+) -> tuple[BVTree, list[tuple[float, ...]]]:
+    """An empty buffered tree at the scale's layout plus up to ``cap``
+    uniform points."""
     space = DataSpace.unit(scale.dims, resolution=scale.resolution)
-    n = min(scale.n_points, PROBE_POINTS)
+    n = min(scale.n_points, cap)
     points = [tuple(p) for p in uniform(n, scale.dims, seed=scale.seed)]
     backing = (
         ColumnarStore() if scale.layout == "columnar" else PageStore()
@@ -69,7 +70,7 @@ def _probe_tree(scale: Scale) -> tuple[BVTree, list[tuple[float, ...]]]:
 
 def _traced_metrics(scale: Scale) -> dict[str, Any]:
     """Replay a traced workload through a MetricsSink; return its snapshot."""
-    tree, points = _probe_tree(scale)
+    tree, points = probe_tree(scale)
     sink = MetricsSink()
     tree.tracer.attach(sink)
     for i, point in enumerate(points):
@@ -95,41 +96,37 @@ def _traced_metrics(scale: Scale) -> dict[str, Any]:
 
 
 def _overhead(scale: Scale) -> dict[str, Any]:
-    """Best-of timing of the exact-match loop: disabled tracer vs ring sink.
+    """The exact-match loop timed with the tracer disabled vs a ring sink.
 
     ``disabled_us_per_op`` (null sink, the shipping default) is the
     headline; ``ring_overhead_ratio`` shows what a live in-memory capture
     costs relative to it.
     """
-    tree, points = _probe_tree(scale)
+    tree, points = probe_tree(scale)
     tree.bulk_load([(p, i) for i, p in enumerate(points)], replace=True)
-    probes = points[:PROBE_LOOKUPS]
-    get = tree.get
-
-    def timed() -> float:
-        best = float("inf")
-        for _ in range(PROBE_REPEATS):
-            start = time.perf_counter()
-            for point in probes:
-                get(point)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    disabled = timed()
     ring = RingSink(capacity=4096)
-    tree.tracer.attach(ring)
-    traced = timed()
-    tree.tracer.detach()
+
+    @contextmanager
+    def ring_attached() -> Iterator[None]:
+        tree.tracer.attach(ring)
+        try:
+            yield
+        finally:
+            tree.tracer.detach()
+
+    timing = paired_lookups(
+        tree.get, points, {"disabled": nullcontext, "ring": ring_attached}
+    )
     # Publish the ring's occupancy gauges so the snapshot records
     # whether the capture truncated (trace.ring.dropped > 0 means the
     # overhead figure came from a partial window).
     ring_registry = MetricsRegistry()
     ring.publish(ring_registry)
     return {
-        "lookups": len(probes),
-        "disabled_us_per_op": disabled / len(probes) * 1e6,
-        "ring_us_per_op": traced / len(probes) * 1e6,
-        "ring_overhead_ratio": traced / disabled if disabled > 0 else None,
+        "lookups": LOOKUP_CHUNK * LOOKUP_ROUNDS,
+        "disabled_us_per_op": timing.median("disabled") * 1e6,
+        "ring_us_per_op": timing.median("ring") * 1e6,
+        "ring_overhead_ratio": timing.ratio("ring", "disabled"),
         "ring_state": {
             name: value["value"]
             for name, value in ring_registry.snapshot().items()
@@ -162,33 +159,30 @@ def _monitor_overhead(scale: Scale) -> dict[str, Any]:
     under a tap — the guarded sites check ``tracer.enabled`` — so the
     measured cost is the two boolean attribute checks per get.
     """
-    tree, points = _probe_tree(scale)
+    tree, points = probe_tree(scale)
     tree.bulk_load([(p, i) for i, p in enumerate(points)], replace=True)
-    probes = points[:PROBE_LOOKUPS]
-    get = tree.get
+    monitor = GuaranteeMonitor(tree)
+    series = TimeSeriesSink(
+        MetricsRegistry(), every=64, prepare=monitor.publish
+    )
 
-    def timed() -> float:
-        best = float("inf")
-        for _ in range(PROBE_REPEATS):
-            start = time.perf_counter()
-            for point in probes:
-                get(point)
-            best = min(best, time.perf_counter() - start)
-        return best
+    @contextmanager
+    def monitored() -> Iterator[None]:
+        with monitor:
+            tree.tracer.add_tap(series)
+            try:
+                yield
+            finally:
+                tree.tracer.remove_tap(series)
 
-    bare = timed()
-    monitor = GuaranteeMonitor(tree).attach()
-    registry = MetricsRegistry()
-    series = TimeSeriesSink(registry, every=64, prepare=monitor.publish)
-    tree.tracer.add_tap(series)
-    monitored = timed()
-    tree.tracer.remove_tap(series)
-    monitor.detach()
+    timing = paired_lookups(
+        tree.get, points, {"bare": nullcontext, "monitored": monitored}
+    )
     return {
-        "lookups": len(probes),
-        "uninstrumented_us_per_op": bare / len(probes) * 1e6,
-        "monitored_us_per_op": monitored / len(probes) * 1e6,
-        "monitor_overhead_ratio": monitored / bare if bare > 0 else None,
+        "lookups": LOOKUP_CHUNK * LOOKUP_ROUNDS,
+        "uninstrumented_us_per_op": timing.median("bare") * 1e6,
+        "monitored_us_per_op": timing.median("monitored") * 1e6,
+        "monitor_overhead_ratio": timing.ratio("monitored", "bare"),
     }
 
 
@@ -260,3 +254,107 @@ def health_snapshot(scale: Scale) -> dict[str, Any]:
         "overhead": _monitor_overhead(scale),
         "timeseries": result.timeseries,
     }
+
+
+def _observability_rows(obs: dict[str, Any]) -> list[list[Any]]:
+    overhead, metrics = obs["overhead"], obs["metrics"]
+    rows: list[list[Any]] = [
+        [
+            "tracer disabled (null sink)",
+            f"{overhead['disabled_us_per_op']:.2f} us/get",
+        ],
+        ["tracer + ring sink", f"{overhead['ring_us_per_op']:.2f} us/get"],
+        ["ring-sink overhead", f"{overhead['ring_overhead_ratio']:.2f}x"],
+    ]
+    for name in (
+        "descent.nodes_visited",
+        "descent.guard_checks",
+        "split.fanout",
+    ):
+        entry = metrics.get(name)
+        if entry and entry.get("count"):
+            rows.append([
+                name,
+                f"mean {entry['mean']:.2f} over {entry['count']} ops",
+            ])
+    ratio_entry = metrics.get("buffer.hit_ratio")
+    if ratio_entry is not None:
+        rows.append(["buffer.hit_ratio", f"{ratio_entry['value']:.3f}"])
+    return rows
+
+
+register_probe(Probe(
+    name="observability",
+    label="observability probe",
+    run=observability_snapshot,
+    title=lambda obs: f"observability probe (n={obs.get('probe_points')})",
+    rows=_observability_rows,
+))
+
+
+#: Severity order for regression detection (worse = higher).
+_SEVERITY_RANK = {"ok": 0, "warning": 1, "violation": 2}
+
+#: The gate on ``overhead.monitor_overhead_ratio``.
+MONITOR_OVERHEAD_BUDGET = 1.03
+
+
+def _health_rows(health: dict[str, Any]) -> list[list[Any]]:
+    rows: list[list[Any]] = [
+        [f"guarantee: {name}", verdict.upper()]
+        for name, verdict in health["verdicts"].items()
+    ]
+    monitor = health["monitor"]
+    rows += [
+        [
+            "audit (incremental vs sweep)",
+            "clean" if health["audit_clean"] else "DRIFT",
+        ],
+        ["height", monitor["height"]],
+        ["max splits per op", monitor["max_splits_per_op"]],
+        [
+            "monitor overhead",
+            f"{health['overhead']['monitor_overhead_ratio']:.3f}x",
+        ],
+    ]
+    return rows
+
+
+def _health_regressions(
+    base: dict[str, Any], cur: dict[str, Any]
+) -> list[str]:
+    """A guarantee verdict that got worse, a newly drifting audit, or a
+    monitor overhead ratio newly above the 3% budget."""
+    out: list[str] = []
+    base_verdicts = base.get("verdicts", {})
+    for name, verdict in cur.get("verdicts", {}).items():
+        was = base_verdicts.get(name, "ok")
+        if _SEVERITY_RANK.get(verdict, 0) > _SEVERITY_RANK.get(was, 0):
+            out.append(f"{name}: {was} -> {verdict}")
+    if base.get("audit_clean", True) and not cur.get("audit_clean", True):
+        out.append("audit: clean -> drift (incremental gauges diverged)")
+    base_ratio = (base.get("overhead") or {}).get("monitor_overhead_ratio")
+    cur_ratio = (cur.get("overhead") or {}).get("monitor_overhead_ratio")
+    if (
+        cur_ratio is not None
+        and cur_ratio > MONITOR_OVERHEAD_BUDGET
+        and (base_ratio is None or base_ratio <= MONITOR_OVERHEAD_BUDGET)
+    ):
+        out.append(
+            f"monitor overhead: {cur_ratio:.3f}x exceeds the 3% budget"
+        )
+    return out
+
+
+register_probe(Probe(
+    name="health",
+    label="health probe (guarantee doctor)",
+    run=health_snapshot,
+    title=lambda health: (
+        f"guarantee doctor ({health.get('workload')}, "
+        f"n={health.get('n_points')}, "
+        f"{health.get('ops_applied')} ops)"
+    ),
+    rows=_health_rows,
+    regressions=_health_regressions,
+))

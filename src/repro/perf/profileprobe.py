@@ -15,24 +15,12 @@ Runs once per ``repro perf`` suite and fills the ``profile`` block of
   None`` attribute check).
 
 Measuring a few-hundred-nanosecond hook under multi-percent machine
-noise takes more care than the tracing probe next door
-(:mod:`repro.perf.obsprobe`) needs for its coarser gates, so this probe
-layers three defences:
-
-- **Deep tree.**  The hook is a fixed cost per op, so the honest ratio
-  depends on the denominator; the probe populates ``PROFILE_POINTS``
-  records (capped by the scale) so the timed descents run at serving
-  depth, not toy depth.
-- **Paired small chunks.**  Machine noise (frequency scaling, steal
-  time) drifts on a scale of whole timing loops, so bare and profiled
-  are timed back-to-back on the same warmed ``PROFILE_CHUNK``-op chunk
-  each round, and each round contributes a *ratio*; both sides of every
-  ratio saw the same noise window.  The configuration order rotates
-  each round so within-round drift cannot systematically penalise one
-  configuration.
-- **Median of ratios.**  The reported ratio is the median across
-  ``PROFILE_ROUNDS`` rounds — robust to the occasional round that lands
-  on a descheduling spike.
+noise needs care, so the probe populates ``PROFILE_POINTS`` records
+(capped by the scale) — the hook is a fixed cost per op, so the timed
+descents must run at serving depth, not toy depth, for the ratio to be
+honest — and times bare, profiled and detached as a pair on small
+warmed chunks with :func:`repro.perf.timer.paired_lookups` (the
+median of per-round ratios; see :mod:`repro.perf.timer`).
 
 The block also carries the profiler's own view of the timed rounds —
 per-kind op count, latency percentiles, mean page accesses — which
@@ -42,16 +30,13 @@ lookup.
 
 from __future__ import annotations
 
-import statistics
-import time
+from contextlib import nullcontext
 from typing import Any
 
-from repro.core.tree import BVTree
-from repro.geometry.space import DataSpace
 from repro.obs import MetricsRegistry, OpProfiler
-from repro.perf.registry import Scale
-from repro.storage import BufferPool, ColumnarStore, PageStore
-from repro.workloads import uniform
+from repro.perf.obsprobe import probe_tree
+from repro.perf.registry import Probe, Scale, register_probe
+from repro.perf.timer import LOOKUP_CHUNK, LOOKUP_ROUNDS, paired_lookups
 
 __all__ = ["PROFILE_OVERHEAD_BUDGET", "PROFILE_POINTS", "profile_snapshot"]
 
@@ -62,97 +47,33 @@ PROFILE_OVERHEAD_BUDGET = 1.05
 #: timed descents run at serving depth, not toy depth.
 PROFILE_POINTS = 50_000
 
-#: Exact-match lookups per timed chunk (small, so the three
-#: configurations of one round share a single machine-noise window).
-PROFILE_CHUNK = 64
-
-#: Rounds of paired chunk timings; the reported ratios are medians
-#: across them.
-PROFILE_ROUNDS = 180
-
-#: Distinct probe points cycled through by the rounds.
-_PROBE_SPAN = 4096
-
-
-def _profile_tree(scale: Scale) -> tuple[BVTree, list[tuple[float, ...]]]:
-    space = DataSpace.unit(scale.dims, resolution=scale.resolution)
-    n = min(scale.n_points, PROFILE_POINTS)
-    points = [tuple(p) for p in uniform(n, scale.dims, seed=scale.seed)]
-    backing = (
-        ColumnarStore() if scale.layout == "columnar" else PageStore()
-    )
-    pool = BufferPool(backing, capacity=256)
-    tree = BVTree(
-        space,
-        data_capacity=scale.data_capacity,
-        fanout=scale.fanout,
-        store=pool,
-        layout=scale.layout,
-    )
-    return tree, points
-
 
 def profile_snapshot(scale: Scale) -> dict[str, Any]:
     """The ``profile`` block of a ``BENCH_<suite>.json`` snapshot."""
-    tree, points = _profile_tree(scale)
+    tree, points = probe_tree(scale, PROFILE_POINTS)
     tree.bulk_load([(p, i) for i, p in enumerate(points)], replace=True)
-    span = points[: min(len(points), _PROBE_SPAN)]
-    chunks = [
-        span[i : i + PROFILE_CHUNK]
-        for i in range(0, len(span) - PROFILE_CHUNK + 1, PROFILE_CHUNK)
-    ]
-    get = tree.get
-
-    def run(chunk: list[tuple[float, ...]]) -> float:
-        start = time.perf_counter()
-        for point in chunk:
-            get(point)
-        return time.perf_counter() - start
-
-    registry = MetricsRegistry()
-    profiler = OpProfiler(tree, registry=registry)
-
-    def timed(config: str, chunk: list[tuple[float, ...]]) -> float:
-        if config == "profiled":
-            profiler.attach()
-            try:
-                return run(chunk)
-            finally:
-                profiler.detach()
-        return run(chunk)
-
-    order = ("bare", "profiled", "detached")
-    ratios: dict[str, list[float]] = {"profiled": [], "detached": []}
-    samples: dict[str, list[float]] = {c: [] for c in order}
-    for rnd in range(PROFILE_ROUNDS):
-        chunk = chunks[rnd % len(chunks)]
-        run(chunk)  # warm: every page of the chunk is pooled before timing
-        shift = rnd % len(order)
-        t: dict[str, float] = {}
-        for config in order[shift:] + order[:shift]:
-            t[config] = timed(config, chunk)
-        for config in order:
-            samples[config].append(t[config])
-        ratios["profiled"].append(t["profiled"] / t["bare"])
-        ratios["detached"].append(t["detached"] / t["bare"])
-
-    per_op = 1e6 / PROFILE_CHUNK
+    profiler = OpProfiler(tree, registry=MetricsRegistry())
+    timing = paired_lookups(
+        tree.get,
+        points,
+        {
+            "bare": nullcontext,
+            "profiled": lambda: profiler,
+            "detached": nullcontext,
+        },
+    )
     get_profile = profiler.profiles.get("get")
     return {
-        "chunk_ops": PROFILE_CHUNK,
-        "rounds": PROFILE_ROUNDS,
+        "chunk_ops": LOOKUP_CHUNK,
+        "rounds": LOOKUP_ROUNDS,
         "tree_points": tree.count,
         "tree_height": tree.height,
         "budget_ratio": PROFILE_OVERHEAD_BUDGET,
-        "bare_us_per_op": statistics.median(samples["bare"]) * per_op,
-        "profiled_us_per_op": (
-            statistics.median(samples["profiled"]) * per_op
-        ),
-        "detached_us_per_op": (
-            statistics.median(samples["detached"]) * per_op
-        ),
-        "profiler_overhead_ratio": statistics.median(ratios["profiled"]),
-        "detached_ratio": statistics.median(ratios["detached"]),
+        "bare_us_per_op": timing.median("bare") * 1e6,
+        "profiled_us_per_op": timing.median("profiled") * 1e6,
+        "detached_us_per_op": timing.median("detached") * 1e6,
+        "profiler_overhead_ratio": timing.ratio("profiled", "bare"),
+        "detached_ratio": timing.ratio("detached", "bare"),
         "get": (
             {
                 "ops": get_profile.ops,
@@ -165,3 +86,57 @@ def profile_snapshot(scale: Scale) -> dict[str, Any]:
             else None
         ),
     }
+
+
+def _rows(profile: dict[str, Any]) -> list[list[Any]]:
+    ratio, budget = profile["profiler_overhead_ratio"], profile["budget_ratio"]
+    rows = [
+        ["bare exact match", f"{profile['bare_us_per_op']:.2f} us/op"],
+        ["profiler attached", f"{profile['profiled_us_per_op']:.2f} us/op"],
+        [
+            f"profiler overhead (budget {budget:.2f}x)",
+            f"{ratio:.3f}x "
+            + ("(PASS)" if ratio <= budget else "(OVER BUDGET)"),
+        ],
+        ["after detach", f"{profile['detached_ratio']:.3f}x"],
+    ]
+    get = profile["get"]
+    if get:
+        rows.append([
+            "profiler's own view (get)",
+            f"{get['ops']} ops, p50 {get['p50_us']:.1f}us, "
+            f"p99 {get['p99_us']:.1f}us, "
+            f"{get['mean_pages']:.1f} pages/op",
+        ])
+    return rows
+
+
+def _regressions(base: dict[str, Any], cur: dict[str, Any]) -> list[str]:
+    """A profiler overhead ratio newly above the block's budget."""
+    cur_ratio = cur.get("profiler_overhead_ratio")
+    base_ratio = base.get("profiler_overhead_ratio")
+    budget = cur.get("budget_ratio", PROFILE_OVERHEAD_BUDGET)
+    if (
+        cur_ratio is not None
+        and cur_ratio > budget
+        and (base_ratio is None or base_ratio <= budget)
+    ):
+        return [
+            f"profiler overhead: {cur_ratio:.3f}x exceeds "
+            f"the {budget:.2f}x budget"
+        ]
+    return []
+
+
+register_probe(Probe(
+    name="profile",
+    label="profiler probe (cost-profiler overhead)",
+    run=profile_snapshot,
+    title=lambda profile: (
+        f"cost-profiler probe (n={profile.get('tree_points')}, "
+        f"height {profile.get('tree_height')}, "
+        f"{profile.get('rounds')} paired rounds)"
+    ),
+    rows=_rows,
+    regressions=_regressions,
+))

@@ -7,6 +7,14 @@ extractor).  Cases are produced by *factories* registered with the
 and the shared scenario context (see :mod:`repro.perf.scenarios`), so the
 expensive fixtures — the loaded tree, the query sets — are built once per
 suite rather than once per case.
+
+A *probe* is a bounded side workload that runs once after the timed
+cases and fills one top-level block of the snapshot (tracer overhead,
+guarantee health, WAL cost, layout oracle, profiler overhead).  Each
+probe module registers one :class:`Probe` with :func:`register_probe`;
+the runner, the text report, the baseline gate and the JSON round-trip
+all iterate :func:`probes`, so everything about a probe lives in its
+module (:mod:`repro.perf` imports it, fixing the run order).
 """
 
 from __future__ import annotations
@@ -19,10 +27,13 @@ from repro.errors import ReproError
 __all__ = [
     "Case",
     "CaseFactory",
+    "Probe",
     "REGISTRY",
     "SCALES",
     "Scale",
     "benchmark",
+    "probes",
+    "register_probe",
     "resolve_scale",
 ]
 
@@ -126,3 +137,49 @@ def benchmark(name: str) -> Callable[[CaseFactory], CaseFactory]:
         return factory
 
     return register
+
+
+#: A snapshot block: the JSON-ready mapping one probe produces.
+Block = dict[str, Any]
+
+
+def _no_lines(*blocks: Block) -> list[str]:
+    return []
+
+
+@dataclass(frozen=True)
+class Probe:
+    """One snapshot block: how to measure it, draw it and gate on it.
+
+    ``regressions(base, cur)`` lists what got worse since a baseline
+    block (``repro perf --baseline``); ``failures(cur)`` lists what makes
+    the run itself fail (``repro perf`` exits 1).
+    """
+
+    #: Top-level key of the block in ``BENCH_<suite>.json``.
+    name: str
+    #: Progress line printed while the probe runs.
+    label: str
+    run: Callable[[Scale], Block]
+    title: Callable[[Block], str]
+    rows: Callable[[Block], list[list[Any]]]
+    regressions: Callable[[Block, Block], list[str]] = _no_lines
+    failures: Callable[[Block], list[str]] = _no_lines
+
+
+#: Registered probes in registration order — which is run order;
+#: :mod:`repro.perf` imports the probe modules in that order.
+_PROBES: dict[str, Probe] = {}
+
+
+def register_probe(probe: Probe) -> Probe:
+    """Register ``probe`` under its block name (must be unique)."""
+    if probe.name in _PROBES:
+        raise ReproError(f"probe {probe.name!r} registered twice")
+    _PROBES[probe.name] = probe
+    return probe
+
+
+def probes() -> list[Probe]:
+    """Every registered probe, in run order."""
+    return list(_PROBES.values())

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
+from repro.perf import registry
 
 __all__ = [
     "BenchResult",
@@ -91,35 +92,10 @@ class SuiteResult:
     #: Cross-case figures (speedups, equal-visit checks) computed by the
     #: runner; see :func:`repro.perf.runner.derive_metrics`.
     derived: dict[str, Any] = field(default_factory=dict)
-    #: Metrics-registry snapshot and tracing-overhead figures from the
-    #: observability probe (:mod:`repro.perf.obsprobe`).  Additive field:
-    #: absent in pre-probe snapshots, so the schema version is unchanged.
-    observability: dict[str, Any] = field(default_factory=dict)
-    #: Guarantee-monitor verdicts, audit result, monitor overhead and the
-    #: columnar health time series from the doctor probe
-    #: (:func:`repro.perf.obsprobe.health_snapshot`).  Additive like
-    #: ``observability``: absent in older snapshots, schema unchanged.
-    health: dict[str, Any] = field(default_factory=dict)
-    #: WAL overhead, fsync cost, crash-recovery wall clock and the
-    #: recovered-tree guarantee verdicts from the durability probe
-    #: (:func:`repro.perf.durability.durability_snapshot`).  Additive
-    #: like the two blocks above: absent in older snapshots.
-    durability: dict[str, Any] = field(default_factory=dict)
-    #: Object-vs-columnar lane timings, speedups and the layout-oracle
-    #: verdicts from the columnar probe
-    #: (:func:`repro.perf.columnar_probe.columnar_snapshot`).  Additive
-    #: like the blocks above: absent in older snapshots.
-    columnar: dict[str, Any] = field(default_factory=dict)
-    #: Cost-profiler overhead ratios and its per-kind view of the timed
-    #: loop from the profiler probe
-    #: (:func:`repro.perf.profileprobe.profile_snapshot`).  Additive
-    #: like the blocks above: absent in older snapshots.
-    profile: dict[str, Any] = field(default_factory=dict)
-    #: Concurrent-serving throughput and latency quantiles across the
-    #: three query:update mixes from the serving probe
-    #: (:func:`repro.perf.serving.serving_snapshot`).  Additive like the
-    #: blocks above: absent in older snapshots.
-    serving: dict[str, Any] = field(default_factory=dict)
+    #: One block per registered probe, keyed by its top-level JSON key
+    #: (see :class:`repro.perf.registry.Probe`).  Blocks are additive: a
+    #: snapshot written before a probe existed loads without its block.
+    probes: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def result(self, name: str) -> BenchResult:
         """The named case's result (ReproError if the run skipped it)."""
@@ -136,12 +112,10 @@ class SuiteResult:
             "scale": self.scale,
             "results": [result.to_dict() for result in self.results],
             "derived": self.derived,
-            "observability": self.observability,
-            "health": self.health,
-            "durability": self.durability,
-            "columnar": self.columnar,
-            "profile": self.profile,
-            "serving": self.serving,
+            **{
+                p.name: self.probes.get(p.name, {})
+                for p in registry.probes()
+            },
         }
 
     def to_json(self) -> str:
@@ -167,12 +141,11 @@ class SuiteResult:
             scale=dict(data["scale"]),
             results=[BenchResult.from_dict(r) for r in data["results"]],
             derived=dict(data.get("derived", {})),
-            observability=dict(data.get("observability", {})),
-            health=dict(data.get("health", {})),
-            durability=dict(data.get("durability", {})),
-            columnar=dict(data.get("columnar", {})),
-            profile=dict(data.get("profile", {})),
-            serving=dict(data.get("serving", {})),
+            probes={
+                p.name: dict(data[p.name])
+                for p in registry.probes()
+                if data.get(p.name)
+            },
         )
 
     @classmethod
@@ -182,7 +155,14 @@ class SuiteResult:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ReproError(f"cannot read benchmark snapshot {path}: {exc}")
-        return cls.from_dict(data)
+        if not isinstance(data, dict):
+            raise ReproError(f"benchmark snapshot {path} is not an object")
+        try:
+            return cls.from_dict(data)
+        except KeyError as exc:
+            raise ReproError(
+                f"benchmark snapshot {path} has no {exc} field"
+            ) from None
 
 
 def default_path(suite: str, root: Path | str | None = None) -> Path:

@@ -20,18 +20,14 @@ from typing import Any, Callable
 from repro.errors import ReproError
 from repro.bench.reporting import format_table
 from repro.perf import scenarios
-from repro.perf.columnar_probe import columnar_snapshot
-from repro.perf.durability import durability_snapshot
-from repro.perf.obsprobe import health_snapshot, observability_snapshot
-from repro.perf.profileprobe import profile_snapshot
-from repro.perf.registry import REGISTRY, Scale
+from repro.perf.registry import REGISTRY, Scale, probes
 from repro.perf.results import BenchResult, SuiteResult, compare
-from repro.perf.serving import serving_snapshot
 from repro.perf.timer import measure
 
 __all__ = [
     "derive_metrics",
-    "health_regressions",
+    "probe_failures",
+    "probe_regressions",
     "render_text",
     "run_suite",
 ]
@@ -42,16 +38,14 @@ def run_suite(
     suite: str = "core",
     only: list[str] | None = None,
     progress: Callable[[str], None] | None = None,
-    observability: bool = True,
 ) -> SuiteResult:
     """Execute the registered cases and assemble a :class:`SuiteResult`.
 
     ``only`` restricts the run to the named cases (suite-level derived
     metrics that need absent cases are simply omitted); ``progress`` is
-    called with each case name as it starts, for CLI feedback.  With
-    ``observability`` (the default), a bounded traced workload fills the
-    snapshot's metrics/overhead block after the timed cases finish
-    (never concurrently — the probe must not perturb the timings).
+    called with each case name and each probe label as it starts, for
+    CLI feedback.  Every registered probe runs after the timed cases
+    finish (never concurrently — a probe must not perturb the timings).
     """
     if only:
         unknown = sorted(set(only) - set(REGISTRY))
@@ -90,31 +84,11 @@ def run_suite(
                 counters=counters,
             )
         )
-    obs: dict[str, Any] = {}
-    health: dict[str, Any] = {}
-    durability: dict[str, Any] = {}
-    columnar: dict[str, Any] = {}
-    profile: dict[str, Any] = {}
-    serving: dict[str, Any] = {}
-    if observability:
+    blocks: dict[str, dict[str, Any]] = {}
+    for probe in probes():
         if progress is not None:
-            progress("observability probe")
-        obs = observability_snapshot(scale)
-        if progress is not None:
-            progress("health probe (guarantee doctor)")
-        health = health_snapshot(scale)
-        if progress is not None:
-            progress("durability probe (WAL overhead + crash recovery)")
-        durability = durability_snapshot(scale)
-        if progress is not None:
-            progress("columnar probe (layout lanes + oracle)")
-        columnar = columnar_snapshot(scale)
-        if progress is not None:
-            progress("profiler probe (cost-profiler overhead)")
-        profile = profile_snapshot(scale)
-        if progress is not None:
-            progress("serving probe (concurrent mixes)")
-        serving = serving_snapshot(scale)
+            progress(probe.label)
+        blocks[probe.name] = probe.run(scale)
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return SuiteResult(
         suite=suite,
@@ -122,12 +96,7 @@ def run_suite(
         scale=scale.to_dict(),
         results=results,
         derived=derive_metrics(results),
-        observability=obs,
-        health=health,
-        durability=durability,
-        columnar=columnar,
-        profile=profile,
-        serving=serving,
+        probes=blocks,
     )
 
 
@@ -188,18 +157,12 @@ def render_text(
             for key, value in sorted(result.derived.items())
         ]
         blocks.append(format_table(["derived metric", "value"], derived_rows))
-    if result.observability:
-        blocks.append(_render_observability(result.observability))
-    if result.health:
-        blocks.append(_render_health(result.health))
-    if result.durability:
-        blocks.append(_render_durability(result.durability))
-    if result.columnar:
-        blocks.append(_render_columnar(result.columnar))
-    if result.profile:
-        blocks.append(_render_profile(result.profile))
-    if result.serving:
-        blocks.append(_render_serving(result.serving))
+    for probe in probes():
+        block = result.probes.get(probe.name)
+        if block:
+            blocks.append(format_table(
+                [probe.name, "value"], probe.rows(block), probe.title(block)
+            ))
     if baseline is not None:
         cmp_rows = []
         for row in compare(baseline, result):
@@ -218,322 +181,43 @@ def render_text(
             cmp_rows,
             title=f"vs baseline from {baseline.created}",
         ))
-        regressions = health_regressions(baseline, result)
+        regressions = probe_regressions(baseline, result)
         if regressions:
             blocks.append(
                 "guarantee REGRESSIONS vs baseline:\n"
                 + "\n".join(f"  {line}" for line in regressions)
             )
-        elif baseline.health and result.health:
+        elif set(baseline.probes) & set(result.probes):
             blocks.append("guarantees: no regressions vs baseline")
     return "\n\n".join(blocks)
 
 
-#: Severity order for regression detection (worse = higher).
-_SEVERITY_RANK = {"ok": 0, "warning": 1, "violation": 2}
-
-
-def health_regressions(
+def probe_regressions(
     baseline: SuiteResult, current: SuiteResult
 ) -> list[str]:
-    """Guarantee verdicts that got *worse* since the baseline snapshot.
+    """What got *worse* since the baseline snapshot, one line each.
 
-    Compares the ``health`` blocks: a guarantee whose verdict rank
-    increased (ok → warning, warning → violation, ...), an audit that
-    went from clean to drifting, or a monitor overhead ratio newly above
-    1.03 each produce one line.  Snapshots without a health block (older
-    schema) compare as no-regression — the block is additive.
+    Each probe compares its own block (:attr:`Probe.regressions`); a
+    block missing on either side (an older snapshot) compares as
+    no-regression — blocks are additive.
     """
-    base, cur = baseline.health, current.health
-    if not base or not cur:
-        return []
     out: list[str] = []
-    base_verdicts = base.get("verdicts", {})
-    for name, verdict in cur.get("verdicts", {}).items():
-        was = base_verdicts.get(name, "ok")
-        if _SEVERITY_RANK.get(verdict, 0) > _SEVERITY_RANK.get(was, 0):
-            out.append(f"{name}: {was} -> {verdict}")
-    if base.get("audit_clean", True) and not cur.get("audit_clean", True):
-        out.append("audit: clean -> drift (incremental gauges diverged)")
-    base_ratio = (base.get("overhead") or {}).get("monitor_overhead_ratio")
-    cur_ratio = (cur.get("overhead") or {}).get("monitor_overhead_ratio")
-    if (
-        cur_ratio is not None
-        and cur_ratio > 1.03
-        and (base_ratio is None or base_ratio <= 1.03)
-    ):
-        out.append(
-            f"monitor overhead: {cur_ratio:.3f}x exceeds the 3% budget"
-        )
-    base_dur = (baseline.durability.get("overhead") or {}).get(
-        "wal_overhead_ratio"
-    )
-    cur_dur = (current.durability.get("overhead") or {}).get(
-        "wal_overhead_ratio"
-    )
-    if (
-        cur_dur is not None
-        and cur_dur > 3.0
-        and (base_dur is None or base_dur <= 3.0)
-    ):
-        out.append(
-            f"WAL overhead: {cur_dur:.2f}x exceeds the 3x budget"
-        )
-    cur_rec = current.durability.get("recovered_health") or {}
-    base_rec = baseline.durability.get("recovered_health") or {}
-    if base_rec.get("ok", True) and cur_rec and not cur_rec.get("ok", True):
-        out.append("recovered-tree guarantees: ok -> failing")
-    cur_prof = current.profile.get("profiler_overhead_ratio")
-    base_prof = baseline.profile.get("profiler_overhead_ratio")
-    budget = current.profile.get("budget_ratio", 1.05)
-    if (
-        cur_prof is not None
-        and cur_prof > budget
-        and (base_prof is None or base_prof <= budget)
-    ):
-        out.append(
-            f"profiler overhead: {cur_prof:.3f}x exceeds "
-            f"the {budget:.2f}x budget"
-        )
+    for probe in probes():
+        base = baseline.probes.get(probe.name)
+        cur = current.probes.get(probe.name)
+        if base and cur:
+            out.extend(probe.regressions(base, cur))
     return out
 
 
-def _render_health(health: dict[str, Any]) -> str:
-    """The guarantee-doctor block of the text report."""
-    rows: list[list[Any]] = []
-    for name, verdict in health.get("verdicts", {}).items():
-        rows.append([f"guarantee: {name}", verdict.upper()])
-    rows.append([
-        "audit (incremental vs sweep)",
-        "clean" if health.get("audit_clean") else "DRIFT",
-    ])
-    monitor = health.get("monitor", {})
-    if monitor:
-        rows.append(["height", monitor.get("height")])
-        rows.append(["max splits per op", monitor.get("max_splits_per_op")])
-    overhead = health.get("overhead", {})
-    ratio = overhead.get("monitor_overhead_ratio")
-    if ratio is not None:
-        rows.append(["monitor overhead", f"{ratio:.3f}x"])
-    return format_table(
-        ["health probe", "value"],
-        rows,
-        title=(
-            f"guarantee doctor ({health.get('workload')}, "
-            f"n={health.get('n_points')}, "
-            f"{health.get('ops_applied')} ops)"
-        ),
-    )
-
-
-def _render_durability(durability: dict[str, Any]) -> str:
-    """The durability-probe block of the text report."""
-    rows: list[list[Any]] = []
-    overhead = durability.get("overhead", {})
-    if overhead:
-        rows.append([
-            "in-memory insert",
-            f"{overhead.get('memory_us_per_insert', 0.0):.2f} us/op",
-        ])
-        rows.append([
-            "WAL insert (sync=os)",
-            f"{overhead.get('wal_us_per_insert', 0.0):.2f} us/op",
-        ])
-        ratio = overhead.get("wal_overhead_ratio")
-        if ratio is not None:
-            rows.append(["WAL overhead", f"{ratio:.2f}x"])
-        rows.append([
-            "fsync per commit (sync=commit)",
-            f"{overhead.get('fsync_us_per_commit', 0.0):.0f} us",
-        ])
-    recovery = durability.get("recovery", {})
-    if recovery:
-        rows.append([
-            "crash recovery",
-            f"{recovery.get('ms_total', 0.0):.1f} ms for "
-            f"{recovery.get('records_replayed')} records "
-            f"({recovery.get('recovered_records')} recovered)",
-        ])
-        rows.append([
-            "torn tail discarded",
-            "yes" if recovery.get("torn_tail") else "no",
-        ])
-    recovered = durability.get("recovered_health", {})
-    if recovered:
-        if recovered.get("ok"):
-            verdict = "PASS"
-        else:
-            verdicts = recovered.get("verdicts", {})
-            detail = ", ".join(
-                f"{k}={v}" for k, v in sorted(verdicts.items())
-            )
-            verdict = f"FAIL ({detail})"
-        rows.append(["recovered-tree guarantees", verdict])
-    return format_table(
-        ["durability probe", "value"],
-        rows,
-        title=(
-            f"durability probe (n={durability.get('probe_points')}, "
-            f"WAL vs in-memory)"
-        ),
-    )
-
-
-def _render_columnar(columnar: dict[str, Any]) -> str:
-    """The columnar-probe block of the text report."""
-    rows: list[list[Any]] = []
-    lanes = columnar.get("lanes", {})
-    labels = [
-        ("exact_us_per_op", "exact match", "us/op"),
-        ("range_us_per_query", "range query", "us/query"),
-        ("knn_us_per_query", "k-NN query", "us/query"),
-        ("insert_us_per_op", "insert", "us/op"),
-        ("delete_us_per_op", "delete", "us/op"),
+def probe_failures(result: SuiteResult) -> list[str]:
+    """Findings that fail the run itself (:attr:`Probe.failures`)."""
+    return [
+        line
+        for probe in probes()
+        if result.probes.get(probe.name)
+        for line in probe.failures(result.probes[probe.name])
     ]
-    obj = lanes.get("object", {})
-    col = lanes.get("columnar", {})
-    for key, label, unit in labels:
-        if key in obj and key in col:
-            rows.append([
-                label,
-                f"object {obj[key]:.2f} / columnar {col[key]:.2f} {unit}",
-            ])
-    speedups = columnar.get("speedups", {})
-    for key in ("exact_match", "range", "knn"):
-        if key in speedups:
-            rows.append([f"speedup: {key}", f"{speedups[key]:.2f}x"])
-    for key in ("insert_ratio", "delete_ratio"):
-        if key in speedups:
-            rows.append([
-                f"update cost: {key}",
-                f"{speedups[key]:.2f}x (budget 1.20x)",
-            ])
-    oracle = columnar.get("oracle", {})
-    if oracle:
-        rows.append([
-            "layout oracle",
-            "EQUAL" if oracle.get("equal") else "DIVERGED",
-        ])
-    return format_table(
-        ["columnar probe", "value"],
-        rows,
-        title=(
-            f"columnar probe (n={columnar.get('probe_points')}, "
-            f"object vs columnar lanes)"
-        ),
-    )
-
-
-def _render_profile(profile: dict[str, Any]) -> str:
-    """The cost-profiler block of the text report."""
-    rows: list[list[Any]] = []
-    rows.append([
-        "bare exact match",
-        f"{profile.get('bare_us_per_op', 0.0):.2f} us/op",
-    ])
-    rows.append([
-        "profiler attached",
-        f"{profile.get('profiled_us_per_op', 0.0):.2f} us/op",
-    ])
-    ratio = profile.get("profiler_overhead_ratio")
-    budget = profile.get("budget_ratio")
-    if ratio is not None:
-        verdict = ""
-        if budget is not None:
-            verdict = " (PASS)" if ratio <= budget else " (OVER BUDGET)"
-        rows.append([
-            f"profiler overhead (budget {budget:.2f}x)"
-            if budget is not None
-            else "profiler overhead",
-            f"{ratio:.3f}x{verdict}",
-        ])
-    detached = profile.get("detached_ratio")
-    if detached is not None:
-        rows.append(["after detach", f"{detached:.3f}x"])
-    get = profile.get("get") or {}
-    if get:
-        rows.append([
-            "profiler's own view (get)",
-            f"{get.get('ops')} ops, p50 {get.get('p50_us', 0.0):.1f}us, "
-            f"p99 {get.get('p99_us', 0.0):.1f}us, "
-            f"{get.get('mean_pages', 0.0):.1f} pages/op",
-        ])
-    return format_table(
-        ["profiler probe", "value"],
-        rows,
-        title=(
-            f"cost-profiler probe (n={profile.get('tree_points')}, "
-            f"height {profile.get('tree_height')}, "
-            f"{profile.get('rounds')} paired rounds)"
-        ),
-    )
-
-
-def _render_serving(serving: dict[str, Any]) -> str:
-    """The serving-probe block of the text report."""
-    rows: list[list[Any]] = []
-    for name, mix in serving.get("mixes", {}).items():
-        rows.append([
-            f"{name} (reads {mix.get('read_fraction', 0.0):.0%})",
-            f"{mix.get('ops_per_s', 0.0):,.0f} ops/s, "
-            f"read p50 {mix.get('read_p50_us', 0.0):.0f}us "
-            f"p99 {mix.get('read_p99_us', 0.0):.0f}us, "
-            f"write p50 {mix.get('write_p50_us', 0.0):.0f}us "
-            f"p99 {mix.get('write_p99_us', 0.0):.0f}us",
-        ])
-        rows.append([
-            f"  {name}: consistency",
-            "OK"
-            if mix.get("consistent") and not mix.get("errors")
-            else f"FAIL (errors={mix.get('errors')})",
-        ])
-    return format_table(
-        ["serving probe", "value"],
-        rows,
-        title=(
-            f"serving probe (n={serving.get('probe_points')}, "
-            f"4 readers + 1 writer, "
-            f"{serving.get('duration_per_mix_s')}s per mix)"
-        ),
-    )
-
-
-def _render_observability(obs: dict[str, Any]) -> str:
-    """The observability-probe block of the text report."""
-    rows: list[list[Any]] = []
-    overhead = obs.get("overhead", {})
-    if overhead:
-        rows.append([
-            "tracer disabled (null sink)",
-            f"{overhead.get('disabled_us_per_op', 0.0):.2f} us/get",
-        ])
-        rows.append([
-            "tracer + ring sink",
-            f"{overhead.get('ring_us_per_op', 0.0):.2f} us/get",
-        ])
-        ratio = overhead.get("ring_overhead_ratio")
-        if ratio is not None:
-            rows.append(["ring-sink overhead", f"{ratio:.2f}x"])
-    metrics = obs.get("metrics", {})
-    for name in (
-        "descent.nodes_visited",
-        "descent.guard_checks",
-        "split.fanout",
-    ):
-        entry = metrics.get(name)
-        if entry and entry.get("count"):
-            rows.append([
-                name,
-                f"mean {entry['mean']:.2f} over {entry['count']} ops",
-            ])
-    ratio_entry = metrics.get("buffer.hit_ratio")
-    if ratio_entry is not None:
-        rows.append(["buffer.hit_ratio", f"{ratio_entry['value']:.3f}"])
-    return format_table(
-        ["observability", "value"],
-        rows,
-        title=f"observability probe (n={obs.get('probe_points')})",
-    )
 
 
 def _fmt_derived(value: Any) -> str:

@@ -6,6 +6,41 @@ import pytest
 
 from repro.cli import build_parser, main
 
+def write_snapshot(path, **blocks):
+    """A minimal valid BENCH snapshot carrying the given probe blocks."""
+    from repro.perf import SuiteResult
+
+    return SuiteResult(
+        suite="test",
+        created="2026-01-01T00:00:00+00:00",
+        scale={},
+        results=[],
+        probes=blocks,
+    ).write(path)
+
+
+def bad_snapshot(tmp_path, kind):
+    """A snapshot path that cannot be loaded, one per failure kind."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "garbled":
+        path.write_text("{not json")
+    elif kind == "not_an_object":
+        path.write_text("[1, 2]")
+    elif kind == "missing_field":
+        path.write_text(json.dumps({"schema_version": 1}))
+    elif kind == "unknown_version":
+        write_snapshot(path)
+        data = json.loads(path.read_text())
+        data["schema_version"] = 999
+        path.write_text(json.dumps(data))
+    return path
+
+
+BAD_SNAPSHOTS = [
+    "missing", "garbled", "not_an_object", "missing_field", "unknown_version",
+]
+
+
 PERF_TINY = [
     "perf",
     "--scale", "smoke",
@@ -129,6 +164,66 @@ class TestPerf:
         out = capsys.readouterr().out
         assert "vs baseline" in out
         assert "speedup" in out
+
+
+    @pytest.mark.parametrize("kind", BAD_SNAPSHOTS)
+    def test_unloadable_baseline_exits_2(self, capsys, tmp_path, kind):
+        baseline = bad_snapshot(tmp_path, kind)
+        args = PERF_TINY + ["--no-write", "--baseline", str(baseline)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_probe_failure_fails_the_run(self, capsys, monkeypatch):
+        # A diverged layout oracle is a correctness bug: the columnar
+        # probe's failures() must turn it into exit code 1.
+        import dataclasses
+
+        from repro.perf import SuiteResult, default_path, registry
+
+        block = SuiteResult.load(default_path("core")).probes["columnar"]
+        block["oracle"] = dict(block["oracle"], equal=False, knn_equal=False)
+        stub = dataclasses.replace(
+            registry._PROBES["columnar"], run=lambda scale: block
+        )
+        monkeypatch.setitem(registry._PROBES, "columnar", stub)
+        assert main(PERF_TINY + ["--no-write", "--only", "exact_match"]) == 1
+        err = capsys.readouterr().err
+        assert "oracle DIVERGED" in err and "knn_equal" in err
+
+
+class TestLoadgen:
+    def test_reports_per_kind_percentiles(self, capsys, tmp_path):
+        from repro.concurrency import build_service
+        from repro.geometry.space import DataSpace
+        from repro.server.app import ServingApp
+        from repro.server.http import ServerHandle
+
+        service, _ = build_service(
+            space=DataSpace.unit(2, resolution=16),
+            data_capacity=16,
+            fanout=16,
+        )
+        handle = ServerHandle(ServingApp(service)).start()
+        out = tmp_path / "loadgen.json"
+        try:
+            assert main([
+                "loadgen",
+                "--url", f"http://{handle.host}:{handle.port}",
+                "--duration", "1",
+                "--threads", "2",
+                "--json", str(out),
+            ]) == 0
+        finally:
+            handle.stop()
+            service.detach()
+        summary = json.loads(out.read_text())
+        assert summary["requests"] > 0 and summary["errors"] == 0
+        for kind in ("get", "range", "knn", "insert", "delete"):
+            assert f"{kind}_p50_us" in summary
+            assert summary[f"{kind}_p99_us"] >= summary[f"{kind}_p50_us"]
+        assert summary["get_p50_us"] > 0 and summary["insert_p50_us"] > 0
+        assert "p50_us" not in summary and "p99_us" not in summary
 
 
 class TestParser:
@@ -265,30 +360,41 @@ class TestDoctor:
         )
 
     def test_bench_mode_reads_health_block(self, capsys, tmp_path):
-        snapshot = tmp_path / "BENCH_test.json"
-        snapshot.write_text(json.dumps({
-            "health": {
-                "ok": True,
-                "verdicts": {
-                    "occupancy": "ok",
-                    "height": "ok",
-                    "no_cascade": "ok",
-                },
+        snapshot = write_snapshot(tmp_path / "BENCH_test.json", health={
+            "ok": True,
+            "verdicts": {
+                "occupancy": "ok",
+                "height": "ok",
+                "no_cascade": "ok",
             },
-        }))
+        })
         assert main(["doctor", "--bench", str(snapshot)]) == 0
         out = capsys.readouterr().out
         assert "[OK] occupancy" in out
 
     def test_bench_mode_fails_on_unhealthy_block(self, capsys, tmp_path):
-        snapshot = tmp_path / "BENCH_test.json"
-        snapshot.write_text(json.dumps({
-            "health": {"ok": False, "verdicts": {"height": "violation"}},
-        }))
+        snapshot = write_snapshot(
+            tmp_path / "BENCH_test.json",
+            health={"ok": False, "verdicts": {"height": "violation"}},
+        )
         assert main(["doctor", "--bench", str(snapshot)]) == 1
 
     def test_bench_mode_without_health_block_exits_2(self, capsys, tmp_path):
-        snapshot = tmp_path / "BENCH_test.json"
-        snapshot.write_text(json.dumps({"results": []}))
+        snapshot = write_snapshot(tmp_path / "BENCH_test.json")
         assert main(["doctor", "--bench", str(snapshot)]) == 2
         assert "no health block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", BAD_SNAPSHOTS)
+    def test_bench_mode_on_unloadable_snapshot_exits_2(
+        self, capsys, tmp_path, kind
+    ):
+        snapshot = bad_snapshot(tmp_path, kind)
+        assert main(["doctor", "--bench", str(snapshot)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bench_mode_on_committed_snapshot(self, capsys):
+        from repro.perf import default_path
+
+        assert main(["doctor", "--bench", str(default_path("core"))]) == 0
+        assert "[OK] no_cascade" in capsys.readouterr().out

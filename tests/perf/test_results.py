@@ -58,16 +58,17 @@ class TestSuiteResult:
 
     def test_observability_round_trips(self, tmp_path):
         obs = {"overhead": {"disabled_us_per_op": 15.5}, "probe_points": 300}
-        suite = make_suite(observability=obs)
+        suite = make_suite(probes={"observability": obs})
         loaded = SuiteResult.load(suite.write(tmp_path / "b.json"))
-        assert loaded.observability == obs
+        assert loaded.probes["observability"] == obs
 
     def test_pre_probe_snapshots_still_load(self):
         # The observability field is additive: a snapshot written before
         # the probe existed (no key at all) loads with an empty dict.
         data = make_suite().to_dict()
         del data["observability"]
-        assert SuiteResult.from_dict(data).observability == {}
+        loaded = SuiteResult.from_dict(data)
+        assert loaded.probes.get("observability", {}) == {}
 
     def test_json_is_stable_schema(self, tmp_path):
         path = make_suite().write(tmp_path / "b.json")

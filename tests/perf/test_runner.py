@@ -7,7 +7,7 @@ from repro.perf.registry import REGISTRY, Scale
 from repro.perf.results import BenchResult
 from repro.perf.runner import (
     derive_metrics,
-    health_regressions,
+    probe_regressions,
     render_text,
     run_suite,
 )
@@ -69,18 +69,7 @@ class TestRunSuite:
             "durability probe (WAL overhead + crash recovery)",
             "columnar probe (layout lanes + oracle)",
             "profiler probe (cost-profiler overhead)",
-            "serving probe (concurrent mixes)",
         ]
-
-    def test_progress_without_observability(self):
-        seen = []
-        run_suite(
-            TINY,
-            only=["exact_match"],
-            progress=seen.append,
-            observability=False,
-        )
-        assert seen == ["exact_match"]
 
 
 class TestDeriveMetrics:
@@ -133,7 +122,7 @@ class TestRenderText:
         assert "1.00x" in text
 
     def test_observability_block(self, suite_result):
-        obs = suite_result.observability
+        obs = suite_result.probes["observability"]
         assert obs["overhead"]["disabled_us_per_op"] > 0
         assert obs["overhead"]["ring_us_per_op"] > 0
         assert obs["metrics"]["descent.nodes_visited"]["count"] > 0
@@ -148,14 +137,14 @@ def _with_health(result, **overrides):
     import copy
 
     clone = copy.copy(result)
-    clone.health = copy.deepcopy(result.health)
-    clone.health.update(overrides)
+    clone.probes = copy.deepcopy(result.probes)
+    clone.probes["health"].update(overrides)
     return clone
 
 
 class TestHealthBlock:
     def test_suite_result_carries_health(self, suite_result):
-        health = suite_result.health
+        health = suite_result.probes["health"]
         assert health["ok"] is True
         assert health["audit_clean"] is True
         assert health["verdicts"] == {
@@ -174,7 +163,7 @@ class TestHealthBlock:
         assert "audit (incremental vs sweep)" in text
 
     def test_no_regression_against_self(self, suite_result):
-        assert health_regressions(suite_result, suite_result) == []
+        assert probe_regressions(suite_result, suite_result) == []
         text = render_text(suite_result, baseline=suite_result)
         assert "no regressions" in text
 
@@ -183,7 +172,7 @@ class TestHealthBlock:
             suite_result,
             verdicts={"occupancy": "violation", "height": "ok", "no_cascade": "ok"},
         )
-        lines = health_regressions(suite_result, worse)
+        lines = probe_regressions(suite_result, worse)
         assert lines == ["occupancy: ok -> violation"]
         text = render_text(worse, baseline=suite_result)
         assert "guarantee REGRESSIONS" in text
@@ -192,7 +181,7 @@ class TestHealthBlock:
         drifted = _with_health(suite_result, audit_clean=False)
         assert any(
             "drift" in line
-            for line in health_regressions(suite_result, drifted)
+            for line in probe_regressions(suite_result, drifted)
         )
 
     def test_overhead_budget_breach_is_a_regression(self, suite_result):
@@ -209,11 +198,11 @@ class TestHealthBlock:
         )
         assert any(
             "overhead" in line
-            for line in health_regressions(base, heavy)
+            for line in probe_regressions(base, heavy)
         )
 
     def test_missing_health_blocks_compare_clean(self, suite_result):
         legacy = _with_health(suite_result)
-        legacy.health = {}
-        assert health_regressions(legacy, suite_result) == []
-        assert health_regressions(suite_result, legacy) == []
+        del legacy.probes["health"]
+        assert probe_regressions(legacy, suite_result) == []
+        assert probe_regressions(suite_result, legacy) == []

@@ -1,11 +1,20 @@
 """Unit tests for the measurement primitives."""
 
 import gc
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
 from repro.errors import ReproError
-from repro.perf.timer import Timing, measure
+from repro.perf.timer import (
+    LOOKUP_CHUNK,
+    LOOKUP_ROUNDS,
+    Paired,
+    Timing,
+    measure,
+    paired,
+    paired_lookups,
+)
 
 
 class TestTiming:
@@ -69,3 +78,62 @@ class TestMeasure:
     def test_samples_are_positive(self):
         timing = measure(lambda _: sum(range(100)), repeats=2, warmup=0)
         assert all(s > 0 for s in timing.samples)
+
+
+class TestPaired:
+    def test_rotates_configuration_order_each_round(self):
+        order = []
+
+        def config(name):
+            @contextmanager
+            def entered():
+                order.append(name)
+                yield name
+
+            return entered
+
+        timing = paired(
+            lambda state, item: None,
+            {"a": config("a"), "b": config("b"), "c": config("c")},
+            range(3),
+        )
+        assert order == ["a", "b", "c", "b", "c", "a", "c", "a", "b"]
+        assert {name: len(s) for name, s in timing.samples.items()} == {
+            "a": 3, "b": 3, "c": 3,
+        }
+
+    def test_run_gets_state_and_item_with_gc_paused(self):
+        seen = []
+        warmed = []
+
+        def run(state, item):
+            seen.append((state, item, gc.isenabled()))
+
+        paired(
+            run,
+            {"x": lambda: nullcontext("state")},
+            ["i0", "i1"],
+            warm=warmed.append,
+        )
+        assert seen == [("state", "i0", False), ("state", "i1", False)]
+        assert warmed == ["i0", "i1"]
+
+    def test_ratio_is_median_of_per_round_ratios(self):
+        timing = Paired(samples={
+            "bare": [1.0, 2.0, 4.0],
+            "slow": [1.1, 2.0, 20.0],
+        })
+        # Per-round ratios 1.1, 1.0, 5.0: the outlier round is ignored.
+        assert timing.ratio("slow", "bare") == pytest.approx(1.1)
+        assert timing.median("bare") == 2.0
+
+    def test_paired_lookups_times_every_chunk_point(self):
+        calls = []
+        timing = paired_lookups(
+            calls.append,
+            list(range(3 * LOOKUP_CHUNK)),
+            {"bare": nullcontext, "again": nullcontext},
+        )
+        assert len(timing.samples["bare"]) == LOOKUP_ROUNDS
+        # Each round: one untimed warm pass plus one pass per config.
+        assert len(calls) == 3 * LOOKUP_ROUNDS * LOOKUP_CHUNK
