@@ -100,36 +100,45 @@ python -m pytest -x -q tests/concurrency tests/server
 python3 perfbench/selftest.py
 
 echo "== serve smoke =="
-# Boot the real server, drive mixed traffic over real sockets with the
-# load generator, and require non-zero throughput with zero failed
-# requests (loadgen exits 1 on any unexpected status).
+# A short serve_write benchmark run: a real repro serve on a WAL store
+# with the write batcher, two writers over loopback sockets, and every
+# answer checked against the benchmark's own model.  Then boot a server
+# and require its /metrics exposition to pass the Prometheus lint.
 serve_json="${TMPDIR:-/tmp}/repro-serve-smoke.json"
-python -m repro serve --n 2000 --port 18077 >/dev/null 2>&1 &
-serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
-for _ in $(seq 50); do
-    if python - <<'PY' 2>/dev/null
-import http.client
-conn = http.client.HTTPConnection("127.0.0.1", 18077, timeout=1)
-conn.request("GET", "/health")
-assert conn.getresponse().status == 200
-PY
-    then break; fi
-    sleep 0.2
-done
-python -m repro loadgen --url http://127.0.0.1:18077 \
-    --duration 3 --json "$serve_json" >/dev/null
+python3 perfbench/run.py --workload serve_write --seed 1 --seconds 2 \
+    > "$serve_json" 2>/dev/null
 python - "$serve_json" <<'PY'
 import json, sys
 summary = json.load(open(sys.argv[1]))
-assert summary["requests"] > 0, "serve smoke drove no traffic"
-assert summary["errors"] == 0, f"serve smoke saw errors: {summary}"
-assert summary["ops_per_s"] > 0
+assert summary["correct"] is True, f"serve smoke saw wrong answers: {summary}"
+assert summary["failed"] == 0, f"serve smoke saw failed ops: {summary}"
+PY
+rm -f "$serve_json"
+python -m repro serve --n 2000 --port 18077 >/dev/null 2>&1 &
+serve_pid=$!
+trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
+python - <<'PY'
+import http.client, json, time
+from repro.obs import lint_prometheus
+for _ in range(50):
+    try:
+        conn = http.client.HTTPConnection("127.0.0.1", 18077, timeout=1)
+        conn.request("GET", "/health")
+        if conn.getresponse().status == 200:
+            break
+    except OSError:
+        pass
+    time.sleep(0.2)
+conn = http.client.HTTPConnection("127.0.0.1", 18077, timeout=5)
+conn.request("POST", "/v1/knn", json.dumps({"point": [0.5, 0.5], "k": 3}))
+assert conn.getresponse().read()
+conn.request("GET", "/metrics")
+problems = lint_prometheus(conn.getresponse().read().decode())
+assert not problems, f"serve /metrics failed promtext lint: {problems}"
 PY
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 trap - EXIT
-rm -f "$serve_json"
 
 echo "== durability smoke =="
 # Build a durable store that dies at an injected torn-tail crash, then

@@ -14,7 +14,6 @@
     python -m repro top --once                 # live cost/health dashboard
     python -m repro recover state/             # replay a WAL, rebuild the tree
     python -m repro serve --n 10000            # HTTP/JSON serving layer
-    python -m repro loadgen --duration 5       # drive traffic at a server
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from typing import Sequence
 from repro.analysis import capacity, figures
 from repro.bench.harness import INDEX_KINDS, build_index, index_occupancies
 from repro.bench.reporting import format_table
+from repro.core.columnar import DEFAULT_LAYOUT, LAYOUTS
 from repro.errors import ReproError
 from repro.geometry.space import DataSpace
 from repro.workloads import (
@@ -418,7 +418,7 @@ def _mixed_operations(
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.core.tree import BVTree
     from repro.obs import SlowOpLog, run_top
-    from repro.storage import BufferPool, ColumnarStore, PageStore
+    from repro.storage import BufferPool, default_store
 
     space = DataSpace.unit(args.dims, resolution=18)
     raw = WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
@@ -431,10 +431,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
         if path not in seen:
             seen.add(path)
             points.append(tuple(point))
-    backing = ColumnarStore() if args.layout == "columnar" else PageStore()
-    store = (
-        BufferPool(backing, capacity=args.buffer) if args.buffer else backing
-    )
+    store = default_store()
+    if args.buffer:
+        store = BufferPool(store, capacity=args.buffer)
     tree = BVTree(
         space,
         data_capacity=args.data_capacity,
@@ -501,7 +500,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
     from repro.core.tree import BVTree
     from repro.obs import HealthThresholds, render_doctor_text, run_doctor
-    from repro.storage import ColumnarStore, PageStore
     from repro.workloads import churn as churn_ops
 
     space = DataSpace.unit(args.dims, resolution=18)
@@ -521,9 +519,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         data_capacity=args.data_capacity,
         fanout=args.fanout,
         policy=args.policy,
-        store=(
-            ColumnarStore() if args.layout == "columnar" else PageStore()
-        ),
     )
     operations = (
         churn_ops(points, delete_fraction=args.churn, seed=args.seed)
@@ -709,17 +704,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tree.insert(point, value, replace=True)
     else:
         from repro.core.tree import BVTree
-        from repro.storage import ColumnarStore, PageStore
 
         tree = BVTree(
             space,
             data_capacity=args.data_capacity,
             fanout=args.fanout,
-            store=(
-                ColumnarStore()
-                if args.layout == "columnar"
-                else PageStore()
-            ),
             layout=args.layout,
         )
         tree.bulk_load(records, replace=True)
@@ -747,160 +736,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.durable:
             tree.store.close()
     return 0
-
-
-#: Load-generator query:update mixes, as the fraction of requests that
-#: are reads.
-_LOADGEN_MIXES = {"read_heavy": 0.9, "balanced": 0.5, "write_heavy": 0.1}
-#: Endpoints the load generator drives; latency is reported per kind.
-_LOADGEN_KINDS = ("get", "range", "knn", "insert", "delete")
-
-
-def _loadgen_worker(
-    url: str,
-    mix_read_fraction: float,
-    stop_at: float,
-    seed: int,
-    dims: int,
-    out: "dict[str, object]",
-) -> None:
-    """One load-generator thread: mixed traffic over a keep-alive
-    connection, latencies and error counts recorded into ``out``."""
-    import http.client
-    import json as json_mod
-    import random
-    from time import monotonic, perf_counter
-    from urllib.parse import urlsplit
-
-    rng = random.Random(seed)
-    parts = urlsplit(url)
-    host = parts.hostname or "127.0.0.1"
-    port = parts.port or 80
-    conn = http.client.HTTPConnection(host, port, timeout=10.0)
-    latencies: dict[str, list[float]] = {kind: [] for kind in _LOADGEN_KINDS}
-    reads = writes = errors = 0
-    try:
-        while monotonic() < stop_at:
-            point = [rng.random() for _ in range(dims)]
-            if rng.random() < mix_read_fraction:
-                roll = rng.random()
-                if roll < 0.8:
-                    path, body = "/v1/get", {"point": point}
-                elif roll < 0.95:
-                    lo = rng.random() * 0.8
-                    path, body = "/v1/range", {
-                        "lows": [lo] * dims,
-                        "highs": [lo + 0.2] * dims,
-                    }
-                else:
-                    path, body = "/v1/knn", {"point": point, "k": 5}
-                expected = (200, 404)
-                reads += 1
-            else:
-                if rng.random() < 0.7:
-                    path, body = "/v1/insert", {
-                        "point": point,
-                        "value": rng.randrange(1 << 20),
-                        "replace": True,
-                    }
-                    expected = (201,)
-                else:
-                    path, body = "/v1/delete", {"point": point}
-                    expected = (200, 404)
-                writes += 1
-            t0 = perf_counter()
-            try:
-                conn.request(
-                    "POST",
-                    path,
-                    body=json_mod.dumps(body),
-                    headers={"Content-Type": "application/json"},
-                )
-                response = conn.getresponse()
-                response.read()
-                if response.status not in expected:
-                    errors += 1
-            except (OSError, http.client.HTTPException):
-                errors += 1
-                conn.close()
-                conn = http.client.HTTPConnection(host, port, timeout=10.0)
-            latencies[path.rpartition("/")[2]].append(perf_counter() - t0)
-    finally:
-        conn.close()
-    out["latencies"] = latencies
-    out["reads"] = reads
-    out["writes"] = writes
-    out["errors"] = errors
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import json
-    import threading
-    from time import monotonic, perf_counter
-
-    read_fraction = _LOADGEN_MIXES[args.mix]
-    stop_at = monotonic() + args.duration
-    slots: list[dict[str, object]] = [{} for _ in range(args.threads)]
-    threads = [
-        threading.Thread(
-            target=_loadgen_worker,
-            args=(
-                args.url,
-                read_fraction,
-                stop_at,
-                args.seed * 1009 + slot,
-                args.dims,
-                slots[slot],
-            ),
-        )
-        for slot in range(args.threads)
-    ]
-    t0 = perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = perf_counter() - t0
-    recorded = [slot.get("latencies", {}) for slot in slots]
-    quantiles: dict[str, float] = {}
-    for kind in _LOADGEN_KINDS:
-        latencies = sorted(
-            latency
-            for by_kind in recorded
-            for latency in by_kind.get(kind, ())  # type: ignore[attr-defined]
-        )
-        for name, q in (("p50", 0.50), ("p99", 0.99)):
-            # Nearest-rank quantile.
-            rank = min(len(latencies) - 1, int(q * len(latencies)))
-            quantiles[f"{kind}_{name}_us"] = (
-                round(latencies[rank] * 1e6, 1) if latencies else 0.0
-            )
-    reads = sum(int(slot.get("reads", 0)) for slot in slots)  # type: ignore[arg-type]
-    writes = sum(int(slot.get("writes", 0)) for slot in slots)  # type: ignore[arg-type]
-    errors = sum(int(slot.get("errors", 0)) for slot in slots)  # type: ignore[arg-type]
-    total = reads + writes
-    summary = {
-        "url": args.url,
-        "mix": args.mix,
-        "read_fraction": read_fraction,
-        "threads": args.threads,
-        "duration_s": round(elapsed, 3),
-        "requests": total,
-        "reads": reads,
-        "writes": writes,
-        "errors": errors,
-        "ops_per_s": round(total / elapsed, 1) if elapsed else 0.0,
-        **quantiles,
-    }
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
-    print(format_table(
-        ["loadgen", "value"],
-        [[key, value] for key, value in summary.items()],
-        title=f"load generator ({args.mix} mix against {args.url})",
-    ))
-    return 1 if errors else 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -952,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=None, help="override warmup runs")
     p.add_argument("--seed", type=int, default=None, help="override workload seed")
     p.add_argument(
-        "--layout", choices=["object", "columnar"], default=None,
+        "--layout", choices=list(LAYOUTS), default=None,
         help="page layout the timed cases run on (the columnar probe "
              "always measures both lanes)",
     )
@@ -1071,10 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fanout", type=int, default=16)
     p.add_argument("--policy", choices=["scaled", "uniform"], default="scaled")
     p.add_argument(
-        "--layout", choices=["object", "columnar"], default="object",
-        help="page layout of the monitored tree",
-    )
-    p.add_argument(
         "--churn", type=float, default=0.0, metavar="FRACTION",
         help="interleave this fraction of deletions into the stream",
     )
@@ -1119,10 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-capacity", type=int, default=16)
     p.add_argument("--fanout", type=int, default=16)
     p.add_argument("--policy", choices=["scaled", "uniform"], default="scaled")
-    p.add_argument(
-        "--layout", choices=["object", "columnar"], default="object",
-        help="page layout of the profiled tree",
-    )
     p.add_argument(
         "--buffer", type=int, default=256, metavar="PAGES",
         help="buffer-pool capacity (0 disables the pool)",
@@ -1234,8 +1061,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-capacity", type=int, default=16)
     p.add_argument("--fanout", type=int, default=16)
     p.add_argument(
-        "--layout", choices=["object", "columnar"], default="object",
-        help="page layout of the served tree",
+        "--layout", choices=list(LAYOUTS), default=DEFAULT_LAYOUT,
+        help="page layout of the served tree (object is the test oracle)",
     )
     p.add_argument(
         "--durable", default=None, metavar="DIR",
@@ -1255,29 +1082,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply writes directly instead of through the batcher",
     )
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "loadgen",
-        help="drive mixed HTTP traffic against a running repro serve",
-        description=(
-            "Opens keep-alive connections to a running server and "
-            "drives one of the three query:update mixes for a fixed "
-            "duration, reporting ops/sec and per-endpoint p50/p99 "
-            "latency. Exits non-zero if any request failed "
-            "unexpectedly (the CI smoke contract). See docs/SERVING.md."
-        ),
-    )
-    p.add_argument("--url", default="http://127.0.0.1:8077")
-    p.add_argument("--mix", choices=list(_LOADGEN_MIXES), default="balanced")
-    p.add_argument("--duration", type=float, default=5.0, metavar="SECONDS")
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--dims", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the summary as JSON to PATH",
-    )
-    p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser(
         "lint",

@@ -15,7 +15,7 @@ primitives — lint rule R15 bans ``threading``/``asyncio`` from
 per the same discipline that keeps backends out of the core (R3).
 """
 
-from repro.concurrency.clone import clone_entry, clone_page
+from repro.concurrency.clone import clone_page
 from repro.concurrency.lockstep import (
     LockstepError,
     Oracle,
@@ -52,7 +52,6 @@ __all__ = [
     "TreeVersion",
     "VersionStore",
     "build_service",
-    "clone_entry",
     "clone_page",
     "delete_op",
     "dump_schedule",

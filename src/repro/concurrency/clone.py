@@ -21,52 +21,20 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.columnar import ColumnarDataPage, ColumnarIndexNode
-from repro.core.entry import Entry
 from repro.core.node import DataPage, IndexNode
 from repro.errors import ReproError
 
-__all__ = ["clone_entry", "clone_page"]
-
-
-def clone_entry(entry: Entry) -> Entry:
-    """A fresh :class:`Entry` with the same key, level and page id.
-
-    Entries are tiny mutable triples; sharing them between a committed
-    version and the live tree would let an in-place relink (e.g. a
-    split rewriting ``entry.page``) leak into a published snapshot.
-    The ``RegionKey`` itself is immutable and stays shared.
-    """
-    return Entry(entry.key, entry.level, entry.page)
+__all__ = ["clone_page"]
 
 
 def clone_page(content: Any) -> Any:
     """Deep-enough copy of one page payload (data page or index node).
 
-    Handles all four page classes of both layouts.  Subclass checks run
-    most-specific first: a ``ColumnarDataPage`` *is a* ``DataPage`` (its
-    ``records`` is a materialised read-only view, not the storage), so
-    order matters.
+    Every page class of both layouts copies itself (``clone()``): the
+    clone shares only immutable values with the original.
     """
-    if isinstance(content, ColumnarDataPage):
-        # The column containers are columnar.py's invariant to copy.
+    if isinstance(content, (DataPage, IndexNode)):
         return content.clone()
-    if isinstance(content, ColumnarIndexNode):
-        return ColumnarIndexNode(
-            content.index_level,
-            [clone_entry(e) for e in content.entries],
-            ndim=content.ndim,
-            resolution=content.resolution,
-            path_bits=content.path_bits,
-        )
-    if isinstance(content, IndexNode):
-        return IndexNode(
-            content.index_level, [clone_entry(e) for e in content.entries]
-        )
-    if isinstance(content, DataPage):
-        page = DataPage()
-        page.records.update(content.records)
-        return page
     raise ReproError(
         f"cannot clone page payload of type {type(content).__name__}"
     )

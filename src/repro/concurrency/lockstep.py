@@ -44,10 +44,10 @@ from typing import Any, Sequence
 
 from repro.concurrency.service import BatchAbortedError, TreeService
 from repro.concurrency.snapshots import Snapshot
+from repro.core.columnar import DEFAULT_LAYOUT
 from repro.core.tree import BVTree
 from repro.errors import DuplicateKeyError, KeyNotFoundError, ReproError
 from repro.geometry.space import DataSpace
-from repro.storage.pager import ColumnarStore, PageStore
 
 __all__ = [
     "LockstepError",
@@ -257,7 +257,7 @@ def verify_structure(snapshot: Snapshot) -> None:
 
 
 def build_service(
-    layout: str = "object",
+    layout: str = DEFAULT_LAYOUT,
     *,
     space: DataSpace | None = None,
     data_capacity: int = 4,
@@ -273,14 +273,10 @@ def build_service(
     if tree is None:
         if space is None:
             space = DataSpace.unit(2, resolution=8)
-        store = (
-            ColumnarStore() if layout == "columnar" else PageStore()
-        )
         tree = BVTree(
             space,
             data_capacity=data_capacity,
             fanout=fanout,
-            store=store,
             layout=layout,
         )
     service = TreeService(tree)
@@ -293,7 +289,7 @@ def run_schedule(
     *,
     service: TreeService | None = None,
     oracle: Oracle | None = None,
-    layout: str = "object",
+    layout: str = DEFAULT_LAYOUT,
 ) -> TreeService:
     """Replay one interleaved schedule deterministically, validating reads.
 

@@ -121,10 +121,6 @@ class RecordingStore:
     def page_bytes(self) -> int:
         return self.inner.page_bytes
 
-    @property
-    def layout(self) -> str:
-        return getattr(self.inner, "layout", "object")
-
     def allocate(self, content: Any = None, size_class: int = 0) -> int:
         page_id = self.inner.allocate(content, size_class=size_class)
         self.dirty.add(page_id)
@@ -238,7 +234,7 @@ class TreeService:
         """
         version = self._version
         tree = self._tree
-        return Snapshot(version, tree.space, tree.policy, tree.layout)
+        return Snapshot(version, tree.space, tree.policy, tree.page_layout)
 
     def get(self, point: Sequence[float]) -> Any:
         """Read ``point`` against the current committed version."""

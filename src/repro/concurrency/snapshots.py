@@ -11,7 +11,7 @@ construction.
 
 A :class:`Snapshot` wraps a version with everything the core read paths
 need.  It deliberately duck-types the :class:`~repro.core.BVTree`
-surface those paths consume (``space``, ``layout``, ``height``,
+surface those paths consume (``space``, ``page_layout``, ``height``,
 ``root_page``, ``store``, ``tracer``, ``root_entry()``), so exact-match
 descent, range queries and k-NN run *unchanged* against a snapshot —
 same code, same page-access counts, frozen data.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.concurrency.clone import clone_page
-from repro.core.columnar import locate_columnar
+from repro.core.columnar import PageLayout
 from repro.core.descent import Locate, locate
 from repro.core.entry import Entry
 from repro.core.node import DataPage, IndexNode
@@ -226,19 +226,19 @@ class Snapshot:
     open one snapshot per reader when exact per-reader counts matter.
     """
 
-    __slots__ = ("version", "space", "policy", "layout", "store", "tracer")
+    __slots__ = ("version", "space", "policy", "page_layout", "store", "tracer")
 
     def __init__(
         self,
         version: TreeVersion,
         space: DataSpace,
         policy: CapacityPolicy,
-        layout: str,
+        page_layout: PageLayout,
     ):
         self.version = version
         self.space = space
         self.policy = policy
-        self.layout = layout
+        self.page_layout = page_layout
         self.store = VersionStore(version.pages)
         self.tracer = Tracer()
 
@@ -269,10 +269,7 @@ class Snapshot:
     def get(self, point: Sequence[float]) -> Any:
         """The value stored at ``point`` in this version."""
         path = self.space.point_path(point)
-        if self.layout == "columnar" and self.height > 0:
-            entry = locate_columnar(self, path)[0]
-        else:
-            entry = locate(self, path).entry
+        entry = self.page_layout.descend(self, path)[0]
         page: DataPage = self.store.read(entry.page)
         record = page.get(path)
         if record is None:
@@ -339,18 +336,15 @@ class Snapshot:
         expose a torn split cascade or guard-set inconsistency.
         """
         from repro.core.tree import BVTree
-        from repro.storage.pager import ColumnarStore, PageStore
 
         policy = self.policy
-        store_cls = ColumnarStore if self.layout == "columnar" else PageStore
         tree = BVTree(
             self.space,
             data_capacity=policy.data_capacity,
             fanout=policy.fanout,
             policy=policy.kind,
             page_bytes=policy.page_bytes,
-            store=store_cls(policy.page_bytes),
-            layout=self.layout,
+            layout=self.page_layout.name,
         )
         tree.store.free(tree.root_page)
         pages = self.version.pages

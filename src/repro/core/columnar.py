@@ -1,4 +1,11 @@
-"""Columnar, array-native page layout for the hot paths (ROADMAP item 3).
+"""The page layouts, and the columnar one the product runs on.
+
+This is the one module that knows there are two page layouts.  Each has
+a :class:`PageLayout` record (:data:`LAYOUTS`): its page constructors and
+its untraced exact-match, range and k-NN entry points.  A tree picks its
+record once, at construction; the columnar layout is the default
+(:data:`DEFAULT_LAYOUT`) and the object layout is kept as the
+differential oracle.
 
 The object layout stores a data page as ``dict[path -> (point, value)]``
 and an index node as a list of :class:`~repro.core.entry.Entry` objects;
@@ -36,7 +43,9 @@ handles — and add derived columns:
 :func:`locate_columnar` fuses the whole root-to-leaf exact-match descent
 into one loop over these columns — same pages read, same winners, same
 invariant errors as :func:`repro.core.descent.step` per level, without
-the per-node method dispatch or the guard-list materialisation.
+the per-node method dispatch or the guard-list materialisation;
+:func:`range_query_columnar` and :func:`nearest_columnar` do the same
+for range and k-NN queries.
 
 Aligned native keys sort so that every block containing a search path
 precedes (or equals) the path's own aligned value, and the *longest*
@@ -60,28 +69,42 @@ hypothesis differential suite in
 
 from __future__ import annotations
 
+import itertools
+import math
 from array import array
 from bisect import bisect_left, bisect_right
-from heapq import heappush, heapreplace
+from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.errors import DuplicateKeyError, TreeInvariantError
+from repro.errors import DuplicateKeyError, ReproError, TreeInvariantError
+from repro.core.descent import Descent, descend
 from repro.core.entry import Entry
+from repro.core.knn import KNNResult, Neighbour, best_first
 from repro.core.node import DataPage, IndexNode
-from repro.geometry.bitgrid import CellBounds, key_origins
+from repro.core.query import QueryResult, scan
+from repro.geometry.bitgrid import (
+    CellBounds,
+    key_intersects,
+    key_origins,
+    query_cell_bounds,
+)
 from repro.geometry.rect import Rect
 from repro.geometry.region import RegionKey
+from repro.geometry.space import DataSpace
 
 __all__ = [
     "ColumnarDataPage",
     "ColumnarIndexNode",
+    "DEFAULT_LAYOUT",
     "LAYOUTS",
+    "PageLayout",
     "locate_columnar",
+    "nearest_columnar",
+    "page_layout",
+    "range_query_columnar",
 ]
-
-#: The page layouts a tree can be built with.
-LAYOUTS = ("object", "columnar")
 
 #: Largest bit-path width that fits the packed unsigned column.
 _PACKED_PATH_BITS = 64
@@ -478,6 +501,16 @@ class ColumnarIndexNode(IndexNode):
             del self._c_g_nbits[j]
             del self._c_g_entries[j]
 
+    def clone(self) -> "ColumnarIndexNode":
+        """A copy sharing no mutable state (fresh entries and columns)."""
+        return ColumnarIndexNode(
+            self.index_level,
+            [Entry(e.key, e.level, e.page) for e in self.entries],
+            ndim=self.ndim,
+            resolution=self.resolution,
+            path_bits=self.path_bits,
+        )
+
     def native_count(self) -> int:
         return len(self._c_nat_entries)
 
@@ -615,15 +648,11 @@ class ColumnarIndexNode(IndexNode):
                 heappush(heap, (total, next(counter), entry))
 
 
-def locate_columnar(
-    tree: Any, path: int
-) -> tuple[Entry, int, dict[int, tuple[Entry, int]], int]:
+def locate_columnar(tree: Any, path: int) -> Descent:
     """Fused untraced exact-match descent over columnar index nodes.
 
-    Returns ``(entry, owner_page, guard_map, max_guard_set)`` — the
-    level-0 winner, the page of the node storing it, the surviving guard
-    refs keyed by level (the shape :class:`~repro.core.guards.GuardSet`
-    adopts) and the largest guard-set size seen.  Semantically this is
+    Returns the :data:`~repro.core.descent.Descent` tuple ``(entry,
+    owner_page, guard_map, max_guard_set)``.  Semantically this is
     :func:`repro.core.descent.step` applied ``height`` times: the same
     pages read in the same order, the same merge/consume/longer-key
     rules, the same invariant errors.  The win is structural — one loop
@@ -631,12 +660,12 @@ def locate_columnar(
     since the search path is full width the native bisect needs no
     alignment shift and no ``nbits`` filter.
 
-    Callers guarantee ``tree.height > 0`` (a root-only tree has no index
-    node to step through) and an untraced tree: the traced path must go
-    through :func:`repro.core.descent.step`, the one ``guard_hit``
-    emitter.
+    Callers guarantee an untraced tree: the traced path must go through
+    :func:`repro.core.descent.step`, the one ``guard_hit`` emitter.
     """
     level = tree.height
+    if level == 0:
+        return tree.root_entry(), None, {}, 0
     page = tree.root_page
     read = tree.store.read
     by_level: dict[int, tuple[Entry, int]] = {}
@@ -710,3 +739,151 @@ def locate_columnar(
         page = chosen.page
         level -= 1
     return chosen, owner, by_level, max_guards
+
+
+def range_query_columnar(tree: Any, rect: Rect) -> QueryResult:
+    """The untraced range traversal over columnar pages.
+
+    Same cut-offs and stack discipline as :func:`repro.core.query.scan`,
+    but children are filtered *before* the push through the node's
+    cached per-entry origin/end columns (``2*ndim`` integer compares per
+    child, no per-key bit decode), and the per-record box filter runs
+    inline over the flat coordinate column.  Filter-before-push and
+    filter-at-pop visit the same pages in the same order, so every
+    page-access count matches the object layout exactly — the
+    equivalence suite asserts it.
+    """
+    result = QueryResult()
+    space = tree.space
+    bounds = query_cell_bounds(space, rect)
+    root = tree.root_entry()
+    key = root.key
+    if not key_intersects(
+        key.value, key.nbits, space.ndim, space.resolution, bounds
+    ):
+        return result
+    read = tree.store.read
+    records = result.records
+    stack = [root]
+    while stack:
+        entry = stack.pop()
+        result.pages_visited += 1
+        if entry.level == 0:
+            result.data_pages_visited += 1
+            read(entry.page).collect_in_rect(rect, records)
+        else:
+            read(entry.page).push_intersecting(stack, bounds)
+    return result
+
+
+def nearest_columnar(
+    tree: Any, query: tuple[float, ...], k: int
+) -> KNNResult:
+    """Best-first k-NN over columnar pages (untraced hot path).
+
+    The candidate max-heap holds ``(-dist_sq, tiebreak, point, value)``
+    tuples — ``Neighbour`` objects are only materialised for the final
+    result list.  The traversal order, visit count and pruning decisions
+    are identical to :func:`repro.core.knn.best_first` on an
+    object-layout tree holding the same records (same bounds, same
+    thresholds).
+    """
+    counter = itertools.count()
+    heap: list[tuple[float, int, Any]] = [(0.0, next(counter), tree.root_entry())]
+    best: list[tuple[float, int, tuple[float, ...], Any]] = []
+    pages_visited = 0
+    read = tree.store.read
+    space = tree.space
+    while heap:
+        dist_sq, _, entry = heappop(heap)
+        if len(best) == k and dist_sq > -best[0][0]:
+            break
+        pages_visited += 1
+        node = read(entry.page)
+        if entry.level == 0:
+            node.accumulate_nearest(query, k, best, counter)
+        else:
+            node.expand_nearest(heap, best, k, query, space, counter)
+    ordered = sorted(
+        (
+            Neighbour(stored, value, math.sqrt(-neg_d))
+            for neg_d, _, stored, value in best
+        ),
+        key=lambda n: n.distance,
+    )
+    return KNNResult(neighbours=ordered, pages_visited=pages_visited)
+
+
+# ----------------------------------------------------------------------
+# The layout registry
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PageLayout:
+    """Everything that differs between the two page layouts.
+
+    A tree (or a snapshot of one) picks its record once, at
+    construction; no other code branches on the layout.  The untraced
+    query entry points live here — traced queries always run the
+    generic loops (:func:`~repro.core.descent.descend`,
+    :func:`~repro.core.query.scan`,
+    :func:`~repro.core.knn.best_first`), which work on both layouts.
+    The object layout's untraced entry points *are* those generic
+    loops: it survives as the differential oracle for the columnar one.
+    """
+
+    name: str
+    #: ``(space) -> DataPage``: an empty data page.
+    data_page: Callable[[DataSpace], DataPage]
+    #: ``(index_level, entries, space) -> IndexNode``.
+    index_node: Callable[[int, Sequence[Entry], DataSpace], IndexNode]
+    #: Untraced exact match: ``(tree, path) -> Descent``.
+    descend: Callable[[Any, int], Descent]
+    #: Untraced range query: ``(tree, rect) -> QueryResult``.
+    range_query: Callable[[Any, Rect], QueryResult]
+    #: Untraced k-NN: ``(tree, query, k) -> KNNResult``.
+    nearest: Callable[[Any, tuple[float, ...], int], KNNResult]
+
+
+_OBJECT = PageLayout(
+    name="object",
+    data_page=lambda space: DataPage(),
+    index_node=lambda level, entries, space: IndexNode(level, entries),
+    descend=descend,
+    range_query=scan,
+    nearest=best_first,
+)
+
+_COLUMNAR = PageLayout(
+    name="columnar",
+    data_page=lambda space: ColumnarDataPage(space.ndim, space.path_bits),
+    index_node=lambda level, entries, space: ColumnarIndexNode(
+        level,
+        entries,
+        ndim=space.ndim,
+        resolution=space.resolution,
+        path_bits=space.path_bits,
+    ),
+    descend=locate_columnar,
+    range_query=range_query_columnar,
+    nearest=nearest_columnar,
+)
+
+#: The page layouts a tree can be built with, by name.
+LAYOUTS: dict[str, PageLayout] = {
+    layout.name: layout for layout in (_OBJECT, _COLUMNAR)
+}
+
+#: The layout the product runs on; the object layout is the oracle.
+DEFAULT_LAYOUT = _COLUMNAR.name
+
+
+def page_layout(name: str) -> PageLayout:
+    """The layout record called ``name`` (:class:`ReproError` if unknown)."""
+    try:
+        return LAYOUTS[name]
+    except KeyError:
+        raise ReproError(
+            f"unknown page layout {name!r}; expected one of {tuple(LAYOUTS)}"
+        ) from None

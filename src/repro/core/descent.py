@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import TreeInvariantError
-from repro.core.columnar import locate_columnar
 from repro.core.entry import Entry
-from repro.core.guards import GuardSet
+from repro.core.guards import GuardRef, GuardSet
 from repro.core.node import IndexNode
 from repro.obs.events import DESCENT_STEP, GUARD_HIT
 from repro.obs.tracer import Tracer
@@ -100,35 +99,56 @@ def step(
     return native, node_page
 
 
+#: An exact-match descent's outcome: the level-0 winner, the page of the
+#: index node storing it (``None`` when the tree is one data page), the
+#: surviving guard refs keyed by level (the map :meth:`GuardSet.adopt`
+#: wraps) and the largest guard-set size seen on the way.
+Descent = tuple[Entry, int | None, dict[int, GuardRef], int]
+
+
 def locate(tree: "BVTree", path: int) -> Locate:
-    """Descend from the root to the data page responsible for ``path``."""
-    path_bits = tree.space.path_bits
+    """Descend from the root to the data page responsible for ``path``.
+
+    Untraced, the tree's page layout runs its own descent (the columnar
+    one is fused over flat columns); traced, the generic :func:`descend`
+    runs, so ``guard_hit``/``descent_step`` keep their one emitter.  Both
+    read the same pages and pick the same winners.
+    """
     tracer = tree.tracer
-    # Columnar trees take the fused column descent (same pages, same
-    # winners, same errors — see locate_columnar); the traced path always
-    # goes through step() so guard_hit events keep their one emitter.
-    if (
-        not tracer.enabled
-        and tree.layout == "columnar"
-        and tree.height > 0
-    ):
-        entry, owner, guard_map, max_guards = locate_columnar(tree, path)
-        return Locate(
-            entry=entry,
-            owner_page=owner,
-            guards=GuardSet.adopt(guard_map),
-            nodes_visited=tree.height + 1,
-            max_guard_set=max_guards,
+    if tracer.enabled:
+        entry, owner_page, guard_map, max_guard_set = descend(
+            tree, path, tracer
         )
+    else:
+        entry, owner_page, guard_map, max_guard_set = (
+            tree.page_layout.descend(tree, path)
+        )
+    # Both descents read one node per index level and raise if a node's
+    # level is not the one expected, so a completed descent has read
+    # exactly height + 1 pages (the §6 guarantee) — no counter needed.
+    return Locate(
+        entry=entry,
+        owner_page=owner_page,
+        guards=GuardSet.adopt(guard_map),
+        nodes_visited=tree.height + 1,
+        max_guard_set=max_guard_set,
+    )
+
+
+def descend(
+    tree: "BVTree", path: int, tracer: Tracer | None = None
+) -> Descent:
+    """The generic root-to-leaf descent: :func:`step` once per level.
+
+    Works on either page layout; the object layout uses it untraced and
+    every traced exact match goes through it with ``tracer`` set.
+    """
+    path_bits = tree.space.path_bits
     entry = tree.root_entry()
     owner_page: int | None = None
     guards = GuardSet()
-    nodes_visited = 0
     max_guard_set = 0
     read = tree.store.read
-    # Hoisted once: the untraced loop below pays one local-bool branch
-    # per level, which is the whole "zero overhead when disabled" budget.
-    step_tracer = tracer if tracer.enabled else None
     while entry.level > 0:
         node_page = entry.page
         node: IndexNode = read(node_page)
@@ -137,13 +157,10 @@ def locate(tree: "BVTree", path: int) -> Locate:
                 f"entry of level {entry.level} points at node of index "
                 f"level {node.index_level}"
             )
-        nodes_visited += 1
-        entry, owner_page = step(
-            node, node_page, path, path_bits, guards, step_tracer
-        )
+        entry, owner_page = step(node, node_page, path, path_bits, guards, tracer)
         max_guard_set = max(max_guard_set, len(guards))
-        if step_tracer is not None:
-            step_tracer.emit(
+        if tracer is not None:
+            tracer.emit(
                 DESCENT_STEP,
                 level=node.index_level,
                 node_page=node_page,
@@ -152,13 +169,7 @@ def locate(tree: "BVTree", path: int) -> Locate:
                 via="guard" if owner_page != node_page else "native",
                 guard_set=len(guards),
             )
-    return Locate(
-        entry=entry,
-        owner_page=owner_page,
-        guards=guards,
-        nodes_visited=nodes_visited + 1,  # count the data page itself
-        max_guard_set=max_guard_set,
-    )
+    return entry, owner_page, guards.level_map(), max_guard_set
 
 
 def find_owner(tree: "BVTree", entry: Entry) -> int | None:

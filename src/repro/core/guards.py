@@ -42,6 +42,10 @@ class GuardSet:
         guards._by_level = by_level
         return guards
 
+    def level_map(self) -> dict[int, GuardRef]:
+        """The level map itself, not a copy — the inverse of :meth:`adopt`."""
+        return self._by_level
+
     def merge(self, entry: Entry, owner_page: int) -> None:
         """Add a matching guard, keeping the longer prefix on conflict.
 

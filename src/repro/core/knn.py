@@ -25,6 +25,7 @@ from repro.core.node import DataPage, IndexNode
 from repro.geometry.bitgrid import key_min_dist_sq
 from repro.geometry.rect import Rect
 from repro.obs.events import QUERY_PRUNE, QUERY_VISIT
+from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tree import BVTree
@@ -82,26 +83,34 @@ def nearest_neighbours(
             f"{tree.space.ndim}"
         )
     query = tuple(float(x) for x in point)
-    if tree.layout == "columnar" and not tree.tracer.enabled:
-        # Separate loop (same pattern as the traced/untraced range
-        # split): distance evaluation runs over the packed coordinate
-        # columns, child bounds over the cached integer origins — the
-        # exact floats of key_min_dist_sq, so visits and prunes match
-        # the object layout's.
-        return _nearest_columnar(tree, query, k)
+    tracer = tree.tracer
+    if tracer.enabled:
+        return best_first(tree, query, k, tracer)
+    return tree.page_layout.nearest(tree, query, k)
+
+
+def best_first(
+    tree: "BVTree",
+    query: tuple[float, ...],
+    k: int,
+    tracer: Tracer | None = None,
+) -> KNNResult:
+    """The generic best-first traversal, on either page layout.
+
+    With ``tracer`` set, every visited and pruned block is recorded as a
+    ``query_visit``/``query_prune`` event.
+    """
     counter = itertools.count()  # tie-breaker: heap entries stay orderable
     heap: list[tuple[float, int, Any]] = [(0.0, next(counter), tree.root_entry())]
     best: list[tuple[float, int, Neighbour]] = []  # max-heap via negation
     pages_visited = 0
-    tracer = tree.tracer
-    tracing = tracer.enabled
 
     while heap:
         dist_sq, _, entry = heapq.heappop(heap)
         if len(best) == k and dist_sq > -best[0][0]:
             break
         pages_visited += 1
-        if tracing:
+        if tracer is not None:
             tracer.emit(
                 QUERY_VISIT,
                 level=entry.level,
@@ -135,7 +144,7 @@ def nearest_neighbours(
             d = key_min_dist_sq(tree.space, child.key, query)
             if len(best) < k or d <= -best[0][0]:
                 heapq.heappush(heap, (d, next(counter), child))
-            elif tracing:
+            elif tracer is not None:
                 tracer.emit(
                     QUERY_PRUNE,
                     level=child.level,
@@ -148,39 +157,3 @@ def nearest_neighbours(
     ordered = sorted((n for _, _, n in best), key=lambda n: n.distance)
     return KNNResult(neighbours=ordered, pages_visited=pages_visited)
 
-
-def _nearest_columnar(
-    tree: "BVTree", query: tuple[float, ...], k: int
-) -> KNNResult:
-    """Best-first k-NN over columnar pages (untraced hot path).
-
-    The candidate max-heap holds ``(-dist_sq, tiebreak, point, value)``
-    tuples — ``Neighbour`` objects are only materialised for the final
-    result list.  The traversal order, visit count and pruning decisions
-    are identical to :func:`nearest_neighbours` on an object-layout tree
-    holding the same records (same bounds, same thresholds).
-    """
-    counter = itertools.count()
-    heap: list[tuple[float, int, Any]] = [(0.0, next(counter), tree.root_entry())]
-    best: list[tuple[float, int, tuple[float, ...], Any]] = []
-    pages_visited = 0
-    read = tree.store.read
-    space = tree.space
-    while heap:
-        dist_sq, _, entry = heapq.heappop(heap)
-        if len(best) == k and dist_sq > -best[0][0]:
-            break
-        pages_visited += 1
-        node = read(entry.page)
-        if entry.level == 0:
-            node.accumulate_nearest(query, k, best, counter)
-        else:
-            node.expand_nearest(heap, best, k, query, space, counter)
-    ordered = sorted(
-        (
-            Neighbour(stored, value, math.sqrt(-neg_d))
-            for neg_d, _, stored, value in best
-        ),
-        key=lambda n: n.distance,
-    )
-    return KNNResult(neighbours=ordered, pages_visited=pages_visited)

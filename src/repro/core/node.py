@@ -129,6 +129,17 @@ class IndexNode:
             if e.level < level and e.matches_path(path, path_bits)
         ]
 
+    def clone(self) -> "IndexNode":
+        """A copy sharing no mutable state with this node.
+
+        Entries are re-created (a split relinks ``entry.page`` in place);
+        their immutable ``RegionKey`` objects are shared.
+        """
+        return IndexNode(
+            self.index_level,
+            [Entry(e.key, e.level, e.page) for e in self.entries],
+        )
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -201,6 +212,13 @@ class DataPage:
         records = self.records
         for path, point, value in items:
             records[path] = (point, value)
+
+    def clone(self) -> "DataPage":
+        """A copy sharing no mutable container with this page (the
+        record tuples themselves are immutable and shared)."""
+        page = DataPage()
+        page.records.update(self.records)
+        return page
 
     def __contains__(self, path: int) -> bool:
         return path in self.records

@@ -14,9 +14,7 @@ integer cell cut-offs (:func:`repro.geometry.bitgrid.query_cell_bounds`)
 and every visited block is tested by integer prefix arithmetic on its key —
 no float ``Rect`` is allocated per visit.  The integer test is exactly
 equivalent to the float one (see :mod:`repro.geometry.bitgrid`), so the
-visit set and all page-access counts are identical;
-:func:`range_query_rectpath` keeps the original float-rect pruning for
-benchmark comparison and as an equivalence oracle in the tests.
+visit set and all page-access counts are identical.
 """
 
 from __future__ import annotations
@@ -26,11 +24,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import GeometryError
 from repro.core.node import DataPage, IndexNode
-from repro.geometry.bitgrid import (
-    key_intersects,
-    key_prune_dim,
-    query_cell_bounds,
-)
+from repro.geometry.bitgrid import key_prune_dim, query_cell_bounds
 from repro.geometry.rect import Rect
 from repro.obs.events import QUERY_PRUNE, QUERY_VISIT
 from repro.obs.tracer import Tracer
@@ -56,88 +50,28 @@ class QueryResult:
 
 
 def range_query(tree: "BVTree", rect: Rect) -> QueryResult:
-    """All records inside the half-open box ``rect``."""
+    """All records inside the half-open box ``rect``.
+
+    Untraced, the tree's page layout runs its own traversal; traced, the
+    generic :func:`scan` runs and emits its visit/prune events.  Both
+    visit the same pages in the same order.
+    """
     if rect.ndim != tree.space.ndim:
         raise GeometryError(
             f"query box is {rect.ndim}-d, space is {tree.space.ndim}-d"
         )
     tracer = tree.tracer
     if tracer.enabled:
-        # The traced traversal is a separate loop so the untraced one
-        # below stays exactly as cheap as the seed's (no per-visit
-        # branch beyond this single check).
-        return _range_query_traced(tree, rect, tracer)
-    if tree.layout == "columnar":
-        return _range_query_columnar(tree, rect)
-    result = QueryResult()
-    space = tree.space
-    bounds = query_cell_bounds(space, rect)
-    ndim = space.ndim
-    resolution = space.resolution
-    read = tree.store.read
-    contains = rect.contains_point
-    stack = [tree.root_entry()]
-    while stack:
-        entry = stack.pop()
-        key = entry.key
-        if not key_intersects(key.value, key.nbits, ndim, resolution, bounds):
-            continue
-        result.pages_visited += 1
-        if entry.level == 0:
-            result.data_pages_visited += 1
-            page: DataPage = read(entry.page)
-            for point, value in page.records.values():
-                if contains(point):
-                    result.records.append((point, value))
-        else:
-            node: IndexNode = read(entry.page)
-            stack.extend(node.entries)
-    return result
+        return scan(tree, rect, tracer)
+    return tree.page_layout.range_query(tree, rect)
 
 
-def _range_query_columnar(tree: "BVTree", rect: Rect) -> QueryResult:
-    """The untraced range traversal over columnar pages.
+def scan(tree: "BVTree", rect: Rect, tracer: Tracer | None = None) -> QueryResult:
+    """The generic range traversal, on either page layout.
 
-    Same cut-offs and stack discipline as the object loop, but children
-    are filtered *before* the push through the node's cached per-entry
-    origin/end columns (``2*ndim`` integer compares per child, no per-key
-    bit decode), and the per-record box filter runs inline over the flat
-    coordinate column.  Filter-before-push and filter-at-pop visit the
-    same pages in the same order, so every page-access count matches the
-    object layout exactly — the equivalence suite asserts it.
-    """
-    result = QueryResult()
-    space = tree.space
-    bounds = query_cell_bounds(space, rect)
-    root = tree.root_entry()
-    key = root.key
-    if not key_intersects(
-        key.value, key.nbits, space.ndim, space.resolution, bounds
-    ):
-        return result
-    read = tree.store.read
-    records = result.records
-    stack = [root]
-    while stack:
-        entry = stack.pop()
-        result.pages_visited += 1
-        if entry.level == 0:
-            result.data_pages_visited += 1
-            read(entry.page).collect_in_rect(rect, records)
-        else:
-            read(entry.page).push_intersecting(stack, bounds)
-    return result
-
-
-def _range_query_traced(
-    tree: "BVTree", rect: Rect, tracer: Tracer
-) -> QueryResult:
-    """The range traversal with per-block visit/prune events.
-
-    Visits exactly the pages :func:`range_query` would (same cut-offs,
-    same stack discipline); a pruned block's event carries the dimension
-    whose bitgrid cut-off fired (:func:`key_prune_dim` runs the same
-    comparisons as the boolean test).
+    Every popped block is tested against the query's integer cut-offs; a
+    pruned block's event carries the dimension whose cut-off fired
+    (:func:`key_prune_dim`).  With ``tracer`` unset no event is built.
     """
     result = QueryResult()
     space = tree.space
@@ -152,21 +86,23 @@ def _range_query_traced(
         key = entry.key
         dim = key_prune_dim(key.value, key.nbits, ndim, resolution, bounds)
         if dim is not None:
+            if tracer is not None:
+                tracer.emit(
+                    QUERY_PRUNE,
+                    level=entry.level,
+                    key=key.bit_string(),
+                    page=entry.page,
+                    dim=dim,
+                )
+            continue
+        result.pages_visited += 1
+        if tracer is not None:
             tracer.emit(
-                QUERY_PRUNE,
+                QUERY_VISIT,
                 level=entry.level,
                 key=key.bit_string(),
                 page=entry.page,
-                dim=dim,
             )
-            continue
-        result.pages_visited += 1
-        tracer.emit(
-            QUERY_VISIT,
-            level=entry.level,
-            key=key.bit_string(),
-            page=entry.page,
-        )
         if entry.level == 0:
             result.data_pages_visited += 1
             page: DataPage = read(entry.page)
@@ -175,42 +111,6 @@ def _range_query_traced(
                     result.records.append((point, value))
         else:
             node: IndexNode = read(entry.page)
-            stack.extend(node.entries)
-    return result
-
-
-def range_query_rectpath(tree: "BVTree", rect: Rect) -> QueryResult:
-    """The seed float-rect range query, kept for benchmark comparison.
-
-    Decodes every visited block into a fresh float :class:`Rect`
-    (:meth:`~repro.geometry.space.DataSpace.decode_rect`, deliberately
-    uncached — the seed had no decode cache) and prunes with
-    :meth:`Rect.intersects` — the pre-optimisation hot path.  It visits
-    exactly the same pages as :func:`range_query` (the perf harness and
-    the tests both assert this), just slower; keeping it callable is
-    what lets the ``BENCH_*.json`` trajectory quantify the bit-native
-    speedup instead of asserting it.
-    """
-    if rect.ndim != tree.space.ndim:
-        raise GeometryError(
-            f"query box is {rect.ndim}-d, space is {tree.space.ndim}-d"
-        )
-    result = QueryResult()
-    space = tree.space
-    stack = [tree.root_entry()]
-    while stack:
-        entry = stack.pop()
-        if not space.decode_rect(entry.key).intersects(rect):
-            continue
-        result.pages_visited += 1
-        if entry.level == 0:
-            result.data_pages_visited += 1
-            page: DataPage = tree.store.read(entry.page)
-            for point, value in page.records.values():
-                if rect.contains_point(point):
-                    result.records.append((point, value))
-        else:
-            node: IndexNode = tree.store.read(entry.page)
             stack.extend(node.entries)
     return result
 

@@ -22,12 +22,7 @@ from repro.core import bulk as _bulk
 from repro.core import insert as _insert
 from repro.core import delete as _delete
 from repro.core import query as _query
-from repro.core.columnar import (
-    LAYOUTS,
-    ColumnarDataPage,
-    ColumnarIndexNode,
-    locate_columnar,
-)
+from repro.core.columnar import DEFAULT_LAYOUT, page_layout
 from repro.core.descent import Locate, locate
 from repro.core.entry import Entry
 from repro.core.node import DataPage, IndexNode
@@ -76,14 +71,12 @@ class BVTree:
         single branch.  Attach a sink later with
         ``tree.tracer.attach(...)``.
     layout:
-        ``"object"`` (default) stores pages as dicts and entry lists;
-        ``"columnar"`` packs them into flat array columns
-        (:mod:`repro.core.columnar`) — same answers, same page-access
-        counts, faster hot loops.  ``None`` defers to the store's
-        preference (:class:`~repro.storage.ColumnarStore` requests
-        columnar pages); both layouts serve every query through the same
-        code paths, which is what makes the object layout usable as a
-        differential oracle for the columnar one.
+        ``"columnar"`` (default) packs pages into flat array columns;
+        ``"object"`` stores them as dicts and entry lists — same
+        answers, same page-access counts, slower hot loops, kept as the
+        differential oracle (:mod:`repro.core.columnar`).  ``None``
+        defers to the store's preference (a plain
+        :class:`~repro.storage.PageStore` requests object pages).
     """
 
     def __init__(
@@ -99,12 +92,10 @@ class BVTree:
     ):
         self.space = space
         if layout is None:
-            layout = getattr(store, "layout", "object")
-        if layout not in LAYOUTS:
-            raise ReproError(
-                f"unknown page layout {layout!r}; expected one of {LAYOUTS}"
-            )
-        self.layout = layout
+            layout = getattr(store, "layout", DEFAULT_LAYOUT)
+        #: The page layout record, picked once: page constructors and
+        #: the untraced query entry points.
+        self.page_layout = page_layout(layout)
         self.policy = CapacityPolicy(
             data_capacity=data_capacity,
             fanout=fanout,
@@ -140,25 +131,20 @@ class BVTree:
         """The virtual entry for the root (the whole data space)."""
         return Entry(ROOT_KEY, self.height, self.root_page)
 
+    @property
+    def layout(self) -> str:
+        """The page layout's name (``"columnar"`` or ``"object"``)."""
+        return self.page_layout.name
+
     def make_data_page(self) -> DataPage:
         """An empty data page in this tree's layout."""
-        if self.layout == "columnar":
-            return ColumnarDataPage(self.space.ndim, self.space.path_bits)
-        return DataPage()
+        return self.page_layout.data_page(self.space)
 
     def make_index_node(
         self, index_level: int, entries: Sequence[Entry] = ()
     ) -> IndexNode:
         """An index node in this tree's layout."""
-        if self.layout == "columnar":
-            return ColumnarIndexNode(
-                index_level,
-                entries,
-                ndim=self.space.ndim,
-                resolution=self.space.resolution,
-                path_bits=self.space.path_bits,
-            )
-        return IndexNode(index_level, entries)
+        return self.page_layout.index_node(index_level, entries, self.space)
 
     def register_entry(self, entry: Entry) -> None:
         """Record a region key in the per-level registry (must be new)."""
@@ -244,10 +230,7 @@ class BVTree:
                 t0 = perf_counter()
                 try:
                     path = self.space.point_path(point)
-                    if self.layout == "columnar" and self.height > 0:
-                        entry = locate_columnar(self, path)[0]
-                    else:
-                        entry = locate(self, path).entry
+                    entry = self.page_layout.descend(self, path)[0]
                     page: DataPage = self.store.read(entry.page)
                     record = page.get(path)
                     if record is None:
@@ -258,12 +241,9 @@ class BVTree:
                 profiler.end_get(t0, r0, point)
                 return record[1]
             path = self.space.point_path(point)
-            if self.layout == "columnar" and self.height > 0:
-                # Fused column descent, and no Locate/GuardSet wrapper:
-                # get only needs the winning entry.
-                entry = locate_columnar(self, path)[0]
-            else:
-                entry = locate(self, path).entry
+            # The layout's own descent, without the Locate wrapper: get
+            # only needs the winning entry.
+            entry = self.page_layout.descend(self, path)[0]
             page = self.store.read(entry.page)
             record = page.get(path)
             if record is None:

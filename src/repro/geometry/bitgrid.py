@@ -163,8 +163,8 @@ def key_prune_dim(
     otherwise the lowest dimension index on which the integer cut-off
     fired — the same comparisons, so
     ``key_prune_dim(...) is None == key_intersects(...)`` for every key
-    (a property test asserts the equivalence).  Only the traced query
-    path calls this; the untraced hot loop stays on the boolean test.
+    (a property test asserts the equivalence).  The generic range loop
+    (:func:`repro.core.query.scan`) prunes with it.
     """
     origins = [0] * ndim
     halvings = [0] * ndim

@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any
 
+from repro.core.columnar import LAYOUTS
 from repro.core.tree import BVTree
 from repro.perf.registry import Probe, Scale, register_probe
 from repro.perf.scenarios import SuiteContext, build_context
 from repro.perf.timer import measure
-from repro.storage import ColumnarStore, PageStore
 
 __all__ = ["columnar_snapshot"]
 
@@ -61,7 +61,7 @@ def _measure_lane(
             space,
             data_capacity=scale.data_capacity,
             fanout=scale.fanout,
-            store=ColumnarStore() if layout == "columnar" else PageStore(),
+            layout=layout,
         )
 
     def best(run: Any, setup: Any = None) -> float:
@@ -119,7 +119,7 @@ def columnar_snapshot(scale: Scale) -> dict[str, Any]:
 
     lanes: dict[str, dict[str, float]] = {}
     oracles: dict[str, dict[str, Any]] = {}
-    for layout in ("object", "columnar"):
+    for layout in LAYOUTS:
         lanes[layout], oracles[layout] = _measure_lane(
             scale, context, layout, repeats
         )

@@ -203,11 +203,11 @@ def _crash_and_recover(
     # Drive the rest of the workload — with deletions — on the recovered
     # tree under the guarantee doctor: the paper's guarantees must hold
     # across the crash boundary.
-    committed = {
-        name
+    committed = sum(
+        1
         for name in report.op_commits
         if name in ("insert", "delete", "bulk_load")
-    }
+    )
     remaining = points[len([n for n in report.op_commits if n == "insert"]) :]
     operations = churn(
         remaining, delete_fraction=RECOVERY_CHURN, seed=scale.seed
@@ -225,7 +225,7 @@ def _crash_and_recover(
         "audit_clean": result.audit.clean,
         "verdicts": result.health.verdicts,
         "ops_after_recovery": result.ops_applied,
-        "committed_ops_replayed": len(committed),
+        "committed_ops_replayed": committed,
     }
     return recovery, recovered_health
 

@@ -35,7 +35,7 @@ from repro.obs import (
 )
 from repro.perf.registry import Probe, Scale, register_probe
 from repro.perf.timer import LOOKUP_CHUNK, LOOKUP_ROUNDS, paired_lookups
-from repro.storage import BufferPool, ColumnarStore, PageStore
+from repro.storage import BufferPool, default_store
 from repro.workloads import churn, nested_hotspot, uniform
 
 __all__ = ["health_snapshot", "observability_snapshot", "probe_tree"]
@@ -54,10 +54,7 @@ def probe_tree(
     space = DataSpace.unit(scale.dims, resolution=scale.resolution)
     n = min(scale.n_points, cap)
     points = [tuple(p) for p in uniform(n, scale.dims, seed=scale.seed)]
-    backing = (
-        ColumnarStore() if scale.layout == "columnar" else PageStore()
-    )
-    pool = BufferPool(backing, capacity=256)
+    pool = BufferPool(default_store(), capacity=256)
     tree = BVTree(
         space,
         data_capacity=scale.data_capacity,
@@ -202,9 +199,7 @@ def health_snapshot(scale: Scale) -> dict[str, Any]:
         space,
         data_capacity=scale.data_capacity,
         fanout=scale.fanout,
-        store=(
-            ColumnarStore() if scale.layout == "columnar" else PageStore()
-        ),
+        layout=scale.layout,
     )
     # Churn tracks live points by float tuple, the tree by the leading
     # resolution bits: dense hotspot populations collide in those bits

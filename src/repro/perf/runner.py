@@ -4,12 +4,7 @@
 given :class:`~repro.perf.registry.Scale`, then computes the cross-case
 *derived* metrics the PR's acceptance criteria are stated in:
 
-- ``bulk_load_speedup`` — incremental-insert best over bulk-load best;
-- ``range_bitnative_speedup`` — float-rect-pruning best over bit-native
-  best for the identical query set;
-- ``range_pages_equal`` — whether the two range paths visited exactly
-  the same number of pages (they must: the integer pruning is proven
-  equivalent, and this check would catch a regression of that proof).
+- ``bulk_load_speedup`` — incremental-insert best over bulk-load best.
 """
 
 from __future__ import annotations
@@ -108,18 +103,6 @@ def derive_metrics(results: list[BenchResult]) -> dict[str, Any]:
     bulk = by_name.get("bulk_load")
     if insert is not None and bulk is not None:
         derived["bulk_load_speedup"] = insert.best / bulk.best
-    native = by_name.get("range")
-    rectpath = by_name.get("range_rectpath")
-    if native is not None and rectpath is not None:
-        derived["range_bitnative_speedup"] = rectpath.best / native.best
-        derived["range_pages_equal"] = (
-            native.counters.get("pages_visited")
-            == rectpath.counters.get("pages_visited")
-        )
-        derived["range_records_equal"] = (
-            native.counters.get("records_found")
-            == rectpath.counters.get("records_found")
-        )
     return derived
 
 

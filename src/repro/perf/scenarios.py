@@ -11,10 +11,9 @@ The suite is the measurement side of the PR's three optimisations:
 
 - ``insert`` vs ``bulk_load`` — the bottom-up builder against the
   incremental path it replaces for initial loads;
-- ``range`` vs ``range_rectpath`` — bit-native pruning against the seed
-  float-rect pruning (same visit set; the counters prove it);
-- ``exact_match``/``knn``/``buffered_get`` — descent, best-first search
-  and the :class:`~repro.storage.BufferPool` read fast path.
+- ``exact_match``/``range``/``knn``/``buffered_get`` — descent, range
+  scan, best-first search and the :class:`~repro.storage.BufferPool`
+  read fast path.
 """
 
 from __future__ import annotations
@@ -29,14 +28,10 @@ from repro.core.tree import BVTree
 from repro.geometry.rect import Rect
 from repro.geometry.space import DataSpace
 from repro.perf.registry import Case, Scale, benchmark
-from repro.storage import BufferPool, ColumnarStore, PageStore
+from repro.storage import BufferPool, default_store
 from repro.workloads import uniform
 
 __all__ = ["SuiteContext", "build_context"]
-
-
-def _make_store(scale: Scale) -> PageStore:
-    return ColumnarStore() if scale.layout == "columnar" else PageStore()
 
 
 @dataclass
@@ -61,7 +56,7 @@ def _make_tree(scale: Scale, space: DataSpace) -> BVTree:
         space,
         data_capacity=scale.data_capacity,
         fanout=scale.fanout,
-        store=_make_store(scale),
+        layout=scale.layout,
     )
 
 
@@ -177,38 +172,24 @@ def _exact_match_case(scale: Scale, ctx: SuiteContext) -> Case:
     )
 
 
-def _run_ranges(ctx: SuiteContext, query_fn: Any) -> dict[str, int]:
-    pages = 0
-    found = 0
-    for rect in ctx.rects:
-        result = query_fn(ctx.tree, rect)
-        pages += result.pages_visited
-        found += len(result)
-    return {"pages_visited": pages, "records_found": found}
-
-
 @benchmark("range")
 def _range_case(scale: Scale, ctx: SuiteContext) -> Case:
+    def run(_: Any) -> dict[str, int]:
+        pages = 0
+        found = 0
+        for rect in ctx.rects:
+            result = _query.range_query(ctx.tree, rect)
+            pages += result.pages_visited
+            found += len(result)
+        return {"pages_visited": pages, "records_found": found}
+
     return Case(
         name="range",
         description=(
             f"{scale.n_range_queries} range queries, bit-native pruning"
         ),
         ops=scale.n_range_queries,
-        run=lambda _: _run_ranges(ctx, _query.range_query),
-        counters=lambda out: out,
-    )
-
-
-@benchmark("range_rectpath")
-def _range_rectpath_case(scale: Scale, ctx: SuiteContext) -> Case:
-    return Case(
-        name="range_rectpath",
-        description=(
-            f"{scale.n_range_queries} range queries, seed float-rect pruning"
-        ),
-        ops=scale.n_range_queries,
-        run=lambda _: _run_ranges(ctx, _query.range_query_rectpath),
+        run=run,
         counters=lambda out: out,
     )
 
@@ -237,7 +218,7 @@ def _knn_case(scale: Scale, ctx: SuiteContext) -> Case:
 def _buffered_get_case(scale: Scale, ctx: SuiteContext) -> Case:
     # Built once (reads do not mutate); sized so the working set mostly
     # fits, making the timed loop dominated by the read() hit path.
-    pool = BufferPool(_make_store(scale), capacity=1024)
+    pool = BufferPool(default_store(), capacity=1024)
     tree = BVTree(
         ctx.space,
         data_capacity=scale.data_capacity,

@@ -49,6 +49,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.columnar import DEFAULT_LAYOUT
 from repro.core.node import DataPage, IndexNode
 from repro.core.tree import BVTree
 from repro.errors import RecoveryError
@@ -312,7 +313,7 @@ def create_durable_tree(
     fanout: int = 16,
     policy: str = "scaled",
     page_bytes: int = 1024,
-    layout: str = "object",
+    layout: str = DEFAULT_LAYOUT,
     faults: FaultPlan | None = None,
     sync: str = "commit",
 ) -> BVTree:

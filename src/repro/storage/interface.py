@@ -76,12 +76,13 @@ class Storage(Protocol):
 
 
 def default_store(page_bytes: int = 4096) -> Storage:
-    """The default backing store for a new index: a bare page store.
+    """The default backing store for a new index: an in-memory page
+    store whose trees default to the columnar page layout.
 
-    Kept as a factory (rather than letting core construct ``PageStore``
+    Kept as a factory (rather than letting core construct a store
     itself) so the default backend can change — e.g. to a buffer-pooled
     or sharded store — in exactly one place.
     """
-    from repro.storage.pager import PageStore
+    from repro.storage.pager import ColumnarStore
 
-    return PageStore(page_bytes)
+    return ColumnarStore(page_bytes)

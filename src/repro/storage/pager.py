@@ -184,9 +184,10 @@ class ColumnarStore(PageStore):
     objects, I/O accounting is unchanged — but a
     :class:`~repro.core.tree.BVTree` built on it (without an explicit
     ``layout=``) packs its pages into the flat columns of
-    :mod:`repro.core.columnar`.  Running the same workload against a
-    ``PageStore``-backed tree gives the differential oracle the
-    equivalence suite and the perf probe compare against.
+    :mod:`repro.core.columnar`.  It is what
+    :func:`~repro.storage.default_store` builds; a plain ``PageStore``
+    gives the object-layout oracle the equivalence suite and the perf
+    probe compare against.
     """
 
     layout = "columnar"

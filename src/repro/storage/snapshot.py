@@ -23,7 +23,6 @@ from repro.core.node import DataPage, IndexNode
 from repro.core.tree import BVTree
 from repro.geometry.region import RegionKey
 from repro.geometry.space import DataSpace
-from repro.storage.pager import ColumnarStore, PageStore
 
 FORMAT_VERSION = 1
 
@@ -118,16 +117,14 @@ def _from_snapshot(snapshot: dict[str, Any]) -> BVTree:
         resolution=snapshot["space"]["resolution"],
     )
     policy = snapshot["policy"]
-    # Older snapshots predate the layout field; they are object-layout.
-    layout = snapshot.get("layout", "object")
-    store_cls = ColumnarStore if layout == "columnar" else PageStore
     tree = BVTree(
         space,
         data_capacity=policy["data_capacity"],
         fanout=policy["fanout"],
         policy=policy["kind"],
         page_bytes=policy["page_bytes"],
-        store=store_cls(policy["page_bytes"]),
+        # Older snapshots predate the layout field; they are object-layout.
+        layout=snapshot.get("layout", "object"),
     )
     tree.store.free(tree.root_page)  # replace the fresh root
 

@@ -10,13 +10,24 @@ from repro.geometry.region import RegionKey
 from tests.conftest import make_points
 
 
-@pytest.fixture
-def tree(unit2):
-    t = BVTree(unit2, data_capacity=4, fanout=4)
+def build_tree(space, layout=None):
+    t = BVTree(space, data_capacity=4, fanout=4, layout=layout)
     for i, p in enumerate(make_points(200, 2, seed=51)):
         t.insert(p, i, replace=True)
     t.check(sample_points=20, check_owners=True)
     return t
+
+
+@pytest.fixture
+def tree(unit2):
+    return build_tree(unit2)
+
+
+@pytest.fixture
+def object_tree(unit2):
+    """For corruptions that edit ``page.records`` in place, which only
+    the object layout's plain dict allows."""
+    return build_tree(unit2, layout="object")
 
 
 def first_index_node(tree):
@@ -34,7 +45,8 @@ class TestCorruptionDetection:
         with pytest.raises(TreeInvariantError, match="tree.count"):
             tree.check()
 
-    def test_detects_record_outside_block(self, tree):
+    def test_detects_record_outside_block(self, object_tree):
+        tree = object_tree
         # Find a populated data page whose region key is non-trivial, and
         # move one record just outside its block (flip the key's last bit).
         stack = [tree.root_entry()]
@@ -100,7 +112,8 @@ class TestCorruptionDetection:
         with pytest.raises(TreeInvariantError):
             tree.check()
 
-    def test_detects_bad_occupancy(self, tree):
+    def test_detects_bad_occupancy(self, object_tree):
+        tree = object_tree
         page_id = next(
             pid
             for pid in tree.store.page_ids()

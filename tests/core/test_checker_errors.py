@@ -19,7 +19,10 @@ from tests.conftest import make_points
 
 @pytest.fixture
 def tree(unit2):
-    t = BVTree(unit2, data_capacity=4, fanout=4)
+    # Object layout on purpose: these corruptions edit ``page.records``
+    # and ``node.entries`` in place, which the columnar layout's derived
+    # columns (and its read-only record view) do not allow.
+    t = BVTree(unit2, data_capacity=4, fanout=4, layout="object")
     for i, p in enumerate(make_points(200, 2, seed=51)):
         t.insert(p, i, replace=True)
     assert t.height >= 2, "fixture tree too shallow for these corruptions"

@@ -11,12 +11,13 @@ plumbing on the tree and store.
 import pytest
 
 from repro.core.columnar import (
+    DEFAULT_LAYOUT,
     LAYOUTS,
     ColumnarDataPage,
     ColumnarIndexNode,
     locate_columnar,
 )
-from repro.core.descent import locate
+from repro.core.descent import descend, locate
 from repro.core.entry import Entry
 from repro.core.tree import BVTree
 from repro.errors import DuplicateKeyError, ReproError, TreeInvariantError
@@ -153,8 +154,13 @@ class TestLayoutSelection:
         assert tree.layout == "columnar"
         assert isinstance(tree.store.read(tree.root_page), ColumnarDataPage)
 
-    def test_default_is_object(self):
+    def test_default_is_columnar(self):
         tree = BVTree(DataSpace.unit(2, resolution=8))
+        assert tree.layout == "columnar"
+        assert isinstance(tree.store.read(tree.root_page), ColumnarDataPage)
+
+    def test_plain_store_implies_object_layout(self):
+        tree = BVTree(DataSpace.unit(2, resolution=8), store=PageStore())
         assert tree.layout == "object"
         assert not isinstance(tree.store.read(tree.root_page), ColumnarDataPage)
 
@@ -163,7 +169,8 @@ class TestLayoutSelection:
             BVTree(DataSpace.unit(2, resolution=8), layout="rowwise")
 
     def test_layouts_constant(self):
-        assert LAYOUTS == ("object", "columnar")
+        assert tuple(LAYOUTS) == ("object", "columnar")
+        assert DEFAULT_LAYOUT == "columnar"
 
 
 class TestLocateColumnar:
@@ -184,15 +191,13 @@ class TestLocateColumnar:
         for i in range(0, 300, 7):
             point = ((i * 37 % 256) / 256, (i * 101 % 256) / 256)
             path = tree.space.point_path(point)
-            found = locate(tree, path)
+            g_entry, g_owner, g_guard_map, g_max = descend(tree, path)
             entry, owner, guard_map, max_guards = locate_columnar(tree, path)
-            assert entry is found.entry
-            assert owner == found.owner_page
-            assert max_guards == found.max_guard_set
-            surviving = {
-                lvl: found.guards.peek(lvl) for lvl in found.guards.levels()
-            }
-            assert guard_map == surviving
+            assert entry is g_entry
+            assert owner == g_owner
+            assert max_guards == g_max
+            assert guard_map == g_guard_map
+            assert locate(tree, path).entry is entry
 
     def test_index_nodes_are_columnar(self):
         tree = self.make_tree()

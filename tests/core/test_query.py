@@ -5,11 +5,42 @@ import random
 import pytest
 
 from repro.errors import GeometryError
-from repro.core.query import range_query_rectpath
+from repro.core.query import QueryResult
 from repro.core.tree import BVTree
 from repro.geometry.rect import Rect
 from repro.geometry.space import DataSpace
 from tests.conftest import make_points
+
+
+def range_query_rectpath(tree, rect):
+    """The float-rect range query the bit-native pruning replaced.
+
+    Decodes every visited block into a fresh float :class:`Rect`
+    (``space.decode_rect``, uncached) and prunes with
+    :meth:`Rect.intersects`.  It is the reference the integer cut-offs
+    are checked against: same records, same pages.
+    """
+    if rect.ndim != tree.space.ndim:
+        raise GeometryError(
+            f"query box is {rect.ndim}-d, space is {tree.space.ndim}-d"
+        )
+    result = QueryResult()
+    space = tree.space
+    stack = [tree.root_entry()]
+    while stack:
+        entry = stack.pop()
+        if not space.decode_rect(entry.key).intersects(rect):
+            continue
+        result.pages_visited += 1
+        if entry.level == 0:
+            result.data_pages_visited += 1
+            page = tree.store.read(entry.page)
+            for point, value in page.records.values():
+                if rect.contains_point(point):
+                    result.records.append((point, value))
+        else:
+            stack.extend(tree.store.read(entry.page).entries)
+    return result
 
 
 def brute_range(points, lows, highs):

@@ -111,7 +111,7 @@ class TestPerf:
         assert main(PERF_TINY + ["--no-write"]) == 0
         out = capsys.readouterr().out
         assert "bulk_load" in out
-        assert "range_rectpath" in out
+        assert "range" in out
         assert "bulk_load_speedup" in out
 
     def test_writes_snapshot_to_out_path(self, capsys, tmp_path):
@@ -124,7 +124,7 @@ class TestPerf:
         assert {"insert", "bulk_load", "exact_match", "range", "knn"} <= set(
             names
         )
-        assert data["derived"]["range_pages_equal"] is True
+        assert data["derived"]["bulk_load_speedup"] > 0
 
     def test_json_output(self, capsys):
         assert main(
@@ -190,40 +190,6 @@ class TestPerf:
         assert main(PERF_TINY + ["--no-write", "--only", "exact_match"]) == 1
         err = capsys.readouterr().err
         assert "oracle DIVERGED" in err and "knn_equal" in err
-
-
-class TestLoadgen:
-    def test_reports_per_kind_percentiles(self, capsys, tmp_path):
-        from repro.concurrency import build_service
-        from repro.geometry.space import DataSpace
-        from repro.server.app import ServingApp
-        from repro.server.http import ServerHandle
-
-        service, _ = build_service(
-            space=DataSpace.unit(2, resolution=16),
-            data_capacity=16,
-            fanout=16,
-        )
-        handle = ServerHandle(ServingApp(service)).start()
-        out = tmp_path / "loadgen.json"
-        try:
-            assert main([
-                "loadgen",
-                "--url", f"http://{handle.host}:{handle.port}",
-                "--duration", "1",
-                "--threads", "2",
-                "--json", str(out),
-            ]) == 0
-        finally:
-            handle.stop()
-            service.detach()
-        summary = json.loads(out.read_text())
-        assert summary["requests"] > 0 and summary["errors"] == 0
-        for kind in ("get", "range", "knn", "insert", "delete"):
-            assert f"{kind}_p50_us" in summary
-            assert summary[f"{kind}_p99_us"] >= summary[f"{kind}_p50_us"]
-        assert summary["get_p50_us"] > 0 and summary["insert_p50_us"] > 0
-        assert "p50_us" not in summary and "p99_us" not in summary
 
 
 class TestParser:
@@ -336,9 +302,8 @@ class TestDoctor:
         assert data["exit_code"] == 0
 
     def test_columnar_layout_passes_all_guarantees(self, capsys):
-        assert main(
-            DOCTOR_TINY + ["--layout", "columnar", "--format", "json"]
-        ) == 0
+        # Columnar is the default: doctor no longer takes --layout.
+        assert main(DOCTOR_TINY + ["--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["health"]["ok"] is True
         assert data["audit"]["clean"] is True
@@ -398,3 +363,45 @@ class TestDoctor:
 
         assert main(["doctor", "--bench", str(default_path("core"))]) == 0
         assert "[OK] no_cascade" in capsys.readouterr().out
+
+
+class TestDefaultLayout:
+    """Every product entry point builds columnar trees by default."""
+
+    def test_product_commands_run_columnar(self, capsys, monkeypatch, tmp_path):
+        from repro.core.tree import BVTree
+
+        layouts = []
+        init = BVTree.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            layouts.append(self.layout)
+
+        monkeypatch.setattr(BVTree, "__init__", spy)
+        assert main(DOCTOR_TINY) == 0
+        assert main(EXPLAIN_TINY + ["--point", "0.5", "0.5"]) == 0
+        assert main(
+            ["top", "--once", "--n", "400", "--data-capacity", "4",
+             "--fanout", "4"]
+        ) == 0
+        assert "repro top — layout columnar" in capsys.readouterr().out
+        assert main(TRACE_TINY + ["--stats"]) == 0
+        assert main(
+            ["recover", str(tmp_path / "db"), "--build", "--n", "300"]
+        ) == 0
+        # doctor, explain, top, trace, then recover's build and rebuild.
+        assert len(layouts) == 6
+        assert set(layouts) == {"columnar"}
+
+    @pytest.mark.parametrize("command", ["doctor", "top"])
+    def test_layout_option_removed(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--layout", "object"])
+
+    def test_serve_keeps_layout_option_defaulting_to_columnar(self):
+        assert build_parser().parse_args(["serve"]).layout == "columnar"
+        args = build_parser().parse_args(["serve", "--layout", "columnar"])
+        assert args.layout == "columnar"
+        args = build_parser().parse_args(["serve", "--layout", "object"])
+        assert args.layout == "object"

@@ -15,7 +15,7 @@ guard one level down — and verifies the §3.1 search narrative exactly:
 import pytest
 
 from repro.core.entry import Entry
-from repro.core.node import DataPage, IndexNode
+from repro.core.node import IndexNode
 from repro.core.tree import BVTree
 from repro.geometry.region import ROOT_KEY, RegionKey
 from repro.geometry.space import DataSpace
@@ -34,28 +34,28 @@ def paper_tree():
     tree.store.free(tree.root_page)  # replace the fresh root data page
 
     pages = {
-        name: store.allocate(DataPage(), size_class=0)
+        name: store.allocate(tree.make_data_page(), size_class=0)
         for name in ("a0", "b0", "c1d", "d0", "f1d", "b1d", "g1d")
     }
 
     a1 = store.allocate(
-        IndexNode(1, [Entry(key("01"), 0, pages["a0"])]), size_class=1
+        tree.make_index_node(1, [Entry(key("01"), 0, pages["a0"])]), size_class=1
     )
     c1 = store.allocate(
-        IndexNode(1, [Entry(key("001"), 0, pages["c1d"])]), size_class=1
+        tree.make_index_node(1, [Entry(key("001"), 0, pages["c1d"])]), size_class=1
     )
     f1 = store.allocate(
-        IndexNode(1, [Entry(key("1"), 0, pages["f1d"])]), size_class=1
+        tree.make_index_node(1, [Entry(key("1"), 0, pages["f1d"])]), size_class=1
     )
     b1 = store.allocate(
-        IndexNode(1, [Entry(key("11"), 0, pages["b1d"])]), size_class=1
+        tree.make_index_node(1, [Entry(key("11"), 0, pages["b1d"])]), size_class=1
     )
     g1 = store.allocate(
-        IndexNode(1, [Entry(key("111"), 0, pages["g1d"])]), size_class=1
+        tree.make_index_node(1, [Entry(key("111"), 0, pages["g1d"])]), size_class=1
     )
 
     a2 = store.allocate(
-        IndexNode(
+        tree.make_index_node(
             2,
             [
                 Entry(key("0"), 1, a1),     # a1 (unpromoted)
@@ -66,11 +66,11 @@ def paper_tree():
         size_class=2,
     )
     c2 = store.allocate(
-        IndexNode(2, [Entry(key("111"), 1, g1)]), size_class=2
+        tree.make_index_node(2, [Entry(key("111"), 1, g1)]), size_class=2
     )
 
     root = store.allocate(
-        IndexNode(
+        tree.make_index_node(
             3,
             [
                 Entry(ROOT_KEY, 2, a2),      # a2 (unpromoted)

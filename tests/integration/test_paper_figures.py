@@ -127,7 +127,7 @@ class TestFigure41GuardSplit:
         store.free(tree.root_page)
 
         def data_page(*xs):
-            page = DataPage()
+            page = tree.make_data_page()
             for i, x in enumerate(xs):
                 point = (x,)
                 page.insert(space.point_path(point), point, f"v{x}")
@@ -135,19 +135,19 @@ class TestFigure41GuardSplit:
 
         d0 = data_page(0.651, 0.663, 0.690, 0.699)  # paths 101…
         a1 = store.allocate(
-            IndexNode(1, [Entry(key("0"), 0, data_page(0.1, 0.2))]),
+            tree.make_index_node(1, [Entry(key("0"), 0, data_page(0.1, 0.2))]),
             size_class=1,
         )
         f1 = store.allocate(
-            IndexNode(1, [Entry(key("100"), 0, data_page(0.52, 0.55))]),
+            tree.make_index_node(1, [Entry(key("100"), 0, data_page(0.52, 0.55))]),
             size_class=1,
         )
         b1 = store.allocate(
-            IndexNode(1, [Entry(key("11"), 0, data_page(0.8, 0.9))]),
+            tree.make_index_node(1, [Entry(key("11"), 0, data_page(0.8, 0.9))]),
             size_class=1,
         )
         root = store.allocate(
-            IndexNode(
+            tree.make_index_node(
                 2,
                 [
                     Entry(key("0"), 1, a1),

@@ -46,7 +46,7 @@ def underfill_data_page(tree):
             continue
         if len(content) >= minimum:
             while len(content) >= minimum:
-                content.records.popitem()
+                content.delete(next(iter(content.paths())))
                 tree.count -= 1
             return page_id
     raise AssertionError("no data page was eligible for underfilling")

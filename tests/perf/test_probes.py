@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.reporting import format_table
 from repro.perf import SuiteResult, default_path, probes
+from repro.perf.registry import Scale
 from repro.perf.runner import probe_regressions, render_text
 
 #: Top-level keys of a snapshot before the probe registry existed, less
@@ -100,3 +101,31 @@ class TestGates:
             "columnar layout oracle DIVERGED from the object layout on: "
             "range_equal"
         ]
+
+
+class TestCrashAndRecover:
+    def test_committed_ops_replayed_counts_ops(self, tmp_path, monkeypatch):
+        from repro.perf import durability
+
+        reports = []
+        real_open = durability.open_durable_tree
+
+        def capture(*args, **kwargs):
+            tree, report = real_open(*args, **kwargs)
+            reports.append(report)
+            return tree, report
+
+        monkeypatch.setattr(durability, "open_durable_tree", capture)
+        scale = Scale(name="smoke", n_points=200)
+        space, points = durability._probe_points(scale)
+        _, health = durability._crash_and_recover(
+            scale, space, points, str(tmp_path)
+        )
+        [report] = reports
+        expected = sum(
+            1
+            for name in report.op_commits
+            if name in {"insert", "delete", "bulk_load"}
+        )
+        assert health["committed_ops_replayed"] == expected
+        assert expected > 1

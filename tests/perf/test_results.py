@@ -31,7 +31,7 @@ def make_suite(**kwargs):
         created="2026-01-01T00:00:00+00:00",
         scale={"name": "smoke", "n_points": 100},
         results=[make_result()],
-        derived={"bulk_load_speedup": 3.5, "range_pages_equal": True},
+        derived={"bulk_load_speedup": 3.5},
     )
     defaults.update(kwargs)
     return SuiteResult(**defaults)

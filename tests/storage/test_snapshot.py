@@ -15,7 +15,15 @@ from tests.conftest import make_points
 
 @pytest.fixture
 def populated(unit2):
-    tree = BVTree(unit2, data_capacity=6, fanout=6)
+    return populate(BVTree(unit2, data_capacity=6, fanout=6))
+
+
+@pytest.fixture
+def populated_object(unit2):
+    return populate(BVTree(unit2, data_capacity=6, fanout=6, layout="object"))
+
+
+def populate(tree):
     for i, p in enumerate(make_points(700, 2, seed=81)):
         tree.insert(p, i, replace=True)
     return tree
@@ -155,7 +163,8 @@ class TestColumnarRoundTrip:
             clone.delete(p)
         clone.check(check_occupancy=False)
 
-    def test_object_snapshots_still_load_as_object(self, populated):
+    def test_object_snapshots_still_load_as_object(self, populated_object):
+        populated = populated_object
         snapshot = json.loads(dumps_tree(populated))
         assert snapshot["layout"] == "object"
         # A pre-layout snapshot (older writer) defaults to object.
