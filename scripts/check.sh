@@ -64,7 +64,19 @@ from repro.obs import read_jsonl
 events = read_jsonl(sys.argv[1])
 assert events, "obs smoke produced an empty trace"
 PY
-rm -f "$obs_trace"
+# A traced recovery must parse back too, its replays keyed by wal_seq.
+obs_recover_dir="${TMPDIR:-/tmp}/repro-recover-trace-smoke"
+rm -rf "$obs_recover_dir"
+python -m repro recover "$obs_recover_dir" --build --n 500 --sync os \
+    --trace "$obs_trace" >/dev/null
+python - "$obs_trace" <<'PY'
+import sys
+from repro.obs import read_jsonl
+replays = [e for e in read_jsonl(sys.argv[1]) if e.kind == "wal_replay"]
+assert replays, "traced recovery replayed nothing"
+assert all("wal_seq" in e.fields for e in replays)
+PY
+rm -rf "$obs_recover_dir" "$obs_trace"
 # The dashboard must drive a full stream in --once mode with all three
 # artifact sinks on, the Prometheus exposition must pass the in-tree
 # lint, and the slow-op records must carry valid EXPLAIN attachments.

@@ -309,7 +309,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         sink = (
             JsonlSink(args.out) if args.out else RingSink(capacity=args.ring)
         )
-        tree.tracer.attach(sink)
+        tree.tracer.subscribe(sink)
         # A mixed workload: build incrementally (splits, promotions),
         # then a read slice and a delete slice so every event family
         # shows up.
@@ -320,7 +320,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             tree.get(point)
         for point in rng.sample(points, min(len(points), args.n // 20 or 1)):
             tree.delete(point)
-        tree.tracer.detach()
+        tree.tracer.unsubscribe(sink)
         if isinstance(sink, JsonlSink):
             sink.close()
             events = read_jsonl(args.out)
@@ -627,8 +627,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         from repro.obs.tracer import Tracer
 
         sink = JsonlSink(args.trace)
-        tracer = Tracer()
-        tracer.attach(sink)
+        tracer = Tracer(sink)
     try:
         tree, report = open_durable_tree(args.directory, tracer=tracer)
     except (RecoveryError, WalCorruptionError, StorageError) as exc:

@@ -41,6 +41,10 @@ __all__ = ["PageTable", "Snapshot", "TreeVersion", "VersionStore"]
 #: in chunk ``pid >> CHUNK_BITS``.
 CHUNK_BITS = 6
 
+#: The subscriber-less tracer every snapshot and version store shares
+#: (one per served read would cost more than its guard); never subscribe.
+UNTRACED = Tracer()
+
 
 class PageTable:
     """A persistent page-id -> payload map, updated in O(dirty) per commit.
@@ -170,9 +174,8 @@ class VersionStore:
         #: The table's spine, indexed inline by ``read``/``peek`` so the
         #: snapshot read path pays no extra method call per page.
         self._chunks = pages.chunks
-        #: Disabled tracer: snapshot reads are never traced (the tracer
-        #: protocol is part of the store surface the read paths consult).
-        self.tracer = Tracer()
+        #: Never traced (the read paths consult the store's tracer).
+        self.tracer = UNTRACED
         self.reads = 0
 
     def read(self, page_id: int) -> Any:
@@ -224,6 +227,9 @@ class Snapshot:
     everything reachable is frozen — but its convenience page counter
     (``store.reads``) is per-instance and approximate under sharing;
     open one snapshot per reader when exact per-reader counts matter.
+
+    Snapshot reads are never traced: every snapshot shares the
+    subscriber-less :data:`UNTRACED` tracer.
     """
 
     __slots__ = ("version", "space", "policy", "page_layout", "store", "tracer")
@@ -240,7 +246,7 @@ class Snapshot:
         self.policy = policy
         self.page_layout = page_layout
         self.store = VersionStore(version.pages)
-        self.tracer = Tracer()
+        self.tracer = UNTRACED
 
     # -- tree duck type (what the core read paths consume) --------------
 

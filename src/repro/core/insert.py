@@ -79,8 +79,8 @@ def split_data_page(tree: "BVTree", entry: Entry) -> None:
         # Every stats bump has a co-located event: replaying a trace's
         # structural events must reproduce the OpCounters delta exactly
         # (the integration tests assert this).  Structural sites guard on
-        # ``structural`` so taps (the guarantee monitor) see them even
-        # when full tracing is off.
+        # ``structural`` so update-path subscribers (the guarantee
+        # monitor) see them even when no read-path kind is subscribed.
         tracer.emit(
             DATA_SPLIT,
             key=split_key.bit_string(),

@@ -67,9 +67,9 @@ class BVTree:
         Optionally a pre-configured :class:`~repro.obs.Tracer`.  The tree
         shares its tracer with its store, so page-level and
         structure-level events interleave in one stream; by default the
-        tracer is disabled (null sink) and the instrumented paths cost a
-        single branch.  Attach a sink later with
-        ``tree.tracer.attach(...)``.
+        tracer has no subscribers and the instrumented paths cost a
+        single branch.  Subscribe a sink later with
+        ``tree.tracer.subscribe(...)``.
     layout:
         ``"columnar"`` (default) packs pages into flat array columns;
         ``"object"`` stores them as dicts and entry lists — same
@@ -193,8 +193,8 @@ class BVTree:
         every coordinate are the same key to the index.
         """
         # Update ops open spans under the wider ``structural`` guard so a
-        # guarantee monitor (tap-only, no sink) can group split work per
-        # operation; read ops stay on ``enabled``.
+        # guarantee monitor (update-path kinds only) can group split work
+        # per operation; read ops stay on ``enabled``.
         tracer = self.tracer
         if not tracer.structural:
             _insert.insert_point(self, point, value, replace=replace)

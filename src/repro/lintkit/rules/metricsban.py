@@ -7,8 +7,9 @@ core code imports :mod:`repro.obs.metrics` and pokes instruments
 directly, two things break at once: the trace stream and the registry
 can disagree (the audit in ``repro doctor`` assumes events are the
 single source of truth), and the core pays instrument bookkeeping on hot
-paths even when nobody attached a sink.  The tracer's null-object
-default exists precisely so core code never needs a metrics handle.
+paths even when nothing subscribed.  The tracer's empty subscriber
+list is the default precisely so core code never needs a metrics
+handle: a ``MetricsSink`` subscribes from outside when wanted.
 
 The rule flags, inside ``repro/core`` only: any import of
 ``repro.obs.metrics`` (module or names such as ``MetricsRegistry``,

@@ -34,7 +34,7 @@ class CorePrintBan(Rule):
     name = "ad-hoc output in core code"
     fix_hint = (
         "emit a TraceEvent through tree.tracer (repro.obs) instead of "
-        "printing/logging; the null sink makes it free when disabled"
+        "printing/logging; a tracer with no subscribers makes it free"
     )
 
     def applies_to(self, posix: str) -> bool:

@@ -11,8 +11,9 @@ not averages:
 - :class:`~repro.obs.tracer.Tracer` + :class:`~repro.obs.events.TraceEvent`
   — a span-style event stream (descent steps, guard hits, splits,
   promotions, merges, page I/O) with zero overhead while disabled;
-- :mod:`~repro.obs.sinks` — pluggable sinks: null (default), in-memory
-  ring buffer, JSONL file;
+- :mod:`~repro.obs.sinks` — full-capture subscribers: an in-memory ring
+  buffer and a JSONL file (every consumer below is a subscriber too,
+  declaring the event kinds it takes);
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   fixed-bucket histograms, derivable from the event stream via
   :class:`~repro.obs.metrics.MetricsSink`; the perf harness snapshots a
@@ -21,7 +22,7 @@ not averages:
   entries per level, guards consulted, prune cut-offs, pages touched);
 - :class:`~repro.obs.monitor.GuaranteeMonitor` — live, O(1)-per-event
   structural gauges (per-level occupancy histograms, guards, height)
-  fed by a structural tracer *tap*, audited exactly against the
+  fed by a structural tracer subscription, audited exactly against the
   full-sweep :func:`~repro.core.stats.collect`;
 - :mod:`~repro.obs.health` + :mod:`~repro.obs.report` — the paper's
   three guarantees scored into :class:`~repro.obs.health.HealthFinding`
@@ -31,7 +32,7 @@ not averages:
   one bounded JSON artifact);
 - :class:`~repro.obs.profile.OpProfiler` — per-operation-kind cost
   profiles (latency histograms, page-access deltas, cascade depth)
-  collected at tap discipline, plus :class:`~repro.obs.profile.SlowOpLog`
+  collected from update-path events plus a direct read hook, plus :class:`~repro.obs.profile.SlowOpLog`
   — structured JSONL captures of threshold-exceeding operations with
   automatic EXPLAIN attachments for queries;
 - :func:`~repro.obs.metrics.to_prometheus` /
@@ -74,7 +75,7 @@ from repro.obs.metrics import (
 from repro.obs.monitor import AuditReport, GuaranteeMonitor
 from repro.obs.profile import KindProfile, OpProfiler, SlowOpLog
 from repro.obs.report import DoctorResult, render_doctor_text, run_doctor
-from repro.obs.sinks import JsonlSink, NullSink, RingSink, TraceSink, read_jsonl
+from repro.obs.sinks import JsonlSink, RingSink, TraceSink, read_jsonl
 from repro.obs.top import TopResult, render_top_frame, run_top
 from repro.obs.tracer import Tracer
 
@@ -95,7 +96,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSink",
     "MetricsSnapshotter",
-    "NullSink",
     "OpProfiler",
     "RingSink",
     "SlowOpLog",

@@ -9,8 +9,8 @@ EXPLAIN runs the ordinary query code under a temporary capture tracer
 trace of the same query would show, and the two can never drift apart.
 
 The capture temporarily replaces the tree's (and, through the shared
-wiring, its store's) tracer; the caller's tracer and sink are restored
-afterwards even if the query raises.  ``pages_touched`` counts
+wiring, its store's) tracer; the caller's tracer and its subscribers
+are restored afterwards even if the query raises.  ``pages_touched`` counts
 ``page_read`` events, so for an exact match it equals the paper's §6
 guarantee of ``height + 1`` page accesses — the property tests assert
 this on trees with and without guards.
@@ -18,10 +18,11 @@ this on trees with and without guards.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.errors import KeyNotFoundError, ReproError
+from repro.errors import KeyNotFoundError
 from repro.obs.events import (
     DESCENT_STEP,
     GUARD_HIT,
@@ -165,28 +166,16 @@ def _prune_text(prune: dict[str, Any]) -> str:
     return base
 
 
-class _Capture:
+@contextmanager
+def _capture(tree: "BVTree") -> Iterator[RingSink]:
     """Swap a capture tracer into a tree (and its store), then restore."""
-
-    def __init__(self, tree: "BVTree"):
-        self._tree = tree
-        self._saved: Tracer | None = None
-        self.sink = RingSink(capacity=_CAPTURE_CAPACITY)
-        self.tracer = Tracer(self.sink)
-
-    def __enter__(self) -> "_Capture":
-        self._saved = self._tree.tracer
-        self._tree.tracer = self.tracer
-        self._tree.store.tracer = self.tracer
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        saved = self._saved
-        if saved is None:  # pragma: no cover - enter always ran
-            raise ReproError("capture exited without entering")
-        self._tree.tracer = saved
-        self._tree.store.tracer = saved
-        return None
+    ring = RingSink(capacity=_CAPTURE_CAPACITY)
+    saved = tree.tracer
+    tree.tracer = tree.store.tracer = Tracer(ring)
+    try:
+        yield ring
+    finally:
+        tree.tracer = tree.store.tracer = saved
 
 
 def _fold(
@@ -227,13 +216,13 @@ def explain_point(tree: "BVTree", point: Sequence[float]) -> ExplainReport:
     report = ExplainReport(
         kind="point", query={"point": list(pt)}, pages_touched=0
     )
-    with _Capture(tree) as capture:
+    with _capture(tree) as ring:
         try:
             value = tree.get(pt)
             report.result = {"found": True, "value": repr(value)}
         except KeyNotFoundError:
             report.result = {"found": False}
-    return _fold(report, capture.sink.events(), capture.sink.dropped)
+    return _fold(report, ring.events(), ring.dropped)
 
 
 def explain_range(
@@ -245,14 +234,14 @@ def explain_range(
         query={"lows": [float(x) for x in lows], "highs": [float(x) for x in highs]},
         pages_touched=0,
     )
-    with _Capture(tree) as capture:
+    with _capture(tree) as ring:
         result = tree.range_query(lows, highs)
         report.result = {
             "records": len(result),
             "pages_visited": result.pages_visited,
             "data_pages_visited": result.data_pages_visited,
         }
-    return _fold(report, capture.sink.events(), capture.sink.dropped)
+    return _fold(report, ring.events(), ring.dropped)
 
 
 def explain_knn(
@@ -263,7 +252,7 @@ def explain_knn(
     report = ExplainReport(
         kind="knn", query={"point": list(pt), "k": k}, pages_touched=0
     )
-    with _Capture(tree) as capture:
+    with _capture(tree) as ring:
         result = tree.nearest(pt, k=k)
         report.result = {
             "neighbours": len(result),
@@ -274,4 +263,4 @@ def explain_knn(
                 else None
             ),
         }
-    return _fold(report, capture.sink.events(), capture.sink.dropped)
+    return _fold(report, ring.events(), ring.dropped)

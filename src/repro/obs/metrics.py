@@ -311,6 +311,8 @@ class MetricsSink:
 
     #: Retain at most this many hit-ratio samples (oldest dropped).
     MAX_SAMPLES = 512
+    #: A full-capture subscriber: every event kind.
+    kinds = None
 
     def __init__(
         self,
@@ -369,9 +371,6 @@ class MetricsSink:
                 if len(series) > self.MAX_SAMPLES:
                     del series[0]
 
-    def close(self) -> None:
-        """Nothing to release (the registry stays readable)."""
-
     def snapshot(self) -> dict[str, Any]:
         """The registry snapshot plus the hit-ratio time series."""
         out = self.registry.snapshot()
@@ -395,7 +394,7 @@ class TimeSeriesSink:
     JSON artifact (``len(metrics) + 1`` lists, not 100k/N dicts).
 
     Sampling is driven either by feeding the sink a trace stream (it
-    counts ``op_end`` events; attach it as a tracer tap) or by calling
+    counts ``op_end`` events; subscribe it to a tracer) or by calling
     :meth:`tick` per operation from a driver loop.  Each instrument
     contributes scalar columns: a counter or gauge its ``value``, a
     histogram its ``count`` and ``mean`` (as ``<name>.count`` /
@@ -412,6 +411,9 @@ class TimeSeriesSink:
     stride, preserving the full time range at half resolution — a
     bounded artifact regardless of workload length.
     """
+
+    #: Subscriber declaration: only op ends drive sampling.
+    kinds = frozenset({OP_END})
 
     def __init__(
         self,
@@ -438,12 +440,9 @@ class TimeSeriesSink:
         self._since_sample = 0
 
     def emit(self, event: TraceEvent) -> None:
-        """Count operation ends from a trace stream (tap usage)."""
+        """Count operation ends from a trace stream (subscriber usage)."""
         if event.kind == OP_END:
             self.tick()
-
-    def close(self) -> None:
-        """Nothing to release (the samples stay readable)."""
 
     def tick(self) -> None:
         """Advance one operation; sample when the stride elapses."""
@@ -513,7 +512,7 @@ class MetricsSnapshotter:
     memory, the snapshotter streams the complete registry state — every
     counter, gauge and histogram, buckets included — as one JSON line
     every ``every`` operations, the durable form a dashboard or a later
-    analysis replays.  Drive it either as a tracer tap (it counts
+    analysis replays.  Drive it either as a tracer subscriber (it counts
     ``op_end`` events) or by calling :meth:`tick` per operation; the
     optional ``prepare`` hook runs against the registry right before
     each snapshot (pass ``monitor.publish`` so derived gauges are
@@ -522,6 +521,9 @@ class MetricsSnapshotter:
     Each line is ``{"ops": N, "metrics": {...registry snapshot...}}``.
     ``count`` is the number of snapshots written.
     """
+
+    #: Subscriber declaration: only op ends drive snapshots.
+    kinds = frozenset({OP_END})
 
     def __init__(
         self,
@@ -546,7 +548,7 @@ class MetricsSnapshotter:
             ) from None
 
     def emit(self, event: TraceEvent) -> None:
-        """Count operation ends from a trace stream (tap usage)."""
+        """Count operation ends from a trace stream (subscriber usage)."""
         if event.kind == OP_END:
             self.tick()
 

@@ -2,8 +2,8 @@
 
 A :class:`GuaranteeMonitor` watches a BV-tree's structure *live* — per
 level occupancy histograms, guard counts, pages per level, height, and
-split work per operation — without ever walking the tree.  It attaches
-as a structural *tap* on the tree's tracer (see
+split work per operation — without ever walking the tree.  It
+subscribes to the update-path event kinds of the tree's tracer (see
 :mod:`repro.obs.tracer`): every mutation the tree performs flows through
 its store's ``allocate``/``write``/``free`` choke point and emits a
 ``page_alloc``/``page_write``/``page_free`` event, and the monitor folds
@@ -43,6 +43,7 @@ from repro.obs.events import (
     PAGE_WRITE,
     PROMOTION,
     REDISTRIBUTE,
+    STRUCTURAL_KINDS,
     TraceEvent,
 )
 
@@ -89,8 +90,8 @@ class GuaranteeMonitor:
     """Incrementally tracked structural gauges for one BV-tree.
 
     Attach with :meth:`attach` (which seeds the state with a one-time
-    sweep of the current pages and registers the monitor as a tracer
-    tap), detach with :meth:`detach`.  While attached, the gauges below
+    sweep of the current pages and subscribes the monitor to the tree's
+    tracer), detach with :meth:`detach`.  While attached, the gauges below
     are live after every operation:
 
     - ``occupancy(level)`` — histogram ``{population: page count}`` of
@@ -104,6 +105,11 @@ class GuaranteeMonitor:
     examined through ``store.peek`` only, and only for pages named in
     structural events.
     """
+
+    #: Subscriber declaration: the update-path kinds :meth:`emit` folds.
+    kinds = STRUCTURAL_KINDS | {
+        PAGE_WRITE, PAGE_ALLOC, PAGE_FREE, OP_BEGIN, OP_END
+    }
 
     def __init__(self, tree: MonitoredTree):
         self.tree = tree
@@ -131,18 +137,18 @@ class GuaranteeMonitor:
     # ------------------------------------------------------------------
 
     def attach(self) -> "GuaranteeMonitor":
-        """Seed state from the live pages and start tapping the tracer."""
+        """Seed state from the live pages and subscribe to the tracer."""
         if self.attached:
             return self
         self._seed()
-        self.tree.tracer.add_tap(self)
+        self.tree.tracer.subscribe(self)
         self.attached = True
         return self
 
     def detach(self) -> None:
-        """Stop tapping (the gauges freeze at their current values)."""
+        """Unsubscribe (the gauges freeze at their current values)."""
         if self.attached:
-            self.tree.tracer.remove_tap(self)
+            self.tree.tracer.unsubscribe(self)
             self.attached = False
 
     def __enter__(self) -> "GuaranteeMonitor":
@@ -163,7 +169,7 @@ class GuaranteeMonitor:
         self.max_height_seen = self.tree.height
 
     # ------------------------------------------------------------------
-    # TraceSink interface (tap)
+    # TraceSink interface (subscriber)
     # ------------------------------------------------------------------
 
     def emit(self, event: TraceEvent) -> None:
@@ -204,9 +210,6 @@ class GuaranteeMonitor:
                 self.max_height_seen = height
         elif kind in (PROMOTION, DEMOTION, MERGE, REDISTRIBUTE):
             self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
-
-    def close(self) -> None:
-        """Tap interface; nothing to release."""
 
     # ------------------------------------------------------------------
     # Incremental bookkeeping

@@ -14,9 +14,9 @@ namespace, so one :func:`~repro.obs.metrics.to_prometheus` call (or a
 Two collection paths, by design
 -------------------------------
 *Update* operations (``insert``/``delete``/``bulk_load``) already open
-tracer spans under the ``structural`` guard, so the profiler attaches as
-an ordinary tracer *tap* declaring ``kinds = {op_begin, op_end,
-data_split, index_split}`` and folds each event in O(1) — exactly the
+tracer spans under the ``structural`` guard, so the profiler subscribes
+to the tracer declaring ``kinds = {op_begin, op_end, data_split,
+index_split}`` and folds each event in O(1) — exactly the
 :class:`GuaranteeMonitor` discipline.
 
 *Read* operations never open spans while the tracer is disabled: a span
@@ -31,8 +31,8 @@ I/O-counter delta and one raw-sample append per op (exact-match samples
 fold into the histograms in :data:`GET_BATCH` batches), no event
 machinery.  The two
 paths are mutually exclusive per operation (a read either runs under a
-full sink, where the span tap sees it, or on the direct path), so
-nothing is double-counted.
+read-path subscriber, which opens its span for the profiler to see, or
+on the direct path), so nothing is double-counted.
 
 Slow-op log
 -----------
@@ -305,17 +305,17 @@ class SlowOpLog:
 class OpProfiler:
     """Live per-kind cost profiles for one BV-tree.
 
-    Attach with :meth:`attach` (registers the profiler both as a
-    structural tracer tap and as the tracer's direct-call ``profiler``
-    hook), detach with :meth:`detach`.  While attached:
+    Attach with :meth:`attach` (subscribes the profiler to the tracer
+    and registers it as the tracer's direct-call ``profiler`` hook),
+    detach with :meth:`detach`.  While attached:
 
     - every update operation is profiled through its tracer span
       (latency from ``op_begin``/``op_end``, cascade depth from the
       split events in between, I/O from the store's counter deltas);
     - every read operation is profiled through the direct
       ``begin``/``end_*`` calls the tree's read paths make when they
-      see ``tracer.profiler`` set — unless a full sink is enabled, in
-      which case reads open spans too and the tap path covers them.
+      see ``tracer.profiler`` set — unless the tracer is enabled, in
+      which case reads open spans too and the subscription covers them.
 
     The instruments live in :attr:`registry` under ``profile.<kind>.*``
     and update in place; failed operations only bump
@@ -324,8 +324,8 @@ class OpProfiler:
     counts against :class:`~repro.core.stats.OpCounters` deltas).
     """
 
-    #: Tap declaration: in tap-only mode the tracer skips constructing
-    #: every other event kind entirely (see repro.obs.tracer).
+    #: Subscriber declaration: the tracer builds no other kind for it
+    #: (see repro.obs.tracer).
     kinds = frozenset({OP_BEGIN, OP_END, DATA_SPLIT, INDEX_SPLIT})
 
     def __init__(
@@ -383,7 +383,7 @@ class OpProfiler:
         self.rstats = rstats
         self._wstats = store.store.stats if self.buffered else rstats
         tracer = self.tree.tracer
-        tracer.add_tap(self)
+        tracer.subscribe(self)
         tracer.profiler = self
         self.attached = True
         return self
@@ -396,7 +396,7 @@ class OpProfiler:
         tracer = self.tree.tracer
         if tracer.profiler is self:
             tracer.profiler = None
-        tracer.remove_tap(self)
+        tracer.unsubscribe(self)
         self._open.clear()
         self._splits.clear()
         self.attached = False
@@ -530,7 +530,7 @@ class OpProfiler:
         return None, reads
 
     # ------------------------------------------------------------------
-    # TraceSink interface (tap: the update paths, and reads under a sink)
+    # TraceSink interface (subscriber: update paths, and traced reads)
     # ------------------------------------------------------------------
 
     def emit(self, event: TraceEvent) -> None:
@@ -585,9 +585,6 @@ class OpProfiler:
             if event.op:
                 self._splits[event.op] = self._splits.get(event.op, 0) + 1
 
-    def close(self) -> None:
-        """Tap interface; nothing to release."""
-
     # ------------------------------------------------------------------
     # Slow-op capture
     # ------------------------------------------------------------------
@@ -620,7 +617,7 @@ class OpProfiler:
             and not self._explaining
         ):
             # Re-run the query under EXPLAIN's capture tracer.  The
-            # capture tracer carries no profiler and no taps, so the
+            # capture tracer carries no profiler and only its ring, so the
             # re-run is invisible to this profiler; the guard above only
             # protects against a hypothetical reentrant emit.
             self._explaining = True

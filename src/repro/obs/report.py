@@ -97,9 +97,9 @@ def run_doctor(
 
     ``operations`` yields ``("insert", point, value)`` (value optional)
     or ``("delete", point)`` tuples; an empty stream just examines the
-    tree as it stands (the "attach to a snapshot" mode).  The monitor
-    taps the tree's tracer for the duration; the tree's sink and enabled
-    state are left exactly as found.
+    tree as it stands (the "examine a snapshot" mode).  The monitor and
+    the time series subscribe to the tree's tracer for the duration; its
+    other subscribers are left exactly as found.
     """
     monitor = GuaranteeMonitor(tree)
     registry = MetricsRegistry()
@@ -111,7 +111,7 @@ def run_doctor(
     )
     applied = 0
     monitor.attach()
-    tree.tracer.add_tap(series)
+    tree.tracer.subscribe(series)
     try:
         for op in operations:
             verb = op[0]
@@ -131,7 +131,7 @@ def run_doctor(
         health = evaluate(monitor, thresholds=thresholds)
         state = monitor.to_dict()
     finally:
-        tree.tracer.remove_tap(series)
+        tree.tracer.unsubscribe(series)
         monitor.detach()
     return DoctorResult(
         n_points=tree.count,

@@ -1,12 +1,10 @@
 """Trace sinks: where emitted events go.
 
-A sink is anything with an ``emit(event)`` method (the
-:class:`TraceSink` protocol).  Three implementations cover the standard
-uses:
+A sink is a tracer subscriber: anything with an ``emit(event)`` method
+and a ``kinds`` attribute (the :class:`TraceSink` protocol), ``kinds``
+being the frozenset of event kinds it consumes or ``None`` for every
+kind.  Two full-capture implementations cover the standard uses:
 
-- :class:`NullSink` — discards everything; the default a disabled
-  tracer carries, so the hot paths never pay for observability they did
-  not ask for.
 - :class:`RingSink` — a bounded in-memory ring buffer; the EXPLAIN
   facility and the replay tests capture through it, and long-running
   processes can keep "the last N events" for post-mortems without
@@ -26,28 +24,19 @@ from typing import IO, Any, Protocol, runtime_checkable
 from repro.errors import ReproError
 from repro.obs.events import TraceEvent
 
-__all__ = ["JsonlSink", "NullSink", "RingSink", "TraceSink", "read_jsonl"]
+__all__ = ["JsonlSink", "RingSink", "TraceSink", "read_jsonl"]
 
 
 @runtime_checkable
 class TraceSink(Protocol):
-    """The surface a tracer writes to."""
+    """The surface a tracer writes to: one subscriber."""
+
+    @property
+    def kinds(self) -> frozenset[str] | None:
+        """The event kinds delivered to :meth:`emit`, or ``None`` for all."""
 
     def emit(self, event: TraceEvent) -> None:
         """Accept one event.  Must not raise on well-formed events."""
-
-    def close(self) -> None:
-        """Release any resources; further ``emit`` calls are undefined."""
-
-
-class NullSink:
-    """Discards every event (the disabled tracer's sink)."""
-
-    def emit(self, event: TraceEvent) -> None:
-        """Drop the event."""
-
-    def close(self) -> None:
-        """Nothing to release."""
 
 
 class RingSink:
@@ -56,6 +45,9 @@ class RingSink:
     ``dropped`` counts events that fell off the old end — a consumer can
     tell a complete capture from a truncated one.
     """
+
+    #: A full capture: every event kind.
+    kinds = None
 
     def __init__(self, capacity: int = 4096):
         if capacity <= 0:
@@ -71,9 +63,6 @@ class RingSink:
         if len(self._buffer) == self.capacity:
             self.dropped += 1
         self._buffer.append(event)
-
-    def close(self) -> None:
-        """Nothing to release (the buffer stays readable)."""
 
     def events(self) -> list[TraceEvent]:
         """The retained events, oldest first."""
@@ -110,6 +99,9 @@ class JsonlSink:
     Usable as a context manager; :meth:`close` flushes and closes the
     underlying file.  ``count`` is the number of events written.
     """
+
+    #: A full capture: every event kind.
+    kinds = None
 
     def __init__(self, path: Path | str):
         self.path = Path(path)

@@ -1,16 +1,15 @@
 """The event tracer: span-aware, zero-overhead when disabled.
 
 Every :class:`~repro.core.tree.BVTree` and every storage backend carries
-a :class:`Tracer` (disabled, with a :class:`~repro.obs.sinks.NullSink`,
-unless the caller attaches a real sink).  The instrumented hot paths are
-written against one discipline:
+a :class:`Tracer` (disabled until something subscribes).  The
+instrumented hot paths are written against one discipline:
 
     tracer = tree.tracer
     if tracer.enabled:          # one attribute load + branch
         tracer.emit(KIND, ...)  # fields dict built only when tracing
 
 so a disabled tracer costs a single predictable branch per potential
-event — no field formatting, no object construction, no sink call.  The
+event — no field formatting, no object construction, no call.  The
 perf harness measures the residual cost (see ``docs/OBSERVABILITY.md``);
 the acceptance gate holds it under 2% on the descent-bound cases.
 
@@ -21,55 +20,62 @@ per-operation slices (which is how the EXPLAIN reports and the metrics
 aggregator reconstruct per-descent figures).  When disabled it returns a
 shared no-op context manager, not a fresh object.
 
-Structural taps
----------------
-Besides the full-stream sink, a tracer carries *taps*: sinks that want
-only the cheap structural slice of the stream (splits, merges,
-promotions, page lifecycle) without paying for full capture.  Call sites
-on the *update* paths guard with ``tracer.structural`` instead of
-``tracer.enabled``; read-path sites (descents, query traversals, page
-reads) keep guarding on ``enabled``.  ``structural`` is true whenever
-``enabled`` is — a full capture always sees the structural events — and
-additionally while at least one tap is attached, so a
-:class:`~repro.obs.monitor.GuaranteeMonitor` can watch a tree's
-structure while exact-match reads still cost exactly one disabled-branch
-check (the perf probe holds the monitored read path within 3% of the
-uninstrumented one).  Taps receive every event that is emitted, in
-stream order, alongside (not instead of) the sink.
+Subscribers
+-----------
+A tracer carries one tuple of *subscribers*: objects with an
+``emit(event)`` method and a ``kinds`` attribute, the frozenset of event
+kinds they consume or ``None`` for every kind (full captures such as
+:class:`~repro.obs.sinks.RingSink`).  :meth:`Tracer.subscribe` and
+:meth:`Tracer.unsubscribe` are the only configuration calls; a tracer
+with no subscribers is the disabled tracer.  Each call recomputes three
+pieces of derived state:
 
-A tap may declare a ``kinds`` attribute (a set of event-kind strings) to
-say it only consumes those kinds.  When *every* attached tap declares
-kinds and no full sink is enabled, the tracer skips constructing events
-of other kinds entirely — a tap that only watches op spans does not make
-every page write build a :class:`TraceEvent` it will discard.  This is
-purely an optimisation: a kind-declaring tap may still receive extra
-kinds (whenever a full sink or an undeclared tap is active) and must
-keep filtering in its ``emit``.
+- ``enabled`` — some subscriber takes a read-path kind
+  (:data:`READ_PATH_KINDS`, or every kind).  Read-path sites
+  (descents, query traversals, page reads) guard on it;
+- ``structural`` — at least one subscriber.  Update-path sites
+  (splits, merges, promotions, page lifecycle, the update op spans)
+  guard on it, so a :class:`~repro.obs.monitor.GuaranteeMonitor` can
+  watch a tree's structure while exact-match reads still cost exactly
+  one disabled-branch check (the perf probe holds the monitored read
+  path within 3% of the uninstrumented one);
+- a route table from kind to subscribers.  :meth:`Tracer.emit` does one
+  lookup and builds a :class:`TraceEvent` only if someone takes that
+  kind, so each subscriber receives exactly the kinds it declared, in
+  stream order, and no page write builds an event nobody reads.
+
+The ``profiler`` slot is the one documented exception to the list (see
+:attr:`Tracer.profiler`).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any
 
-from repro.obs.events import OP_BEGIN, OP_END, TraceEvent
-from repro.obs.sinks import NullSink, TraceSink
+from repro.obs.events import (
+    DESCENT_STEP,
+    EVENT_KINDS,
+    GUARD_HIT,
+    OP_BEGIN,
+    OP_END,
+    PAGE_READ,
+    QUERY_PRUNE,
+    QUERY_VISIT,
+    TraceEvent,
+)
+from repro.obs.sinks import TraceSink
 
-__all__ = ["Tracer"]
+__all__ = ["READ_PATH_KINDS", "Tracer"]
+
+#: The kinds only the read paths emit; their sites guard on ``enabled``.
+READ_PATH_KINDS = frozenset(
+    {DESCENT_STEP, GUARD_HIT, PAGE_READ, QUERY_VISIT, QUERY_PRUNE}
+)
 
 
-class _NullSpan:
-    """The shared do-nothing span a disabled tracer hands out."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> int:
-        return 0
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
+#: The shared do-nothing span a disabled tracer hands out (op id 0).
+_NULL_SPAN = nullcontext(0)
 
 
 class _Span:
@@ -103,15 +109,12 @@ class _Span:
 
 
 class Tracer:
-    """Emits :class:`~repro.obs.events.TraceEvent` s to a pluggable sink.
+    """Routes :class:`~repro.obs.events.TraceEvent` s to its subscribers.
 
-    A tracer starts disabled with a :class:`~repro.obs.sinks.NullSink`.
-    :meth:`attach` installs a sink and enables emission; :meth:`enable`
-    and :meth:`disable` toggle emission without touching the sink, so a
-    capture can be paused around work that should not appear in it.
-    :meth:`add_tap` additionally subscribes a sink to the structural
-    slice of the stream (see the module docstring) without enabling full
-    capture.
+    ``Tracer(*subscribers)`` subscribes each argument in order; a bare
+    ``Tracer()`` is disabled.  ``enabled`` and ``structural`` are derived
+    from the subscriber list (see the module docstring) and never
+    written directly.
 
     One tracer is typically *shared*: a tree and its storage backend
     emit into the same instance, so page-level and structure-level
@@ -119,151 +122,102 @@ class Tracer:
     """
 
     __slots__ = (
-        "sink",
         "enabled",
         "structural",
         "current_op",
         "profiler",
         "_seq",
         "_ops",
-        "_taps",
-        "_tap_kinds",
+        "_subscribers",
+        "_routes",
+        "_catch_all",
     )
 
-    def __init__(self, sink: TraceSink | None = None, enabled: bool | None = None):
-        self.sink: TraceSink = sink if sink is not None else NullSink()
-        #: Checked by every instrumented hot path before building fields.
-        self.enabled: bool = (
-            enabled
-            if enabled is not None
-            else not isinstance(self.sink, NullSink)
-        )
-        #: Checked by the structural (update-path) emission sites:
-        #: ``enabled or taps attached``.  Never written directly — it is
-        #: derived state kept in sync by the configuration methods.
-        self.structural: bool = self.enabled
+    def __init__(self, *subscribers: TraceSink):
         #: The operation span id events are stamped with (0 = no span).
         self.current_op = 0
-        #: Direct-call profiler hook for the *read* hot paths, or ``None``.
-        #: Read ops never open spans while the tracer is disabled (a span
-        #: plus event construction costs more than a whole exact-match
-        #: descent's tracing budget), so an attached
-        #: :class:`~repro.obs.profile.OpProfiler` registers itself here
-        #: and the read paths bracket the untraced body with inline
-        #: before-op marks plus one ``profiler.end_*()`` call — two
-        #: clock reads and a sample append, no event machinery.  Update
-        #: paths ignore this slot; their
-        #: spans already open under ``structural`` and the profiler taps
-        #: them like any other structural consumer.
+        #: Direct-call profiler hook for the *read* hot paths, or ``None``:
+        #: the one exception to the subscriber list.  A read span plus
+        #: event construction costs more than the profiler's whole
+        #: budget, so an attached :class:`~repro.obs.profile.OpProfiler`
+        #: sits here and untraced reads call ``profiler.end_*()`` directly.
+        #: Update paths ignore this slot; the profiler subscribes to them.
         self.profiler: Any = None
         self._seq = 0
         self._ops = 0
-        self._taps: tuple[TraceSink, ...] = ()
-        #: Union of the taps' declared ``kinds``; ``None`` once any tap
-        #: declines to declare (meaning: build every structural event).
-        self._tap_kinds: frozenset[str] | None = frozenset()
+        self._subscribers: tuple[TraceSink, ...] = ()
+        self._route()
+        for subscriber in subscribers:
+            self.subscribe(subscriber)
 
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
 
-    def attach(self, sink: TraceSink) -> None:
-        """Install ``sink`` and enable emission."""
-        self.sink = sink
-        self.enabled = not isinstance(sink, NullSink)
-        self.structural = self.enabled or bool(self._taps)
+    def subscribe(self, subscriber: TraceSink) -> None:
+        """Deliver the kinds ``subscriber`` declares to it (idempotent)."""
+        if subscriber not in self._subscribers:
+            self._subscribers += (subscriber,)
+            self._route()
 
-    def detach(self) -> TraceSink:
-        """Disable emission and return the sink (callers may close it)."""
-        sink = self.sink
-        self.sink = NullSink()
-        self.enabled = False
-        self.structural = bool(self._taps)
-        return sink
-
-    def enable(self) -> None:
-        """Resume emission to the current sink (no-op for a NullSink)."""
-        self.enabled = not isinstance(self.sink, NullSink)
-        self.structural = self.enabled or bool(self._taps)
-
-    def disable(self) -> None:
-        """Pause emission; the sink keeps whatever it already received.
-
-        Taps are paused too: ``disable`` silences the tracer entirely,
-        exactly as it did before taps existed.
-        """
-        self.enabled = False
-        self.structural = False
-
-    def add_tap(self, tap: TraceSink) -> None:
-        """Subscribe ``tap`` to the emitted stream (idempotent).
-
-        Attaching a tap raises ``structural`` so the update-path sites
-        start emitting; the read-path sites keep consulting ``enabled``
-        and stay silent unless a full sink is attached too.
-        """
-        if tap not in self._taps:
-            self._taps = self._taps + (tap,)
-        self.structural = True
-        self._tap_kinds = self._union_tap_kinds()
-
-    def remove_tap(self, tap: TraceSink) -> None:
-        """Unsubscribe ``tap`` (a no-op if it was never added)."""
-        self._taps = tuple(t for t in self._taps if t is not tap)
-        self.structural = self.enabled or bool(self._taps)
-        self._tap_kinds = self._union_tap_kinds()
-
-    def _union_tap_kinds(self) -> frozenset[str] | None:
-        kinds: set[str] = set()
-        for tap in self._taps:
-            declared = getattr(tap, "kinds", None)
-            if declared is None:
-                return None
-            kinds.update(declared)
-        return frozenset(kinds)
+    def unsubscribe(self, subscriber: TraceSink) -> None:
+        """Stop delivering to ``subscriber`` (a no-op if never subscribed)."""
+        self._subscribers = tuple(
+            s for s in self._subscribers if s is not subscriber
+        )
+        self._route()
 
     @property
-    def taps(self) -> tuple[TraceSink, ...]:
-        """The currently attached taps, in attachment order."""
-        return self._taps
+    def subscribers(self) -> tuple[TraceSink, ...]:
+        """The current subscribers, in subscription order."""
+        return self._subscribers
+
+    def _route(self) -> None:
+        """Recompute the route table and the two hot-path guards."""
+        subscribers = self._subscribers
+        declared = [s.kinds for s in subscribers]
+        every = EVENT_KINDS.union(*filter(None, declared))
+        routes: dict[str, tuple[TraceSink, ...]] = {}
+        for subscriber, kinds in zip(subscribers, declared):
+            for kind in every if kinds is None else kinds:
+                routes[kind] = routes.get(kind, ()) + (subscriber,)
+        self._routes = routes
+        #: Unknown kinds (not in any declaration) reach full captures only.
+        self._catch_all = tuple(s for s in subscribers if s.kinds is None)
+        #: Checked by the read-path emission sites.
+        self.enabled = not READ_PATH_KINDS.isdisjoint(routes)
+        #: Checked by the update-path emission sites.
+        self.structural = bool(subscribers)
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
 
     def emit(self, kind: str, **fields: Any) -> None:
-        """Emit one event (dropped silently when fully disabled).
+        """Deliver one event to the subscribers that take ``kind``.
 
         Hot paths must guard the call with ``if tracer.enabled:`` (read
         paths) or ``if tracer.structural:`` (update paths) so the
-        keyword dict is never built on the disabled path; this check is
-        the safety net for cold paths, not the fast path.
+        keyword dict is never built on the disabled path; the route
+        lookup is the safety net for cold paths, not the fast path.
         """
-        if not self.structural:
-            return
-        if not self.enabled:
-            # Tap-only mode: when every tap declared its kinds, events
-            # nobody consumes are dropped before construction.
-            kinds = self._tap_kinds
-            if kinds is not None and kind not in kinds:
-                return
-        self._seq += 1
-        event = TraceEvent(self._seq, self.current_op, kind, fields)
-        if self.enabled:
-            self.sink.emit(event)
-        for tap in self._taps:
-            tap.emit(event)
+        targets = self._routes.get(kind, self._catch_all)
+        if targets:
+            self._seq += 1
+            event = TraceEvent(self._seq, self.current_op, kind, fields)
+            for subscriber in targets:
+                subscriber.emit(event)
 
     def operation(self, name: str, **fields: Any) -> Any:
         """A context manager spanning one logical operation.
 
-        Returns a shared no-op span when fully disabled, so wrapping an
-        operation costs one call and one branch on the untraced path.
-        Entering the real span emits ``op_begin`` (with ``fields``),
-        leaving it emits ``op_end`` (with the exception name, if one is
-        propagating); events inside carry the span's op id.  A tracer
-        with only taps attached opens real spans too — the structural
-        consumers group split work per operation through them.
+        Returns a shared no-op span when nothing is subscribed, so
+        wrapping an operation costs one call and one branch on the
+        untraced path.  Entering the real span emits ``op_begin`` (with
+        ``fields``), leaving it emits ``op_end`` (with the exception
+        name, if one is propagating); events inside carry the span's op
+        id.  Any subscriber opens real spans — the update-path consumers
+        group split work per operation through them.
         """
         if not self.structural:
             return _NULL_SPAN

@@ -9,7 +9,7 @@ with two things the dashboards and the acceptance gate read:
   (per-op nodes-visited and guard-check histograms, split fan-out,
   buffer hit-ratio over time);
 - ``overhead`` — the cost of the exact-match path with the tracer
-  disabled (null sink, the shipping default; the number
+  disabled (no subscribers, the shipping default; the number
   ``docs/OBSERVABILITY.md`` quotes) and with a live ring-sink capture,
   timed as a pair by :func:`repro.perf.timer.paired_lookups`.
 
@@ -69,7 +69,7 @@ def _traced_metrics(scale: Scale) -> dict[str, Any]:
     """Replay a traced workload through a MetricsSink; return its snapshot."""
     tree, points = probe_tree(scale)
     sink = MetricsSink()
-    tree.tracer.attach(sink)
+    tree.tracer.subscribe(sink)
     for i, point in enumerate(points):
         tree.insert(point, i, replace=True)
     for point in points[:PROBE_LOOKUPS]:
@@ -79,10 +79,10 @@ def _traced_metrics(scale: Scale) -> dict[str, Any]:
     tree.range_query(lo, hi)
     for point in points[: min(len(points), 10)]:
         tree.nearest(point, k=scale.k)
-    tree.tracer.detach()
+    tree.tracer.unsubscribe(sink)
     snapshot = sink.snapshot()
     # The key_rect decode-cache audit rides along as plain gauges so the
-    # hit rate is visible in ``repro perf --json`` without a tracer tap
+    # hit rate is visible in ``repro perf --json`` without a subscriber
     # (the cache sits below the event stream).
     for stat, value in tree.space.rect_cache_stats().items():
         snapshot[f"space.key_rect_cache.{stat}"] = {
@@ -95,7 +95,7 @@ def _traced_metrics(scale: Scale) -> dict[str, Any]:
 def _overhead(scale: Scale) -> dict[str, Any]:
     """The exact-match loop timed with the tracer disabled vs a ring sink.
 
-    ``disabled_us_per_op`` (null sink, the shipping default) is the
+    ``disabled_us_per_op`` (no subscribers, the shipping default) is the
     headline; ``ring_overhead_ratio`` shows what a live in-memory capture
     costs relative to it.
     """
@@ -105,11 +105,11 @@ def _overhead(scale: Scale) -> dict[str, Any]:
 
     @contextmanager
     def ring_attached() -> Iterator[None]:
-        tree.tracer.attach(ring)
+        tree.tracer.subscribe(ring)
         try:
             yield
         finally:
-            tree.tracer.detach()
+            tree.tracer.unsubscribe(ring)
 
     timing = paired_lookups(
         tree.get, points, {"disabled": nullcontext, "ring": ring_attached}
@@ -150,10 +150,10 @@ HEALTH_SERIES_SAMPLES = 128
 def _monitor_overhead(scale: Scale) -> dict[str, Any]:
     """Exact-match cost with and without the monitor + time series.
 
-    The acceptance gate: a guarantee monitor (a structural tracer tap)
-    plus a sampling :class:`~repro.obs.TimeSeriesSink` must hold the
-    read path within 3% of the uninstrumented loop.  Reads emit nothing
-    under a tap — the guarded sites check ``tracer.enabled`` — so the
+    The acceptance gate: a guarantee monitor (an update-path tracer
+    subscriber) plus a sampling :class:`~repro.obs.TimeSeriesSink` must
+    hold the read path within 3% of the uninstrumented loop.  Reads emit
+    nothing to them — the guarded sites check ``tracer.enabled`` — so the
     measured cost is the two boolean attribute checks per get.
     """
     tree, points = probe_tree(scale)
@@ -166,11 +166,11 @@ def _monitor_overhead(scale: Scale) -> dict[str, Any]:
     @contextmanager
     def monitored() -> Iterator[None]:
         with monitor:
-            tree.tracer.add_tap(series)
+            tree.tracer.subscribe(series)
             try:
                 yield
             finally:
-                tree.tracer.remove_tap(series)
+                tree.tracer.unsubscribe(series)
 
     timing = paired_lookups(
         tree.get, points, {"bare": nullcontext, "monitored": monitored}
@@ -255,7 +255,7 @@ def _observability_rows(obs: dict[str, Any]) -> list[list[Any]]:
     overhead, metrics = obs["overhead"], obs["metrics"]
     rows: list[list[Any]] = [
         [
-            "tracer disabled (null sink)",
+            "tracer disabled (no subscribers)",
             f"{overhead['disabled_us_per_op']:.2f} us/get",
         ],
         ["tracer + ring sink", f"{overhead['ring_us_per_op']:.2f} us/get"],

@@ -20,7 +20,7 @@ Module map:
 - :mod:`~repro.storage.durable.pagefile` — the checkpoint image format
   and its strict loader;
 - :mod:`~repro.storage.durable.store` — :class:`DurableStore` and the
-  tracer-tap transaction plumbing;
+  op-span subscriber that groups mutations into transactions;
 - :mod:`~repro.storage.durable.recovery` — redo replay, tree rebuild,
   the :class:`RecoveryReport`.
 

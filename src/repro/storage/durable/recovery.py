@@ -223,7 +223,7 @@ def recover_store(
         if tracer is not None and tracer.structural:
             tracer.emit(
                 WAL_REPLAY,
-                seq=seq,
+                wal_seq=seq,
                 record=RECORD_NAMES.get(rtype, str(rtype)),
             )
         if rtype == REC_ALLOC:

@@ -15,7 +15,7 @@ Transactions ride the tracer
 One *tree operation* is one WAL transaction.  The store does not ask the
 tree to say when an operation starts — the tree already announces it:
 ``BVTree.insert``/``delete``/``bulk_load`` open tracer op spans whenever
-``tracer.structural`` is true.  The store attaches a structural tap
+``tracer.structural`` is true.  The store subscribes a tap
 (:class:`_OpSpanTap`) to whatever tracer it carries, watches
 ``op_begin``/``op_end``, and groups every mutation inside the span into
 one transaction.  The transaction's records are buffered and written to
@@ -79,11 +79,10 @@ _SYNC_MODES = ("commit", "os")
 
 
 class _OpSpanTap:
-    """A structural tracer tap that turns op spans into transactions.
+    """A tracer subscriber that turns op spans into transactions.
 
-    Declares ``kinds`` so a tracer in tap-only mode skips building the
-    structural events the tap would discard (page writes, splits); see
-    :mod:`repro.obs.tracer`.
+    Declares ``kinds`` so the tracer builds no other event for it (page
+    writes, splits); see :mod:`repro.obs.tracer`.
     """
 
     __slots__ = ("_store",)
@@ -105,9 +104,6 @@ class _OpSpanTap:
                     str(event.fields["name"]),
                     error=("error" in event.fields),
                 )
-
-    def close(self) -> None:
-        """Nothing to release (the store owns all resources)."""
 
 
 class _DeadPageTable(dict):
@@ -185,6 +181,24 @@ class DurableStore(PageStore):
         faults: FaultPlan | None = None,
         sync: str = "commit",
     ):
+        self._setup(directory, page_bytes, faults, sync)
+        for name in (WAL_NAME, PAGEFILE_NAME):
+            if os.path.exists(os.path.join(self.directory, name)):
+                raise StorageError(
+                    f"{self.directory} already holds a durable store "
+                    f"({name} exists); reopen it with "
+                    f"repro.storage.durable.recover_store"
+                )
+        self._open_wal(0)
+
+    def _setup(
+        self,
+        directory: str | os.PathLike[str],
+        page_bytes: int,
+        faults: FaultPlan | None,
+        sync: str,
+    ) -> None:
+        """The field setup both constructors share (no WAL yet)."""
         if sync not in _SYNC_MODES:
             raise StorageError(
                 f"unknown sync mode {sync!r}; one of {_SYNC_MODES}"
@@ -192,11 +206,10 @@ class DurableStore(PageStore):
         # The tracer property (below) consults these; they must exist
         # before PageStore.__init__ assigns ``self.tracer``.
         self._op_tap: _OpSpanTap | None = None
-        self._tracer = Tracer()
         self._wal: WriteAheadLog | None = None
         self._dead = False
         self._closed = False
-        super().__init__(page_bytes)
+        PageStore.__init__(self, page_bytes)
         self.directory = os.fspath(directory)
         self.faults = faults if faults is not None else FaultPlan()
         self.sync = sync
@@ -212,16 +225,14 @@ class DurableStore(PageStore):
         self._txn_touched: set[int] = set()
         self._txn_buf: list[tuple[int, bytes]] = []
         os.makedirs(self.directory, exist_ok=True)
-        for name in (WAL_NAME, PAGEFILE_NAME):
-            if os.path.exists(os.path.join(self.directory, name)):
-                raise StorageError(
-                    f"{self.directory} already holds a durable store "
-                    f"({name} exists); reopen it with "
-                    f"repro.storage.durable.recover_store"
-                )
-        self._wal = WriteAheadLog(self.wal_path, self.faults)
+
+    def _open_wal(self, start_seq: int) -> None:
+        """Open a fresh WAL and subscribe the op-span tap to the tracer."""
+        self._wal = WriteAheadLog(
+            self.wal_path, self.faults, start_seq=start_seq
+        )
         self._op_tap = _OpSpanTap(self)
-        self._tracer.add_tap(self._op_tap)
+        self._tracer.subscribe(self._op_tap)
 
     # ------------------------------------------------------------------
     # Paths and stats
@@ -268,10 +279,10 @@ class DurableStore(PageStore):
     def tracer(self, tracer: Tracer) -> None:
         tap = self._op_tap
         if tap is not None:
-            self._tracer.remove_tap(tap)
+            self._tracer.unsubscribe(tap)
         self._tracer = tracer
         if tap is not None:
-            tracer.add_tap(tap)
+            tracer.subscribe(tap)
 
     # ------------------------------------------------------------------
     # Liveness
@@ -589,23 +600,8 @@ class DurableStore(PageStore):
         floor makes the stale records inert.
         """
         store = cls.__new__(cls)
-        store._op_tap = None
-        store._tracer = Tracer()
-        store._wal = None
-        store._dead = False
-        store._closed = False
-        PageStore.__init__(store, state.page_bytes)
-        store.directory = os.fspath(directory)
-        store.faults = faults if faults is not None else FaultPlan()
-        store.sync = sync
+        store._setup(directory, state.page_bytes, faults, sync)
         store._meta = dict(state.meta)
-        store._op_stack = []
-        store._txn = 1
-        store._txn_dirty = False
-        store._logged = {}
-        store._txn_touched = set()
-        store._txn_buf = []
-        os.makedirs(store.directory, exist_ok=True)
         for size_class, page_bytes in sorted(state.classes.items()):
             PageStore.register_size_class(store, size_class, page_bytes)
         for page_id, (size_class, content) in state.pages.items():
@@ -624,9 +620,5 @@ class DurableStore(PageStore):
         dump_state(tmp_path, state)
         os.replace(tmp_path, store.pagefile_path)
         fsync_dir(store.directory)
-        store._wal = WriteAheadLog(
-            store.wal_path, store.faults, start_seq=start_seq
-        )
-        store._op_tap = _OpSpanTap(store)
-        store._tracer.add_tap(store._op_tap)
+        store._open_wal(start_seq)
         return store

@@ -22,13 +22,13 @@ class PageStore:
     Every counted access also emits a ``page_read``/``page_write`` trace
     event through ``self.tracer`` when tracing is enabled — one event per
     counted I/O, so a trace's page counts always equal :class:`IOStats`
-    (a tree attaches its own tracer here; see
+    (a tree installs its own tracer here; see
     :class:`~repro.core.tree.BVTree`).  The *mutating* accesses
     (``allocate``/``write``/``free``) are the choke point every tree
     structure change flows through, so they emit under the wider
-    ``tracer.structural`` guard — a structural tap (e.g. the guarantee
-    monitor) sees every mutation even when full tracing is off, while
-    reads stay silent unless tracing is fully enabled.
+    ``tracer.structural`` guard — an update-path subscriber (e.g. the
+    guarantee monitor) sees every mutation, while reads stay silent
+    unless a subscriber takes a read-path kind (``tracer.enabled``).
     """
 
     #: The page layout a tree built on this store defaults to (see

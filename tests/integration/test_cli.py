@@ -270,6 +270,24 @@ class TestTrace:
         assert events
         assert {e.kind for e in events} >= {"op_begin", "op_end", "page_read"}
 
+    def test_traced_recovery_writes_parseable_artifact(self, capsys, tmp_path):
+        path = tmp_path / "recover.jsonl"
+        assert main(
+            ["recover", str(tmp_path / "db"), "--build", "--n", "300",
+             "--sync", "os", "--trace", str(path)]
+        ) == 0
+        capsys.readouterr()
+        from repro.obs import read_jsonl
+
+        events = read_jsonl(path)
+        kinds = [e.kind for e in events]
+        assert kinds[0] == "recovery_begin"
+        assert kinds[-1] == "recovery_end"
+        replays = [e for e in events if e.kind == "wal_replay"]
+        assert len(replays) == events[-1].fields["replayed"] > 0
+        wal_seqs = [e.fields["wal_seq"] for e in replays]
+        assert wal_seqs == sorted(set(wal_seqs))
+
 
 DOCTOR_TINY = [
     "doctor",

@@ -100,11 +100,11 @@ class TestCaptureHygiene:
 
     def test_caller_sink_sees_nothing_from_explain(self, tree):
         sink = RingSink()
-        tree.tracer.attach(sink)
+        tree.tracer.subscribe(sink)
         try:
             tree.explain(POINTS[5])
         finally:
-            tree.tracer.detach()
+            tree.tracer.unsubscribe(sink)
         # The capture tracer replaced ours for the duration, so the
         # explained query must not leak into the caller's capture.
         assert len(sink) == 0

@@ -30,18 +30,18 @@ class TestLifecycle:
         assert not tree.tracer.structural
         monitor.attach()
         assert monitor.attached
-        assert monitor in tree.tracer.taps
+        assert monitor in tree.tracer.subscribers
         assert tree.tracer.structural
         monitor.detach()
         assert not monitor.attached
-        assert monitor not in tree.tracer.taps
+        assert monitor not in tree.tracer.subscribers
         assert not tree.tracer.structural
 
     def test_attach_is_idempotent(self, unit2):
         tree = build(unit2)
         monitor = GuaranteeMonitor(tree).attach()
         monitor.attach()
-        assert tree.tracer.taps.count(monitor) == 1
+        assert tree.tracer.subscribers.count(monitor) == 1
         monitor.detach()
 
     def test_context_manager_detaches(self, unit2):
@@ -228,7 +228,7 @@ class TestCoexistence:
         """A tap and an attached sink see the same structural stream."""
         tree = build(unit2)
         ring = RingSink(capacity=1 << 16)
-        tree.tracer.attach(ring)
+        tree.tracer.subscribe(ring)
         monitor = GuaranteeMonitor(tree).attach()
         for i, point in enumerate(make_points(200, 2, seed=31)):
             tree.insert(point, i, replace=True)
@@ -236,7 +236,7 @@ class TestCoexistence:
         kinds = {event.kind for event in ring.events()}
         assert "data_split" in kinds
         monitor.detach()
-        tree.tracer.detach()
+        tree.tracer.unsubscribe(ring)
 
     def test_monitored_reads_emit_nothing(self, unit2):
         """Reads on a monitored-but-untraced tree stay silent."""

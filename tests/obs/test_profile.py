@@ -143,13 +143,14 @@ class TestSpanModeReads:
         """With a sink enabled reads open spans; the tap covers them."""
         tree, points = build(unit2)
         profiler = OpProfiler(tree).attach()
-        tree.tracer.attach(RingSink(capacity=4096))
+        ring = RingSink(capacity=4096)
+        tree.tracer.subscribe(ring)
         try:
             for point in points[:12]:
                 tree.get(point)
             tree.range_query((0.2, 0.2), (0.6, 0.6))
         finally:
-            tree.tracer.detach()
+            tree.tracer.unsubscribe(ring)
         assert profiler.profile("get").ops == 12
         assert profiler.profile("range").ops == 1
 
@@ -161,7 +162,7 @@ class TestLifecycle:
         assert tree.tracer.profiler is None
         profiler.attach()
         assert tree.tracer.profiler is profiler
-        assert profiler in tree.tracer.taps
+        assert profiler in tree.tracer.subscribers
 
     def test_detach_restores_tracer(self, unit2):
         tree, points = build(unit2)
@@ -169,7 +170,7 @@ class TestLifecycle:
         tree.get(points[0])
         profiler.detach()
         assert tree.tracer.profiler is None
-        assert profiler not in tree.tracer.taps
+        assert profiler not in tree.tracer.subscribers
         assert not tree.tracer.structural
         # detach flushed the raw buffer: the profile is readable
         assert profiler.profiles["get"].ops == 1

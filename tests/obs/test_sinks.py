@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs.events import OP_BEGIN, PAGE_READ, TraceEvent
-from repro.obs.sinks import JsonlSink, NullSink, RingSink, TraceSink, read_jsonl
+from repro.obs.sinks import JsonlSink, RingSink, TraceSink, read_jsonl
 
 
 def make_events(n: int) -> list[TraceEvent]:
@@ -12,17 +12,6 @@ def make_events(n: int) -> list[TraceEvent]:
         TraceEvent(seq=i + 1, op=0, kind=PAGE_READ, fields={"page": i})
         for i in range(n)
     ]
-
-
-class TestNullSink:
-    def test_discards_everything(self):
-        sink = NullSink()
-        for event in make_events(3):
-            sink.emit(event)
-        sink.close()  # nothing to assert beyond "does not raise"
-
-    def test_satisfies_protocol(self):
-        assert isinstance(NullSink(), TraceSink)
 
 
 class TestRingSink:

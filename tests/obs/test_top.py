@@ -65,7 +65,7 @@ class TestRunTopOnce:
         tree, points = build(unit2)
         run_top(tree, workload(points), once=True)
         assert tree.tracer.profiler is None
-        assert tree.tracer.taps == ()
+        assert tree.tracer.subscribers == ()
         assert not tree.tracer.structural
 
     def test_misses_surface_as_error_counts(self, unit2):

@@ -55,11 +55,11 @@ class TestReplayEqualsCounters:
         tree = BVTree(unit2, data_capacity=4, fanout=4)
         sink = RingSink(capacity=1 << 20)
         before = tree.stats.snapshot()
-        tree.tracer.attach(sink)
+        tree.tracer.subscribe(sink)
         try:
             churn(tree, make_points(500, 2, seed=41))
         finally:
-            tree.tracer.detach()
+            tree.tracer.unsubscribe(sink)
         delta = tree.stats.delta(before).to_dict()
         kinds = KindCounter(event.kind for event in sink.events())
         assert sink.dropped == 0
@@ -74,12 +74,12 @@ class TestReplayEqualsCounters:
         """An index split's promotions follow it, inside the same span."""
         tree = BVTree(unit2, data_capacity=4, fanout=4)
         sink = RingSink(capacity=1 << 20)
-        tree.tracer.attach(sink)
+        tree.tracer.subscribe(sink)
         try:
             for i, point in enumerate(make_points(400, 2, seed=43)):
                 tree.insert(point, i, replace=True)
         finally:
-            tree.tracer.detach()
+            tree.tracer.unsubscribe(sink)
         structural = [
             event for event in sink.events() if event.kind in STRUCTURAL_KINDS
         ]
@@ -102,12 +102,12 @@ class TestReplayEqualsCounters:
         tree = BVTree(unit2, data_capacity=4, fanout=4)
         path = tmp_path / "trace.jsonl"
         with JsonlSink(path) as sink:
-            tree.tracer.attach(sink)
+            tree.tracer.subscribe(sink)
             try:
                 for i, point in enumerate(make_points(120, 2, seed=45)):
                     tree.insert(point, i, replace=True)
             finally:
-                tree.tracer.detach()
+                tree.tracer.unsubscribe(sink)
         events = read_jsonl(path)
         assert len(events) == sink.count
         kinds = KindCounter(event.kind for event in events)
@@ -124,12 +124,12 @@ class TestPageReadsEqualIOStats:
         io_before = pool.store.stats.snapshot()
         logical_before = pool.stats.logical_reads
         sink = RingSink(capacity=1 << 20)
-        tree.tracer.attach(sink)
+        tree.tracer.subscribe(sink)
         try:
             for point in make_points(300, 2, seed=47):
                 tree.get(point)
         finally:
-            tree.tracer.detach()
+            tree.tracer.unsubscribe(sink)
         reads = [e for e in sink.events() if e.kind == PAGE_READ]
         physical = [e for e in reads if e.fields.get("physical") is True]
         assert sink.dropped == 0
@@ -145,12 +145,12 @@ class TestPageReadsEqualIOStats:
             tree.insert(point, i, replace=True)
         before = tree.store.stats.snapshot()
         sink = RingSink(capacity=1 << 20)
-        tree.tracer.attach(sink)
+        tree.tracer.subscribe(sink)
         try:
             for point in make_points(50, 2, seed=48):
                 tree.get(point)
         finally:
-            tree.tracer.detach()
+            tree.tracer.unsubscribe(sink)
         reads = [e for e in sink.events() if e.kind == PAGE_READ]
         assert all(e.fields.get("physical") is True for e in reads)
         assert len(reads) == tree.store.stats.delta(before).reads
@@ -161,13 +161,14 @@ class TestTracedOperationsStayCorrect:
         traced = BVTree(unit2, data_capacity=4, fanout=4)
         plain = BVTree(unit2, data_capacity=4, fanout=4)
         points = make_points(250, 2, seed=49)
-        traced.tracer.attach(RingSink(capacity=1 << 20))
+        ring = RingSink(capacity=1 << 20)
+        traced.tracer.subscribe(ring)
         try:
             for i, point in enumerate(points):
                 traced.insert(point, i, replace=True)
                 plain.insert(point, i, replace=True)
         finally:
-            traced.tracer.detach()
+            traced.tracer.unsubscribe(ring)
         assert len(traced) == len(plain)
         for point in points[:50]:
             assert traced.get(point) == plain.get(point)
@@ -182,12 +183,12 @@ class TestTracedOperationsStayCorrect:
         for i, point in enumerate(make_points(100, 2, seed=50)):
             tree.insert(point, i, replace=True)
         sink = RingSink()
-        tree.tracer.attach(sink)
+        tree.tracer.subscribe(sink)
         try:
             with pytest.raises(KeyNotFoundError):
                 tree.get((0.987654, 0.123456))
         finally:
-            tree.tracer.detach()
+            tree.tracer.unsubscribe(sink)
         end = sink.events()[-1]
         assert end.kind == "op_end"
         assert end.fields.get("error") == "KeyNotFoundError"

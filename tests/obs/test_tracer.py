@@ -1,18 +1,35 @@
-"""Tests for the span-aware tracer and its disabled-path guarantees."""
+"""Tests for the span-aware tracer, its subscriber routing and its
+disabled-path guarantees."""
 
 import pytest
 
 from repro.errors import ReproError
-from repro.obs.events import OP_BEGIN, OP_END, PAGE_READ
-from repro.obs.sinks import NullSink, RingSink
-from repro.obs.tracer import Tracer
+from repro.obs.events import DATA_SPLIT, OP_BEGIN, OP_END, PAGE_READ, PAGE_WRITE
+from repro.obs.metrics import MetricsSink, MetricsSnapshotter, TimeSeriesSink
+from repro.obs.monitor import GuaranteeMonitor
+from repro.obs.profile import OpProfiler
+from repro.obs.sinks import JsonlSink, RingSink
+from repro.obs.tracer import READ_PATH_KINDS, Tracer
+from repro.storage.durable.store import _OpSpanTap
+
+
+class Recorder:
+    """A subscriber that keeps what it is given and declares ``kinds``."""
+
+    def __init__(self, kinds=None):
+        self.kinds = kinds
+        self.events = []
+
+    def emit(self, event):
+        self.events.append(event)
 
 
 class TestEnablement:
-    def test_default_is_disabled_null_sink(self):
+    def test_default_has_no_subscribers(self):
         tracer = Tracer()
         assert tracer.enabled is False
-        assert isinstance(tracer.sink, NullSink)
+        assert tracer.structural is False
+        assert tracer.subscribers == ()
 
     def test_real_sink_enables_at_construction(self):
         tracer = Tracer(RingSink())
@@ -23,38 +40,118 @@ class TestEnablement:
         tracer.emit(PAGE_READ, page=1)
         assert tracer.seq == 0
 
-    def test_attach_enables_and_detach_returns_sink(self):
+    def test_subscribe_enables_and_unsubscribe_disables(self):
         tracer = Tracer()
         sink = RingSink()
-        tracer.attach(sink)
+        tracer.subscribe(sink)
         assert tracer.enabled is True
         tracer.emit(PAGE_READ, page=1)
-        returned = tracer.detach()
-        assert returned is sink
+        tracer.unsubscribe(sink)
         assert tracer.enabled is False
-        assert isinstance(tracer.sink, NullSink)
+        assert tracer.subscribers == ()
         assert len(sink) == 1
 
-    def test_attach_null_sink_stays_disabled(self):
+    def test_update_path_subscribers_leave_enabled_false(self):
         tracer = Tracer()
-        tracer.attach(NullSink())
+        tracer.subscribe(Recorder(frozenset({OP_BEGIN, OP_END})))
+        tracer.subscribe(Recorder(frozenset({PAGE_WRITE, DATA_SPLIT})))
+        assert tracer.structural is True
         assert tracer.enabled is False
 
-    def test_disable_pauses_without_losing_sink(self):
-        sink = RingSink()
-        tracer = Tracer(sink)
+    @pytest.mark.parametrize("kind", sorted(READ_PATH_KINDS))
+    def test_any_read_path_kind_enables(self, kind):
+        tracer = Tracer(Recorder(frozenset({kind})))
+        assert tracer.enabled is True
+
+    def test_shipped_update_subscribers_leave_enabled_false(self):
+        tracer = Tracer()
+        for subscriber in (
+            GuaranteeMonitor,
+            OpProfiler,
+            TimeSeriesSink,
+            MetricsSnapshotter,
+        ):
+            tracer.subscribe(Recorder(subscriber.kinds))
+        assert tracer.structural is True
+        assert tracer.enabled is False
+
+    def test_subscribing_twice_is_idempotent(self):
+        recorder = Recorder()
+        tracer = Tracer(recorder)
+        tracer.subscribe(recorder)
+        assert tracer.subscribers == (recorder,)
         tracer.emit(PAGE_READ, page=1)
-        tracer.disable()
-        tracer.emit(PAGE_READ, page=2)
-        tracer.enable()
-        tracer.emit(PAGE_READ, page=3)
-        pages = [event.fields["page"] for event in sink.events()]
-        assert pages == [1, 3]
+        assert len(recorder.events) == 1
 
-    def test_enable_on_null_sink_is_a_no_op(self):
-        tracer = Tracer()
-        tracer.enable()
-        assert tracer.enabled is False
+    def test_unsubscribing_a_stranger_is_a_no_op(self):
+        recorder = Recorder()
+        tracer = Tracer(recorder)
+        tracer.unsubscribe(Recorder())
+        assert tracer.subscribers == (recorder,)
+        assert tracer.enabled is True
+
+
+class TestRouting:
+    def test_declared_kinds_only_beside_a_full_capture(self):
+        ring = RingSink()
+        spans = Recorder(frozenset({OP_BEGIN, OP_END}))
+        tracer = Tracer(ring, spans)
+        with tracer.operation("insert"):
+            tracer.emit(PAGE_READ, page=1)
+            tracer.emit(PAGE_WRITE, page=1)
+            tracer.emit(DATA_SPLIT, key="0")
+        assert [e.kind for e in spans.events] == [OP_BEGIN, OP_END]
+        assert [e.kind for e in ring.events()] == [
+            OP_BEGIN,
+            PAGE_READ,
+            PAGE_WRITE,
+            DATA_SPLIT,
+            OP_END,
+        ]
+        # Both subscribers see the same event objects, in stream order.
+        assert spans.events == [ring.events()[0], ring.events()[-1]]
+
+    def test_unwanted_kinds_build_no_event(self):
+        spans = Recorder(frozenset({OP_END}))
+        tracer = Tracer(spans)
+        tracer.emit(PAGE_WRITE, page=1)
+        assert tracer.seq == 0
+        tracer.emit(OP_END, name="insert")
+        assert tracer.seq == 1
+        assert [e.seq for e in spans.events] == [1]
+
+    def test_unknown_kinds_reach_only_full_captures(self):
+        everything = Recorder()
+        spans = Recorder(frozenset({OP_BEGIN}))
+        tracer = Tracer(everything, spans)
+        tracer.emit("future_kind", x=1)
+        assert [e.kind for e in everything.events] == ["future_kind"]
+        assert spans.events == []
+
+    def test_unsubscribe_reroutes(self):
+        ring = RingSink()
+        spans = Recorder(frozenset({OP_END}))
+        tracer = Tracer(ring, spans)
+        tracer.unsubscribe(ring)
+        tracer.emit(PAGE_READ, page=1)
+        tracer.emit(OP_END, name="get")
+        assert len(ring) == 0
+        assert [e.kind for e in spans.events] == [OP_END]
+
+    def test_every_shipped_subscriber_declares_kinds(self):
+        for subscriber in (
+            RingSink,
+            JsonlSink,
+            MetricsSink,
+            TimeSeriesSink,
+            MetricsSnapshotter,
+            GuaranteeMonitor,
+            OpProfiler,
+            _OpSpanTap,
+        ):
+            kinds = subscriber.kinds
+            assert kinds is None or isinstance(kinds, frozenset), subscriber
+            assert kinds is None or kinds, subscriber
 
 
 class TestEmission:

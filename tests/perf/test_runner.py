@@ -121,7 +121,7 @@ class TestRenderText:
         assert obs["metrics"]["descent.nodes_visited"]["count"] > 0
         text = render_text(suite_result)
         assert "observability probe" in text
-        assert "tracer disabled (null sink)" in text
+        assert "tracer disabled (no subscribers)" in text
         assert "buffer.hit_ratio" in text
 
 

@@ -9,6 +9,9 @@ from repro.core.tree import BVTree
 from repro.errors import SimulatedCrashError, StorageError
 from repro.geometry.space import DataSpace
 from repro.obs.events import OP_BEGIN, OP_END
+from repro.obs.monitor import GuaranteeMonitor
+from repro.obs.profile import OpProfiler
+from repro.obs.sinks import RingSink
 from repro.obs.tracer import Tracer
 from repro.storage.durable.recovery import recover_store
 from repro.storage.durable.store import (
@@ -174,14 +177,36 @@ class TestTransactions:
         old = store.tracer
         new = Tracer()
         store.tracer = new
-        assert store._op_tap in new.taps
-        assert store._op_tap not in old.taps
+        assert store._op_tap in new.subscribers
+        assert store._op_tap not in old.subscribers
         assert new.structural
         store.close(checkpoint=False)
 
     def test_op_tap_declares_its_kinds(self, tmp_path):
         store = DurableStore(tmp_path, sync="os")
         assert store._op_tap.kinds == frozenset({OP_BEGIN, OP_END})
+        store.close(checkpoint=False)
+
+    def test_one_commit_per_op_beside_other_subscribers(self, tmp_path):
+        tree, store = self.build_tree(tmp_path)
+        ring = RingSink(capacity=1 << 16)
+        tree.tracer.subscribe(ring)
+        with GuaranteeMonitor(tree) as monitor, OpProfiler(tree) as profiler:
+            base = store.wal_stats.commits
+            for i in range(8):
+                tree.insert((0.1 + i / 16, 0.2), i)
+            tree.delete((0.1, 0.2))
+            assert store.wal_stats.commits == base + 9
+            assert monitor.audit().clean
+            assert profiler.profile("insert").ops == 8
+        flagged = [
+            payload["op"]
+            for _, rtype, payload in wal_records(store)
+            if rtype & REC_COMMIT_FLAG
+        ]
+        assert flagged[-9:] == ["insert"] * 8 + ["delete"]
+        ends = [e for e in ring.events() if e.kind == OP_END]
+        assert [e.fields["name"] for e in ends] == ["insert"] * 8 + ["delete"]
         store.close(checkpoint=False)
 
 
