@@ -27,6 +27,7 @@ from repro.core.entry import Entry
 from repro.core.node import DataPage, IndexNode
 from repro.core.query import QueryResult
 from repro.core.split import choose_split
+from repro.geometry.bitgrid import key_intersects, query_cell_bounds
 from repro.geometry.rect import Rect
 from repro.geometry.region import ROOT_KEY, RegionKey
 from repro.geometry.space import DataSpace
@@ -292,11 +293,15 @@ class BangFile:
     ) -> QueryResult:
         """All records in the half-open box."""
         rect = Rect(lows, highs)
+        space = self.space
+        bounds = query_cell_bounds(space, rect)
         result = QueryResult()
         stack: list[tuple[int, RegionKey]] = [(self.root_page, ROOT_KEY)]
         while stack:
             page_id, key = stack.pop()
-            if not self.space.key_rect(key).intersects(rect):
+            if not key_intersects(
+                key.value, key.nbits, space.ndim, space.resolution, bounds
+            ):
                 continue
             result.pages_visited += 1
             node = self.store.read(page_id)

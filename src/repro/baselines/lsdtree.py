@@ -27,6 +27,7 @@ from repro.errors import (
 )
 from repro.core.node import DataPage
 from repro.core.query import QueryResult
+from repro.geometry.bitgrid import key_intersects, query_cell_bounds
 from repro.geometry.rect import Rect
 from repro.geometry.region import ROOT_KEY, RegionKey
 from repro.geometry.space import DataSpace
@@ -239,11 +240,15 @@ class LSDTree:
     ) -> QueryResult:
         """All records in the half-open box."""
         rect = Rect(lows, highs)
+        space = self.space
+        bounds = query_cell_bounds(space, rect)
         result = QueryResult()
         stack: list[tuple[int, RegionKey]] = [(self.root_page, self._root_key)]
         while stack:
             page_id, key = stack.pop()
-            if not self.space.key_rect(key).intersects(rect):
+            if not key_intersects(
+                key.value, key.nbits, space.ndim, space.resolution, bounds
+            ):
                 continue
             result.pages_visited += 1
             node = self.store.read(page_id)

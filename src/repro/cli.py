@@ -31,6 +31,7 @@ from repro.geometry.space import DataSpace
 from repro.workloads import (
     clustered,
     diagonal,
+    distinct_paths,
     nested_hotspot,
     promotion_storm,
     skewed,
@@ -184,13 +185,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     )
     # Load the baseline before the (potentially long) run so a bad path
     # fails in milliseconds, not after the whole suite has been timed.
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = SuiteResult.load(args.baseline)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    baseline = SuiteResult.load(args.baseline) if args.baseline else None
     progress = None
     if args.format == "text":
         def progress(name: str) -> None:
@@ -421,16 +416,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from repro.storage import BufferPool, default_store
 
     space = DataSpace.unit(args.dims, resolution=18)
-    raw = WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
     # Path-deduplicate (same reason as doctor: the live set tracks float
     # tuples, the tree keys by resolution bits).
-    seen = set()
-    points = []
-    for point in raw:
-        path = space.point_path(point)
-        if path not in seen:
-            seen.add(path)
-            points.append(tuple(point))
+    points = distinct_paths(
+        space, WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
+    )
     store = default_store()
     if args.buffer:
         store = BufferPool(store, capacity=args.buffer)
@@ -478,11 +468,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         # BENCH_<suite>.json and exit with its verdict.
         from repro.perf import SuiteResult
 
-        try:
-            health = SuiteResult.load(args.bench).probes.get("health")
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        health = SuiteResult.load(args.bench).probes.get("health")
         if not health:
             print(
                 f"doctor: {args.bench} has no health block "
@@ -503,17 +489,12 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     from repro.workloads import churn as churn_ops
 
     space = DataSpace.unit(args.dims, resolution=18)
-    raw = WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
     # Path-deduplicate: churn tracks live points by float tuple but the
     # tree keys records by the leading resolution bits, so colliding
     # points would make churn delete an already-replaced record.
-    seen = set()
-    points = []
-    for point in raw:
-        path = space.point_path(point)
-        if path not in seen:
-            seen.add(path)
-            points.append(point)
+    points = distinct_paths(
+        space, WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
+    )
     tree = BVTree(
         space,
         data_capacity=args.data_capacity,
@@ -523,7 +504,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     operations = (
         churn_ops(points, delete_fraction=args.churn, seed=args.seed)
         if args.churn
-        else (("insert", tuple(p)) for p in points)
+        else (("insert", p) for p in points)
     )
     result = run_doctor(
         tree,
@@ -568,32 +549,19 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         # recovery below has something real to chew on.
         from repro.workloads import churn as churn_ops
 
-        try:
-            plan = FaultPlan.parse(args.fault) if args.fault else FaultPlan()
-        except Exception as exc:
-            print(f"recover: bad --fault spec: {exc}", file=sys.stderr)
-            return 2
+        plan = FaultPlan.parse(args.fault) if args.fault else FaultPlan()
         space = DataSpace.unit(args.dims, resolution=18)
-        raw = WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
-        seen = set()
-        points = []
-        for point in raw:
-            path = space.point_path(point)
-            if path not in seen:
-                seen.add(path)
-                points.append(tuple(point))
-        try:
-            tree = create_durable_tree(
-                args.directory,
-                space,
-                data_capacity=args.data_capacity,
-                fanout=args.fanout,
-                faults=plan,
-                sync=args.sync,
-            )
-        except StorageError as exc:
-            print(f"recover: {exc}", file=sys.stderr)
-            return 2
+        points = distinct_paths(
+            space, WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
+        )
+        tree = create_durable_tree(
+            args.directory,
+            space,
+            data_capacity=args.data_capacity,
+            fanout=args.fanout,
+            faults=plan,
+            sync=args.sync,
+        )
         operations = (
             churn_ops(points, delete_fraction=args.churn, seed=args.seed)
             if args.churn
@@ -678,16 +646,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import ServingApp, WriteBatcher, serve_app
 
     space = DataSpace.unit(args.dims, resolution=18)
-    raw = WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
     # Path-deduplicate (same reason as doctor: records key by resolution
     # bits, so colliding points would fight over one slot).
-    seen = set()
-    records = []
-    for point in raw:
-        path = space.point_path(point)
-        if path not in seen:
-            seen.add(path)
-            records.append((tuple(point), len(records)))
+    points = distinct_paths(
+        space, WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
+    )
+    records = [(point, value) for value, point in enumerate(points)]
     if args.durable:
         from repro.storage.durable import create_durable_tree
 
@@ -712,11 +676,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         tree.bulk_load(records, replace=True)
     service = TreeService(tree)
-    batcher = (
-        None
-        if args.no_batch
-        else WriteBatcher(service, max_batch=args.batch_max)
-    )
+    batcher = WriteBatcher(service)
     app = ServingApp(service, registry=MetricsRegistry(), batcher=batcher)
     print(
         f"serving {len(records)} {args.workload} records "
@@ -729,8 +689,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("\nshutting down", file=sys.stderr)
     finally:
-        if batcher is not None:
-            batcher.close()
+        batcher.close()
         service.detach()
         if args.durable:
             tree.store.close()
@@ -771,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the wall-clock benchmark suite",
         description=(
             "Times the core operation suite (insert, bulk_load, "
-            "exact_match, range, range_rectpath, knn, buffered_get) and "
+            "exact_match, range, knn, buffered_get) and "
             "writes BENCH_<suite>.json at the repository root; see "
             "docs/PERFORMANCE.md."
         ),
@@ -1072,14 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sync", choices=["commit", "os"], default="os",
         help="WAL durability with --durable",
     )
-    p.add_argument(
-        "--batch-max", type=int, default=64,
-        help="write-batcher group size cap",
-    )
-    p.add_argument(
-        "--no-batch", action="store_true",
-        help="apply writes directly instead of through the batcher",
-    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -1148,7 +1099,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             argparse.Namespace(lint_args=arglist[1:])
         )
     args = build_parser().parse_args(arglist)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # The one error edge: bad user input (a malformed point, a
+        # missing file, an out-of-range option) is one stderr line and
+        # exit 2, never a traceback.  Commands that own other exit codes
+        # (doctor's verdicts, recover's failed recovery) return them.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

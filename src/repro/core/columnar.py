@@ -84,14 +84,9 @@ from repro.core.entry import Entry
 from repro.core.knn import KNNResult, Neighbour, best_first
 from repro.core.node import DataPage, IndexNode
 from repro.core.query import QueryResult, scan
-from repro.geometry.bitgrid import (
-    CellBounds,
-    key_intersects,
-    key_origins,
-    query_cell_bounds,
-)
+from repro.geometry.bitgrid import CellBounds, key_intersects, query_cell_bounds
 from repro.geometry.rect import Rect
-from repro.geometry.region import RegionKey
+from repro.geometry.region import RegionKey, key_origins
 from repro.geometry.space import DataSpace
 
 __all__ = [

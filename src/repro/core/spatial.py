@@ -24,6 +24,7 @@ import math
 from typing import Any, Iterator, Sequence
 
 from repro.errors import GeometryError, KeyNotFoundError
+from repro.geometry.bitgrid import key_intersects, query_cell_bounds
 from repro.geometry.rect import Rect
 from repro.geometry.region import ROOT_KEY, RegionKey
 from repro.geometry.space import DataSpace
@@ -123,12 +124,16 @@ class SpatialIndex:
         space costs nothing — the contraction property linear orderings
         lack (§1).
         """
+        space = self.space
+        bounds = query_cell_bounds(space, rect)
         stack = [ROOT_KEY]
         while stack:
             key = stack.pop()
             if key not in self._weights:
                 continue
-            if not self.space.key_rect(key).intersects(rect):
+            if not key_intersects(
+                key.value, key.nbits, space.ndim, space.resolution, bounds
+            ):
                 continue
             for stored, value in self._buckets.get(key, ()):
                 if stored.intersects(rect):

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from repro.errors import DimensionMismatchError
 from repro.geometry.rect import Rect
-from repro.geometry.region import RegionKey
+from repro.geometry.region import RegionKey, key_origins
 from repro.geometry.space import DataSpace
 
 #: Per-dimension integer cut-offs ``(B, A)``: a block with cell origin
@@ -99,24 +99,30 @@ def query_cell_bounds(space: DataSpace, rect: Rect) -> CellBounds:
     return tuple(out)
 
 
-def key_origins(
-    value: int, nbits: int, ndim: int, resolution: int
-) -> tuple[list[int], list[int]]:
-    """Decode a key's block to per-dimension (cell origins, halving counts).
+def key_prune_dim(
+    value: int,
+    nbits: int,
+    ndim: int,
+    resolution: int,
+    bounds: CellBounds,
+) -> int | None:
+    """The first dimension whose cut-off disjoins the key's block, if any.
 
-    Bit ``t`` of the key (MSB-first) halves dimension ``t % ndim``; a set
-    bit selects the upper half, advancing that dimension's origin by the
-    half-width ``2**(resolution - halvings)``.
+    Integer-only: decodes the key into per-dimension cell origins
+    (:func:`~repro.geometry.region.key_origins`) and compares them
+    against the precomputed ``(B, A)`` pairs.  Returns ``None`` when the
+    block intersects the query (the key is *not* pruned), and otherwise
+    the lowest dimension index on which the integer cut-off fired — the
+    dimension EXPLAIN reports.  The generic range loop
+    (:func:`repro.core.query.scan`) prunes with it.
     """
-    origins = [0] * ndim
-    halvings = [0] * ndim
-    for t in range(nbits):
-        dim = t % ndim
-        h = halvings[dim] + 1
-        halvings[dim] = h
-        if (value >> (nbits - 1 - t)) & 1:
-            origins[dim] += 1 << (resolution - h)
-    return origins, halvings
+    origins, halvings = key_origins(value, nbits, ndim, resolution)
+    for dim in range(ndim):
+        b, a = bounds[dim]
+        o = origins[dim]
+        if o > a or o + (1 << (resolution - halvings[dim])) <= b:
+            return dim
+    return None
 
 
 def key_intersects(
@@ -128,58 +134,11 @@ def key_intersects(
 ) -> bool:
     """Does the key's block intersect the query's cell cut-offs?
 
-    Integer-only: decodes the key into per-dimension origins with shifts
-    and compares against the precomputed ``(B, A)`` pairs.  Exactly
-    equivalent to ``space.key_rect(key).intersects(rect)`` for the
-    ``bounds`` produced by :func:`query_cell_bounds` on the same query.
+    Exactly equivalent to ``space.key_rect(key).intersects(rect)`` for
+    the ``bounds`` produced by :func:`query_cell_bounds` on the same
+    query.
     """
-    origins = [0] * ndim
-    halvings = [0] * ndim
-    for t in range(nbits):
-        dim = t % ndim
-        h = halvings[dim] + 1
-        halvings[dim] = h
-        if (value >> (nbits - 1 - t)) & 1:
-            origins[dim] += 1 << (resolution - h)
-    for dim in range(ndim):
-        b, a = bounds[dim]
-        o = origins[dim]
-        if o > a or o + (1 << (resolution - halvings[dim])) <= b:
-            return False
-    return True
-
-
-def key_prune_dim(
-    value: int,
-    nbits: int,
-    ndim: int,
-    resolution: int,
-    bounds: CellBounds,
-) -> int | None:
-    """The first dimension whose cut-off disjoins the key's block, if any.
-
-    The EXPLAIN counterpart of :func:`key_intersects`: returns ``None``
-    when the block intersects the query (the key is *not* pruned), and
-    otherwise the lowest dimension index on which the integer cut-off
-    fired — the same comparisons, so
-    ``key_prune_dim(...) is None == key_intersects(...)`` for every key
-    (a property test asserts the equivalence).  The generic range loop
-    (:func:`repro.core.query.scan`) prunes with it.
-    """
-    origins = [0] * ndim
-    halvings = [0] * ndim
-    for t in range(nbits):
-        dim = t % ndim
-        h = halvings[dim] + 1
-        halvings[dim] = h
-        if (value >> (nbits - 1 - t)) & 1:
-            origins[dim] += 1 << (resolution - h)
-    for dim in range(ndim):
-        b, a = bounds[dim]
-        o = origins[dim]
-        if o > a or o + (1 << (resolution - halvings[dim])) <= b:
-            return dim
-    return None
+    return key_prune_dim(value, nbits, ndim, resolution, bounds) is None
 
 
 def key_min_dist_sq(

@@ -19,13 +19,9 @@ The representation gives the BV-tree's geometric guarantees for free:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.errors import GeometryError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.geometry.rect import Rect
-    from repro.geometry.space import DataSpace
 
 
 class RegionKey:
@@ -154,14 +150,6 @@ class RegionKey:
             )
         return RegionKey(new_len, path >> (path_len - new_len))
 
-    # ------------------------------------------------------------------
-    # Decoding to coordinate space
-    # ------------------------------------------------------------------
-
-    def to_rect(self, space: "DataSpace") -> "Rect":
-        """Decode this block into a rectangle of ``space`` coordinates."""
-        return space.key_rect(self)
-
     def split_dimension(self, ndim: int) -> int:
         """The dimension the *next* halving of this block would cut."""
         return self.nbits % ndim
@@ -221,3 +209,29 @@ class RegionKey:
 
 #: The whole data space (the empty halving sequence).
 ROOT_KEY = RegionKey(0, 0)
+
+
+def key_origins(
+    value: int, nbits: int, ndim: int, resolution: int
+) -> tuple[list[int], list[int]]:
+    """Decode a key's block to per-dimension (cell origins, halving counts).
+
+    Bit ``t`` of the key (MSB-first) halves dimension ``t % ndim``; a set
+    bit selects the upper half.  So dimension ``d``'s choices are the
+    bits ``d, d + ndim, ...``: read MSB-first they are the block's index
+    along ``d`` at ``h`` halvings, and its cell origin is that index
+    scaled by the block width ``2**(resolution - h)``.  The one place a
+    key's bits become grid cells: the float decode
+    (:meth:`~repro.geometry.space.DataSpace.key_rect`), the integer
+    pruning tests (:mod:`~repro.geometry.bitgrid`) and the columnar
+    origin columns all start here.
+    """
+    bits = format(value, f"0{nbits}b") if nbits else ""
+    origins = []
+    halvings = []
+    for dim in range(ndim):
+        column = bits[dim::ndim]  # string slicing: no per-bit Python loop
+        h = len(column)
+        origins.append(int(column, 2) << (resolution - h) if h else 0)
+        halvings.append(h)
+    return origins, halvings

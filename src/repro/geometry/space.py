@@ -21,7 +21,7 @@ from repro.errors import (
     OutOfSpaceError,
 )
 from repro.geometry.rect import Rect
-from repro.geometry.region import RegionKey
+from repro.geometry.region import RegionKey, key_origins
 
 
 def _spread_masks(bits: int) -> tuple[tuple[int, int], ...]:
@@ -73,21 +73,7 @@ class DataSpace:
         partition and are treated as duplicates by the index structures.
     """
 
-    __slots__ = (
-        "bounds",
-        "resolution",
-        "ndim",
-        "path_bits",
-        "_spans",
-        "_rect_cache",
-        "_rect_stats",
-    )
-
-    #: Capacity of the per-space :meth:`key_rect` decode cache.  Range
-    #: and k-NN pruning are bit-native and never hit this cache; it
-    #: serves the remaining decode users (checker, rendering, baselines)
-    #: whose key working sets are far smaller than this bound.
-    KEY_RECT_CACHE_SIZE = 4096
+    __slots__ = ("bounds", "resolution", "ndim", "path_bits", "_spans")
 
     def __init__(
         self,
@@ -115,10 +101,6 @@ class DataSpace:
         object.__setattr__(
             self, "_spans", tuple(hi - lo for lo, hi in checked)
         )
-        object.__setattr__(self, "_rect_cache", {})
-        # Mutable [hits, misses] holder: the space itself stays immutable,
-        # the counters audit the decode cache (see rect_cache_stats).
-        object.__setattr__(self, "_rect_stats", [0, 0])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DataSpace is immutable")
@@ -226,99 +208,29 @@ class DataSpace:
     def key_rect(self, key: RegionKey) -> Rect:
         """Decode a region key into its block's coordinate rectangle.
 
-        Decodes are memoised in a per-space LRU cache (key → ``Rect``);
-        both are immutable, so sharing the result is safe.  Traversals
-        that revisit the same region keys (checker sweeps, rendering,
-        the decode-based baselines) hit the cache instead of re-deriving
-        the box from the bit string.
-
-        Thread-safe without a lock: a space is shared by all concurrent
-        snapshot readers of a served tree, and a mutex here would tax
-        every decode of the single-threaded baselines, so the LRU
-        bookkeeping leans on the GIL instead — each individual dict
-        operation is atomic, and the only cross-thread hazards are a
-        recency ``del`` racing another reader's refresh of the same key
-        and an eviction racing a refresh of its victim, both absorbed by
-        the ``except`` arms below (the re-insert is idempotent; a lost
-        eviction round is healed by the ``while`` on the next miss,
-        which may transiently leave the cache a few entries over
-        capacity).  The stats counters may likewise drop increments
-        under contention; they are advisory, not accounting.
-        """
-        if key.nbits > self.path_bits:
-            raise GeometryError(
-                f"key of {key.nbits} bits exceeds space depth {self.path_bits}"
-            )
-        cache = self._rect_cache
-        cached = cache.get(key)
-        if cached is not None:
-            self._rect_stats[0] += 1
-            # Refresh recency: dicts iterate in insertion order, so
-            # re-inserting implements least-recently-used eviction.
-            try:
-                del cache[key]
-            except KeyError:
-                pass  # a racing reader already refreshed this key
-            cache[key] = cached
-            return cached
-        self._rect_stats[1] += 1
-        rect = self.decode_rect(key)
-        while len(cache) >= self.KEY_RECT_CACHE_SIZE:
-            try:
-                del cache[next(iter(cache))]
-            except (KeyError, RuntimeError, StopIteration):
-                break  # racing eviction/refresh; the next miss heals it
-        cache[key] = rect
-        return rect
-
-    def decode_rect(self, key: RegionKey) -> Rect:
-        """Decode a region key into a fresh ``Rect``, bypassing the cache.
-
-        This is the raw decode :meth:`key_rect` memoises.  It exists
-        separately so cost comparisons against the pre-cache behaviour
-        stay possible (``repro perf`` times the seed's range-query path
-        through it); ordinary callers want :meth:`key_rect`.
+        Pruning never needs this: range and k-NN queries test keys
+        against the query with integer cell arithmetic
+        (:mod:`repro.geometry.bitgrid`), which evaluates these same
+        float expressions only once per query.  The decode serves the
+        callers that need the block itself, such as the Z-order
+        interval decomposition's containment test.
         """
         if key.nbits > self.path_bits:
             raise GeometryError(
                 f"key of {key.nbits} bits exceeds space depth {self.path_bits}"
             )
         cells = 1 << self.resolution
-        origins = [0] * self.ndim
-        halvings = [0] * self.ndim
-        for t, bit in enumerate(key.bits()):
-            dim = t % self.ndim
-            halvings[dim] += 1
-            if bit:
-                origins[dim] += cells >> halvings[dim]
+        origins, halvings = key_origins(
+            key.value, key.nbits, self.ndim, self.resolution
+        )
         lows = []
         highs = []
-        for dim in range(self.ndim):
-            lo, _ = self.bounds[dim]
-            span = self._spans[dim]
-            width = cells >> halvings[dim]
-            lows.append(lo + origins[dim] / cells * span)
-            highs.append(lo + (origins[dim] + width) / cells * span)
+        for (lo, _), span, o, h in zip(
+            self.bounds, self._spans, origins, halvings
+        ):
+            lows.append(lo + o / cells * span)
+            highs.append(lo + (o + (cells >> h)) / cells * span)
         return Rect(lows, highs)
-
-    def rect_cache_stats(self) -> dict[str, float | int]:
-        """Hit/miss audit of the :meth:`key_rect` decode cache.
-
-        Exposed as ``MetricsRegistry`` gauges in the perf suite's
-        observability block (``repro perf --json``) so a shrinking hit
-        rate — a key working set outgrowing ``KEY_RECT_CACHE_SIZE`` —
-        shows up in the benchmark artifact instead of silently costing
-        decodes.
-        """
-        hits, misses = self._rect_stats
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "size": len(self._rect_cache),
-            "capacity": self.KEY_RECT_CACHE_SIZE,
-            "hit_ratio": (hits / total) if total else 0.0,
-        }
 
     def whole_rect(self) -> Rect:
         """The rectangle covering the entire space."""

@@ -12,7 +12,7 @@ takes — and records it as a committed trajectory:
   :class:`Probe` contract: a probe is one module that registers a
   ``Probe`` (how to measure its snapshot block, draw it and gate on it);
 - :mod:`repro.perf.scenarios` — the core suite (insert, bulk_load,
-  exact_match, range, range_rectpath, knn, buffered_get) over
+  exact_match, range, knn, buffered_get) over
   :mod:`repro.workloads` generators;
 - the probes — :mod:`~repro.perf.obsprobe` (tracer overhead and
   guarantee health), :mod:`~repro.perf.durability` (WAL cost and crash

@@ -36,7 +36,7 @@ from repro.obs import (
 from repro.perf.registry import Probe, Scale, register_probe
 from repro.perf.timer import LOOKUP_CHUNK, LOOKUP_ROUNDS, paired_lookups
 from repro.storage import BufferPool, default_store
-from repro.workloads import churn, nested_hotspot, uniform
+from repro.workloads import churn, distinct_paths, nested_hotspot, uniform
 
 __all__ = ["health_snapshot", "observability_snapshot", "probe_tree"]
 
@@ -80,16 +80,7 @@ def _traced_metrics(scale: Scale) -> dict[str, Any]:
     for point in points[: min(len(points), 10)]:
         tree.nearest(point, k=scale.k)
     tree.tracer.unsubscribe(sink)
-    snapshot = sink.snapshot()
-    # The key_rect decode-cache audit rides along as plain gauges so the
-    # hit rate is visible in ``repro perf --json`` without a subscriber
-    # (the cache sits below the event stream).
-    for stat, value in tree.space.rect_cache_stats().items():
-        snapshot[f"space.key_rect_cache.{stat}"] = {
-            "type": "gauge",
-            "value": value,
-        }
-    return snapshot
+    return sink.snapshot()
 
 
 def _overhead(scale: Scale) -> dict[str, Any]:
@@ -205,13 +196,9 @@ def health_snapshot(scale: Scale) -> dict[str, Any]:
     # resolution bits: dense hotspot populations collide in those bits
     # (replace=True folds them into one record), so path-deduplicate
     # first or a later delete would target an already-replaced record.
-    seen: set[Any] = set()
-    points = []
-    for point in nested_hotspot(scale.n_points, scale.dims, seed=scale.seed):
-        path = space.point_path(point)
-        if path not in seen:
-            seen.add(path)
-            points.append(point)
+    points = distinct_paths(
+        space, nested_hotspot(scale.n_points, scale.dims, seed=scale.seed)
+    )
     operations = churn(
         points,
         delete_fraction=HEALTH_CHURN,

@@ -26,7 +26,7 @@ registry in the Prometheus text format (same exposition discipline as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
@@ -103,12 +103,9 @@ class _EndpointInstruments:
 
 @dataclass
 class _Route:
-    method: str
     endpoint: str
     handler: Callable[["ServingApp", dict[str, Any]], Response]
     needs_body: bool = True
-    content_type: str = "application/json"
-    extra: dict[str, Any] = field(default_factory=dict)
 
 
 class ServingApp:
@@ -379,14 +376,14 @@ class ServingApp:
 
 
 _ROUTES: dict[tuple[str, str], _Route] = {
-    ("POST", "/v1/get"): _Route("POST", "get", ServingApp._get),
-    ("POST", "/v1/insert"): _Route("POST", "insert", ServingApp._insert),
-    ("POST", "/v1/delete"): _Route("POST", "delete", ServingApp._delete),
-    ("POST", "/v1/range"): _Route("POST", "range", ServingApp._range),
-    ("POST", "/v1/knn"): _Route("POST", "knn", ServingApp._knn),
-    ("POST", "/v1/batch"): _Route("POST", "batch", ServingApp._batch),
-    ("POST", "/v1/bulk"): _Route("POST", "bulk", ServingApp._bulk),
-    ("GET", "/health"): _Route("GET", "health", ServingApp._health, needs_body=False),
-    ("GET", "/stats"): _Route("GET", "stats", ServingApp._stats, needs_body=False),
-    ("GET", "/metrics"): _Route("GET", "metrics", ServingApp._metrics, needs_body=False),
+    ("POST", "/v1/get"): _Route("get", ServingApp._get),
+    ("POST", "/v1/insert"): _Route("insert", ServingApp._insert),
+    ("POST", "/v1/delete"): _Route("delete", ServingApp._delete),
+    ("POST", "/v1/range"): _Route("range", ServingApp._range),
+    ("POST", "/v1/knn"): _Route("knn", ServingApp._knn),
+    ("POST", "/v1/batch"): _Route("batch", ServingApp._batch),
+    ("POST", "/v1/bulk"): _Route("bulk", ServingApp._bulk),
+    ("GET", "/health"): _Route("health", ServingApp._health, needs_body=False),
+    ("GET", "/stats"): _Route("stats", ServingApp._stats, needs_body=False),
+    ("GET", "/metrics"): _Route("metrics", ServingApp._metrics, needs_body=False),
 }

@@ -9,8 +9,10 @@ under **one** lock hold and **one** publication via
 :meth:`TreeService.apply_ops`, then resolves each request's future with
 its own outcome.  There is no timer: a group is exactly what queued
 while the previous group was committing, so coalescing happens under
-load and a lone write never waits.  On a WAL-backed store this is
-group-commit shaped: one fsync window covers the group.
+load and a lone write never waits.  The WAL does *not* share the group:
+a durable store still commits (and, with ``sync="commit"``, fsyncs)
+one WAL transaction per op, so a group of five ops publishes once but
+logs five commits.
 
 Requests stay independent — a failed op (duplicate key, missing key)
 fails only its own future; the rest of the group commits.  This is

@@ -179,6 +179,12 @@ def recover_store(
     directory = os.fspath(directory)
     wal_path = os.path.join(directory, WAL_NAME)
     pagefile_path = os.path.join(directory, PAGEFILE_NAME)
+    if not (os.path.exists(wal_path) or os.path.exists(pagefile_path)):
+        # Recovering a mistyped path must not create a store there.
+        raise RecoveryError(
+            f"{directory} holds no durable store "
+            f"(neither {WAL_NAME} nor {PAGEFILE_NAME} exists)"
+        )
     report = RecoveryReport(directory=directory)
     if tracer is not None:
         tracer.emit(RECOVERY_BEGIN, directory=directory)

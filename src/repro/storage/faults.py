@@ -52,6 +52,14 @@ _TAILS = (TAIL_KEEP, TAIL_DROP_UNSYNCED, TAIL_TORN)
 _CHECKPOINT_STAGES = ("mid_write", "before_truncate")
 
 
+def _number(kind: type, token: str, value: str) -> Any:
+    """``kind(value)``, or a :class:`ReproError` naming the bad token."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ReproError(f"bad fault token {token!r}") from None
+
+
 @dataclass
 class FaultPlan:
     """An injectable crash scenario for a durable store.
@@ -150,7 +158,7 @@ class FaultPlan:
                 continue
             key, _, value = token.partition("=")
             if key == "after-appends":
-                kwargs["crash_after_appends"] = int(value)
+                kwargs["crash_after_appends"] = _number(int, token, value)
             elif key == "checkpoint":
                 kwargs["crash_in_checkpoint"] = value.replace("-", "_")
             elif key == "tail":
@@ -161,7 +169,7 @@ class FaultPlan:
                     "torn": TAIL_TORN,
                 }.get(value, value)
             elif key == "torn-fraction":
-                kwargs["torn_fraction"] = float(value)
+                kwargs["torn_fraction"] = _number(float, token, value)
             elif key == "drop-fsync":
                 kwargs["drop_fsync"] = True
             else:

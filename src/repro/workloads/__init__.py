@@ -23,12 +23,13 @@ from repro.workloads.adversarial import (
     promotion_storm,
     sequential_1d,
 )
-from repro.workloads.churn import churn, grow_shrink
+from repro.workloads.churn import churn, distinct_paths, grow_shrink
 
 __all__ = [
     "churn",
     "clustered",
     "diagonal",
+    "distinct_paths",
     "grid",
     "grow_shrink",
     "nested_hotspot",

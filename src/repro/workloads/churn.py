@@ -15,19 +15,42 @@ records by the leading ``resolution`` bits of each coordinate, so two
 distinct floats sharing a path are one record to the tree
 (``replace=True`` folds them) but two live points to the generator.
 Callers feeding dense or clustered populations must path-deduplicate
-first, as the doctor CLI and the perf health probe do.
+first with :func:`distinct_paths`, as the CLI and the perf health probe
+do.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.errors import ReproError
 
-__all__ = ["churn", "grow_shrink"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.geometry.space import DataSpace
+
+__all__ = ["churn", "distinct_paths", "grow_shrink"]
 
 Operation = tuple[str, tuple[float, ...]]
+
+
+def distinct_paths(
+    space: "DataSpace", points: Iterable[Sequence[float]]
+) -> list[tuple[float, ...]]:
+    """The first point of each tree path in ``points``, as float tuples.
+
+    A tree keys records by the leading ``resolution`` bits of each
+    coordinate, so two points sharing a path are one record; this keeps
+    the first of them, in input order.
+    """
+    seen: set[int] = set()
+    out = []
+    for point in points:
+        path = space.point_path(point)
+        if path not in seen:
+            seen.add(path)
+            out.append(tuple(point))
+    return out
 
 
 def churn(

@@ -15,8 +15,8 @@ from tests.conftest import make_points
 def range_query_rectpath(tree, rect):
     """The float-rect range query the bit-native pruning replaced.
 
-    Decodes every visited block into a fresh float :class:`Rect`
-    (``space.decode_rect``, uncached) and prunes with
+    Decodes every visited block into a float :class:`Rect`
+    (``space.key_rect``) and prunes with
     :meth:`Rect.intersects`.  It is the reference the integer cut-offs
     are checked against: same records, same pages.
     """
@@ -29,7 +29,7 @@ def range_query_rectpath(tree, rect):
     stack = [tree.root_entry()]
     while stack:
         entry = stack.pop()
-        if not space.decode_rect(entry.key).intersects(rect):
+        if not space.key_rect(entry.key).intersects(rect):
             continue
         result.pages_visited += 1
         if entry.level == 0:

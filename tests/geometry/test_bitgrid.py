@@ -42,7 +42,7 @@ class TestKeyOrigins:
             origins, halvings = key_origins(
                 key.value, key.nbits, unit2.ndim, unit2.resolution
             )
-            rect = unit2.decode_rect(key)
+            rect = unit2.key_rect(key)
             for dim in range(unit2.ndim):
                 lo, _ = unit2.bounds[dim]
                 span = unit2.spans[dim]
@@ -61,7 +61,7 @@ class TestIntersectionEquivalence:
     def assert_equivalent(self, space, rect, keys):
         bounds = query_cell_bounds(space, rect)
         for key in keys:
-            expected = space.decode_rect(key).intersects(rect)
+            expected = space.key_rect(key).intersects(rect)
             got = key_intersects(
                 key.value, key.nbits, space.ndim, space.resolution, bounds
             )
@@ -121,7 +121,7 @@ class TestMinDistEquivalence:
         for _ in range(300):
             key = random_key(rng, unit3.path_bits)
             point = tuple(rng.uniform(-0.2, 1.2) for _ in range(3))
-            expected = _min_dist_sq(point, unit3.decode_rect(key))
+            expected = _min_dist_sq(point, unit3.key_rect(key))
             assert key_min_dist_sq(unit3, key, point) == expected
 
     def test_zero_inside_block(self, unit2):

@@ -1,9 +1,11 @@
 """Unit tests for binary-partition region keys."""
 
+import random
+
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.region import ROOT_KEY, RegionKey
+from repro.geometry.region import ROOT_KEY, RegionKey, key_origins
 
 
 def key(bits: str) -> RegionKey:
@@ -179,3 +181,38 @@ class TestOrderingAndDunder:
     def test_repr(self):
         assert "0110" in repr(key("0110"))
         assert "ε" in repr(ROOT_KEY)
+
+
+class TestKeyOrigins:
+    """key_origins against a halving-by-halving walk of the key's bits."""
+
+    @staticmethod
+    def walk(value, nbits, ndim, resolution):
+        origins = [0] * ndim
+        halvings = [0] * ndim
+        for t in range(nbits):
+            dim = t % ndim
+            halvings[dim] += 1
+            if (value >> (nbits - 1 - t)) & 1:
+                origins[dim] += 1 << (resolution - halvings[dim])
+        return origins, halvings
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("resolution", [1, 7, 18, 64])
+    def test_matches_bit_walk(self, ndim, resolution):
+        rng = random.Random(ndim * 100 + resolution)
+        depth = ndim * resolution
+        cases = [(0, 0), (0, depth), ((1 << depth) - 1, depth)]
+        for _ in range(200):
+            nbits = rng.randrange(0, depth + 1)
+            cases.append((rng.getrandbits(nbits) if nbits else 0, nbits))
+        for value, nbits in cases:
+            assert key_origins(value, nbits, ndim, resolution) == self.walk(
+                value, nbits, ndim, resolution
+            )
+
+    def test_first_bits_pick_upper_halves(self):
+        # "10" in 2-d: upper half of dim 0, lower half of dim 1.
+        assert key_origins(0b10, 2, 2, 4) == ([8, 0], [1, 1])
+        # "011": dim 0 lower then upper (origin 4 of 16), dim 1 upper.
+        assert key_origins(0b011, 3, 2, 4) == ([4, 8], [2, 1])

@@ -383,6 +383,40 @@ class TestDoctor:
         assert "[OK] no_cascade" in capsys.readouterr().out
 
 
+class TestErrorEdge:
+    """A ``ReproError`` from user input is one stderr line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            EXPLAIN_TINY + ["--point", "0.5"],
+            ["doctor", "--n", "200", "--churn", "1.5"],
+            ["thresholds", "--fanouts", "0"],
+            ["top", "--once", "--n", "200", "--metrics-out", "{missing}"],
+        ],
+        ids=["explain-arity", "doctor-churn", "thresholds-fanout", "top-metrics-out"],
+    )
+    def test_user_input_error_exits_2_without_traceback(
+        self, capsys, tmp_path, argv
+    ):
+        missing = str(tmp_path / "no-such-dir" / "x.jsonl")
+        argv = [missing if arg == "{missing}" else arg for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_recover_of_missing_directory_creates_nothing(
+        self, capsys, tmp_path
+    ):
+        target = tmp_path / "typo2"
+        assert main(["recover", str(target)]) == 1
+        assert "holds no durable store" in capsys.readouterr().err
+        assert not target.exists()
+        # The mistyped path stays free for a later build.
+        assert main(["recover", str(target), "--build", "--n", "200"]) == 0
+
+
 class TestDefaultLayout:
     """Every product entry point builds columnar trees by default."""
 

@@ -23,13 +23,12 @@ class TestDemoRenderFlags:
         assert "page" in out.splitlines()[-1]
 
     def test_partition_rejected_for_3d(self, capsys):
-        from repro.errors import GeometryError
-
-        with pytest.raises(GeometryError):
-            main(
-                ["demo", "--n", "50", "--dims", "3", "--data-capacity", "4",
-                 "--fanout", "4", "--show-partition"]
-            )
+        # The GeometryError reaches the CLI's error edge: one line, exit 2.
+        assert main(
+            ["demo", "--n", "50", "--dims", "3", "--data-capacity", "4",
+             "--fanout", "4", "--show-partition"]
+        ) == 2
+        assert "needs a 2-d space" in capsys.readouterr().err
 
     def test_compare_includes_spatial_free_kinds_only(self, capsys):
         # The compare table covers the point structures; spatial-object

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.node import DataPage
 from repro.core.tree import BVTree
-from repro.errors import SimulatedCrashError, StorageError
+from repro.errors import RecoveryError, SimulatedCrashError, StorageError
 from repro.geometry.space import DataSpace
 from repro.obs.events import OP_BEGIN, OP_END
 from repro.obs.monitor import GuaranteeMonitor
@@ -51,6 +51,17 @@ class TestConstruction:
         (tmp_path / existing).write_bytes(b"")
         with pytest.raises(StorageError, match="recover_store"):
             DurableStore(tmp_path)
+
+    def test_recover_refuses_missing_directory_untouched(self, tmp_path):
+        target = tmp_path / "typo2"
+        with pytest.raises(RecoveryError, match="holds no durable store"):
+            recover_store(target)
+        assert not target.exists()
+
+    def test_recover_refuses_empty_directory_untouched(self, tmp_path):
+        with pytest.raises(RecoveryError, match="holds no durable store"):
+            recover_store(tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_creates_wal_in_fresh_directory(self, tmp_path):
         store = DurableStore(tmp_path / "fresh")
