@@ -79,12 +79,15 @@ PY
 rm -rf "$obs_recover_dir" "$obs_trace"
 # The dashboard must drive a full stream in --once mode with all three
 # artifact sinks on, the Prometheus exposition must pass the in-tree
-# lint, and the slow-op records must carry valid EXPLAIN attachments.
+# lint, the slow-op records must carry valid EXPLAIN attachments, and
+# the metrics time series must be columnar and end at the last op.
 top_prom="${TMPDIR:-/tmp}/repro-top-smoke.prom"
 top_slow="${TMPDIR:-/tmp}/repro-top-smoke-slow.jsonl"
-python -m repro top --once --n 2000 --slow-ms 0 \
-    --prom-out "$top_prom" --slow-out "$top_slow" >/dev/null
-python - "$top_prom" "$top_slow" <<'PY'
+top_series="${TMPDIR:-/tmp}/repro-top-smoke-series.json"
+python -m repro top --once --n 2000 --ops 6000 --slow-ms 0 \
+    --prom-out "$top_prom" --slow-out "$top_slow" \
+    --metrics-out "$top_series" --metrics-every 500 >/dev/null
+python - "$top_prom" "$top_slow" "$top_series" <<'PY'
 import json, sys
 from repro.obs import lint_prometheus
 text = open(sys.argv[1]).read()
@@ -96,8 +99,14 @@ assert slow, "slow-ms 0 captured no slow ops"
 explained = [r for r in slow if "explain" in r]
 assert explained, "no slow query carried an EXPLAIN attachment"
 assert all(r["explain"]["pages_touched"] >= 1 for r in explained)
+series = json.load(open(sys.argv[3]))["timeseries"]
+assert all(
+    len(col) == len(series["ops"]) for col in series["metrics"].values()
+), "top time-series columns are ragged"
+assert "profile.get.latency_us.count" in series["metrics"]
+assert series["ops"][-1] == 6000, series["ops"]
 PY
-rm -f "$top_prom" "$top_slow"
+rm -f "$top_prom" "$top_slow" "$top_series"
 
 echo "== concurrency =="
 # The lockstep/linearizability lane by name: snapshot isolation, the

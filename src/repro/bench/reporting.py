@@ -2,40 +2,13 @@
 
 The benchmark modules print the same rows/series the paper's figures and
 analysis report, so a run's output can be compared against the paper (and
-against EXPERIMENTS.md) by eye.
+against EXPERIMENTS.md) by eye.  The renderer itself is
+:func:`repro.obs.report.format_table`, shared with ``repro doctor`` and
+``repro top``; it is re-exported here for the benchmark modules.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from repro.obs.report import format_table
 
-
-def format_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    title: str | None = None,
-) -> str:
-    """Render rows as an aligned fixed-width table."""
-    cells = [[_fmt(value) for value in row] for row in rows]
-    widths = [
-        max(len(str(header)), *(len(row[i]) for row in cells), 1)
-        if cells
-        else len(str(header))
-        for i, header in enumerate(headers)
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(
-        "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
-    )
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
+__all__ = ["format_table"]

@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from repro.core.columnar import DEFAULT_LAYOUT, LAYOUTS
 from repro.errors import ReproError
 from repro.geometry.space import DataSpace
 from repro.workloads import (
+    churn,
     clustered,
     diagonal,
     distinct_paths,
@@ -84,16 +86,10 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    space = DataSpace.unit(args.dims, resolution=18)
-    points = WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
-    tree = build_index(
-        "bv",
-        space,
-        points,
-        data_capacity=args.data_capacity,
-        fanout=args.fanout,
-        policy=args.policy,
-    )
+    space, points = _workload_points(args)
+    tree = _workload_tree(args, space)
+    for i, point in enumerate(points):
+        tree.insert(point, i, replace=True)
     stats = tree.tree_stats()
     print(format_table(
         ["metric", "value"],
@@ -130,8 +126,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    space = DataSpace.unit(args.dims, resolution=18)
-    points = list(WORKLOADS[args.workload](args.n, args.dims, seed=args.seed))
+    space, points = _workload_points(args)
     rows = []
     for kind in args.structures:
         index = build_index(
@@ -206,23 +201,86 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _build_workload_tree(args: argparse.Namespace) -> "object":
-    """A bulk-loaded BV-tree over the requested workload (shared by the
-    observability subcommands)."""
-    from repro.core.tree import BVTree
+def _add_workload_args(
+    p: argparse.ArgumentParser, n: int, policy: bool = True
+) -> None:
+    """The workload flags of every tree-building command (``--n`` keeps
+    each command's own default; ``--policy`` only where it exists)."""
+    p.add_argument("--workload", choices=sorted(WORKLOADS), default="uniform")
+    p.add_argument("--n", type=int, default=n)
+    p.add_argument("--dims", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--data-capacity", type=int, default=16)
+    p.add_argument("--fanout", type=int, default=16)
+    if policy:
+        p.add_argument(
+            "--policy", choices=["scaled", "uniform"], default="scaled"
+        )
 
+
+def _workload_points(
+    args: argparse.Namespace, distinct: bool = False
+) -> "tuple[DataSpace, list[tuple[float, ...]]]":
+    """The command's data space and workload points.
+
+    ``distinct`` keeps only the first point of each resolution-bit path:
+    the tree keys records by those bits, so colliding points would fold
+    into one record while a live set tracking float tuples (churn, the
+    ``top`` mix, served records) still counted them apart.
+    """
     space = DataSpace.unit(args.dims, resolution=18)
     points = WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
-    tree = BVTree(
-        space,
+    if distinct:
+        return space, distinct_paths(space, points)
+    return space, list(points)
+
+
+def _workload_tree(
+    args: argparse.Namespace,
+    space: DataSpace,
+    durable: "str | None" = None,
+    **options: "object",
+) -> "object":
+    """An empty BV-tree with the command's capacity flags; in a fresh
+    durable store in directory ``durable`` when one is given."""
+    options.update(
         data_capacity=args.data_capacity,
         fanout=args.fanout,
-        policy=args.policy,
+        policy=getattr(args, "policy", "scaled"),
     )
-    tree.bulk_load(
-        ((tuple(p), i) for i, p in enumerate(points)), replace=True
-    )
-    return tree
+    if durable is not None:
+        from repro.storage.durable import create_durable_tree
+
+        return create_durable_tree(durable, space, **options)
+    from repro.core.tree import BVTree
+
+    return BVTree(space, **options)
+
+
+def _churned_inserts(
+    args: argparse.Namespace, points: "list[tuple[float, ...]]"
+) -> "object":
+    """Inserts of ``points`` with ``--churn`` deletions interleaved."""
+    if args.churn:
+        return churn(points, delete_fraction=args.churn, seed=args.seed)
+    return (("insert", p) for p in points)
+
+
+def _write_series(
+    path: str, args: argparse.Namespace, timeseries: "dict[str, object]"
+) -> None:
+    """The columnar time-series record of ``doctor --series-out`` and
+    ``top --metrics-out``."""
+    import json
+
+    record = {
+        "workload": args.workload,
+        "n": args.n,
+        "dims": args.dims,
+        "timeseries": timeseries,
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(record, handle)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -237,7 +295,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    tree = _build_workload_tree(args)
+    space, points = _workload_points(args)
+    tree = _workload_tree(args, space)
+    tree.bulk_load(((p, i) for i, p in enumerate(points)), replace=True)
     if args.point is not None:
         report = tree.explain(point=args.point)
     elif args.rect is not None:
@@ -286,21 +346,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         events = read_jsonl(args.input)
         title = f"trace {args.input}"
     else:
-        from repro.core.tree import BVTree
-
-        space = DataSpace.unit(args.dims, resolution=18)
-        points = [
-            tuple(p)
-            for p in WORKLOADS[args.workload](
-                args.n, args.dims, seed=args.seed
-            )
-        ]
-        tree = BVTree(
-            space,
-            data_capacity=args.data_capacity,
-            fanout=args.fanout,
-            policy=args.policy,
-        )
+        space, points = _workload_points(args)
+        tree = _workload_tree(args, space)
         sink = (
             JsonlSink(args.out) if args.out else RingSink(capacity=args.ring)
         )
@@ -411,26 +458,14 @@ def _mixed_operations(
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.core.tree import BVTree
     from repro.obs import SlowOpLog, run_top
     from repro.storage import BufferPool, default_store
 
-    space = DataSpace.unit(args.dims, resolution=18)
-    # Path-deduplicate (same reason as doctor: the live set tracks float
-    # tuples, the tree keys by resolution bits).
-    points = distinct_paths(
-        space, WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
-    )
+    space, points = _workload_points(args, distinct=True)
     store = default_store()
     if args.buffer:
         store = BufferPool(store, capacity=args.buffer)
-    tree = BVTree(
-        space,
-        data_capacity=args.data_capacity,
-        fanout=args.fanout,
-        policy=args.policy,
-        store=store,
-    )
+    tree = _workload_tree(args, space, store=store)
     total = args.ops if args.ops else 4 * len(points)
     slow_log = SlowOpLog(
         args.slow_out,
@@ -447,12 +482,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
             once=args.once,
             slow_log=slow_log,
             prom_out=args.prom_out,
-            metrics_out=args.metrics_out,
-            metrics_every=args.metrics_every,
+            metrics_every=args.metrics_every if args.metrics_out else None,
             emit=print,
         )
     finally:
         slow_log.close()
+    if args.metrics_out:
+        _write_series(args.metrics_out, args, result.timeseries)
     if args.slow_out and slow_log.count:
         print(f"\nwrote {slow_log.count} slow-op records to {args.slow_out}")
     if args.prom_out:
@@ -484,44 +520,18 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
                 print(f"  [{verdict.upper()}] {name}")
         return 0 if health.get("ok") else 1
 
-    from repro.core.tree import BVTree
     from repro.obs import HealthThresholds, render_doctor_text, run_doctor
-    from repro.workloads import churn as churn_ops
 
-    space = DataSpace.unit(args.dims, resolution=18)
-    # Path-deduplicate: churn tracks live points by float tuple but the
-    # tree keys records by the leading resolution bits, so colliding
-    # points would make churn delete an already-replaced record.
-    points = distinct_paths(
-        space, WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
-    )
-    tree = BVTree(
-        space,
-        data_capacity=args.data_capacity,
-        fanout=args.fanout,
-        policy=args.policy,
-    )
-    operations = (
-        churn_ops(points, delete_fraction=args.churn, seed=args.seed)
-        if args.churn
-        else (("insert", p) for p in points)
-    )
+    space, points = _workload_points(args, distinct=True)
     result = run_doctor(
-        tree,
-        operations,
+        _workload_tree(args, space),
+        _churned_inserts(args, points),
         sample_every=args.every,
         thresholds=HealthThresholds(height_slack=args.height_slack),
         workload=args.workload,
     )
     if args.series_out:
-        record = {
-            "workload": args.workload,
-            "n": args.n,
-            "dims": args.dims,
-            "timeseries": result.timeseries,
-        }
-        with open(args.series_out, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
+        _write_series(args.series_out, args, result.timeseries)
         if args.format == "text":
             print(f"wrote time series to {args.series_out}", file=sys.stderr)
     if args.format == "json":
@@ -540,36 +550,21 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         StorageError,
         WalCorruptionError,
     )
-    from repro.storage.durable import create_durable_tree, open_durable_tree
+    from repro.storage.durable import open_durable_tree
     from repro.storage.faults import FaultPlan
 
     if args.build:
         # Demo mode: drive a workload into a fresh durable store in the
         # directory, optionally dying at an injected crash point, so the
         # recovery below has something real to chew on.
-        from repro.workloads import churn as churn_ops
-
         plan = FaultPlan.parse(args.fault) if args.fault else FaultPlan()
-        space = DataSpace.unit(args.dims, resolution=18)
-        points = distinct_paths(
-            space, WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
-        )
-        tree = create_durable_tree(
-            args.directory,
-            space,
-            data_capacity=args.data_capacity,
-            fanout=args.fanout,
-            faults=plan,
-            sync=args.sync,
-        )
-        operations = (
-            churn_ops(points, delete_fraction=args.churn, seed=args.seed)
-            if args.churn
-            else (("insert", p) for p in points)
+        space, points = _workload_points(args, distinct=True)
+        tree = _workload_tree(
+            args, space, durable=args.directory, faults=plan, sync=args.sync
         )
         driven = 0
         try:
-            for verb, point in operations:
+            for verb, point in _churned_inserts(args, points):
                 if verb == "insert":
                     tree.insert(point, driven, replace=True)
                 else:
@@ -645,35 +640,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.server import ServingApp, WriteBatcher, serve_app
 
-    space = DataSpace.unit(args.dims, resolution=18)
-    # Path-deduplicate (same reason as doctor: records key by resolution
-    # bits, so colliding points would fight over one slot).
-    points = distinct_paths(
-        space, WORKLOADS[args.workload](args.n, args.dims, seed=args.seed)
-    )
+    space, points = _workload_points(args, distinct=True)
     records = [(point, value) for value, point in enumerate(points)]
     if args.durable:
-        from repro.storage.durable import create_durable_tree
-
-        tree = create_durable_tree(
-            args.durable,
-            space,
-            data_capacity=args.data_capacity,
-            fanout=args.fanout,
-            layout=args.layout,
+        tree = _workload_tree(
+            args, space, durable=args.durable, layout=args.layout,
             sync=args.sync,
         )
         for point, value in records:
             tree.insert(point, value, replace=True)
     else:
-        from repro.core.tree import BVTree
-
-        tree = BVTree(
-            space,
-            data_capacity=args.data_capacity,
-            fanout=args.fanout,
-            layout=args.layout,
-        )
+        tree = _workload_tree(args, space, layout=args.layout)
         tree.bulk_load(records, replace=True)
     service = TreeService(tree)
     batcher = WriteBatcher(service)
@@ -791,15 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     ):
         p = sub.add_parser(name, help=help_text, description=description)
-        p.add_argument("--workload", choices=sorted(WORKLOADS), default="uniform")
-        p.add_argument("--n", type=int, default=2000)
-        p.add_argument("--dims", type=int, default=2)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--data-capacity", type=int, default=16)
-        p.add_argument("--fanout", type=int, default=16)
-        p.add_argument(
-            "--policy", choices=["scaled", "uniform"], default="scaled"
-        )
+        _add_workload_args(p, n=2000)
         if name == "explain":
             p.add_argument(
                 "--point", type=float, nargs="+", metavar="X",
@@ -856,13 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
             "audit drift; see docs/OBSERVABILITY.md."
         ),
     )
-    p.add_argument("--workload", choices=sorted(WORKLOADS), default="uniform")
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--dims", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data-capacity", type=int, default=16)
-    p.add_argument("--fanout", type=int, default=16)
-    p.add_argument("--policy", choices=["scaled", "uniform"], default="scaled")
+    _add_workload_args(p, n=10_000)
     p.add_argument(
         "--churn", type=float, default=0.0, metavar="FRACTION",
         help="interleave this fraction of deletions into the stream",
@@ -901,13 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
             "see docs/OBSERVABILITY.md."
         ),
     )
-    p.add_argument("--workload", choices=sorted(WORKLOADS), default="uniform")
-    p.add_argument("--n", type=int, default=5_000)
-    p.add_argument("--dims", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data-capacity", type=int, default=16)
-    p.add_argument("--fanout", type=int, default=16)
-    p.add_argument("--policy", choices=["scaled", "uniform"], default="scaled")
+    _add_workload_args(p, n=5_000)
     p.add_argument(
         "--buffer", type=int, default=256, metavar="PAGES",
         help="buffer-pool capacity (0 disables the pool)",
@@ -942,11 +899,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="write periodic registry snapshots as JSONL",
+        help="write the columnar registry time series as JSON to PATH "
+             "(the record doctor --series-out writes)",
     )
     p.add_argument(
         "--metrics-every", type=int, default=1000, metavar="OPS",
-        help="operations between registry snapshots",
+        help="operations between time-series samples",
     )
     p.set_defaults(func=_cmd_top)
 
@@ -981,12 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(tokens: after-appends=N, checkpoint=mid-write|before-truncate, "
              "tail=keep|drop|torn, torn-fraction=F, drop-fsync)",
     )
-    p.add_argument("--workload", choices=sorted(WORKLOADS), default="uniform")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--dims", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data-capacity", type=int, default=16)
-    p.add_argument("--fanout", type=int, default=16)
+    _add_workload_args(p, n=2000, policy=False)
     p.add_argument(
         "--churn", type=float, default=0.0, metavar="FRACTION",
         help="interleave this fraction of deletions while building",
@@ -1012,12 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8077)
-    p.add_argument("--workload", choices=sorted(WORKLOADS), default="uniform")
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--dims", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data-capacity", type=int, default=16)
-    p.add_argument("--fanout", type=int, default=16)
+    _add_workload_args(p, n=10_000, policy=False)
     p.add_argument(
         "--layout", choices=list(LAYOUTS), default=DEFAULT_LAYOUT,
         help="page layout of the served tree (object is the test oracle)",
@@ -1054,16 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("compare", "compare the BV-tree with the baselines"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--workload", choices=sorted(WORKLOADS), default="uniform")
-        p.add_argument("--n", type=int, default=10_000)
-        p.add_argument("--dims", type=int, default=2)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--data-capacity", type=int, default=16)
-        p.add_argument("--fanout", type=int, default=16)
+        _add_workload_args(p, n=10_000, policy=name == "demo")
         if name == "demo":
-            p.add_argument(
-                "--policy", choices=["scaled", "uniform"], default="scaled"
-            )
             p.add_argument(
                 "--show-tree",
                 type=int,
@@ -1088,6 +1028,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options naming a file a command writes; :func:`main` checks each one
+#: given before the command starts, so a bad path costs milliseconds
+#: and one ``error:`` line, not a finished workload and a traceback.
+_OUTPUT_OPTIONS = (
+    "out", "series_out", "prom_out", "metrics_out", "slow_out", "trace",
+)
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Open every output path for append, leaving nothing behind."""
+    for dest in _OUTPUT_OPTIONS:
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        existed = os.path.exists(path)
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            flag = "--" + dest.replace("_", "-")
+            raise ReproError(
+                f"{flag} {path}: cannot write ({exc.strerror or exc})"
+            ) from None
+        if not existed:
+            os.remove(path)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point (``python -m repro``)."""
     arglist = list(sys.argv[1:] if argv is None else argv)
@@ -1100,6 +1067,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     args = build_parser().parse_args(arglist)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ReproError as exc:
         # The one error edge: bad user input (a malformed point, a

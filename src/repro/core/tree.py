@@ -74,9 +74,8 @@ class BVTree:
         ``"columnar"`` (default) packs pages into flat array columns;
         ``"object"`` stores them as dicts and entry lists — same
         answers, same page-access counts, slower hot loops, kept as the
-        differential oracle (:mod:`repro.core.columnar`).  ``None``
-        defers to the store's preference (a plain
-        :class:`~repro.storage.PageStore` requests object pages).
+        differential oracle (:mod:`repro.core.columnar`).  This is the
+        only selector: the store holds pages of either layout.
     """
 
     def __init__(
@@ -88,11 +87,9 @@ class BVTree:
         page_bytes: int = 1024,
         store: Storage | None = None,
         tracer: Tracer | None = None,
-        layout: str | None = None,
+        layout: str = DEFAULT_LAYOUT,
     ):
         self.space = space
-        if layout is None:
-            layout = getattr(store, "layout", DEFAULT_LAYOUT)
         #: The page layout record, picked once: page constructors and
         #: the untraced query entry points.
         self.page_layout = page_layout(layout)

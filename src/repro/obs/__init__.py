@@ -27,9 +27,10 @@ not averages:
 - :mod:`~repro.obs.health` + :mod:`~repro.obs.report` — the paper's
   three guarantees scored into :class:`~repro.obs.health.HealthFinding`
   verdicts, and the ``repro doctor`` engine;
-- :class:`~repro.obs.metrics.TimeSeriesSink` — columnar registry
-  samples every N operations (a whole workload's health trajectory in
-  one bounded JSON artifact);
+- :class:`~repro.obs.metrics.TimeSeriesSink` — the one registry sampler:
+  columnar samples every N operations (a whole workload's health
+  trajectory in one bounded JSON artifact, for ``repro doctor`` and
+  ``repro top`` alike);
 - :class:`~repro.obs.profile.OpProfiler` — per-operation-kind cost
   profiles (latency histograms, page-access deltas, cascade depth)
   collected from update-path events plus a direct read hook, plus :class:`~repro.obs.profile.SlowOpLog`
@@ -38,8 +39,6 @@ not averages:
 - :func:`~repro.obs.metrics.to_prometheus` /
   :func:`~repro.obs.metrics.lint_prometheus` — Prometheus text-format
   exposition of a whole registry, and an in-tree format linter;
-- :class:`~repro.obs.metrics.MetricsSnapshotter` — periodic JSONL
-  registry snapshots keyed by operation count;
 - :mod:`~repro.obs.top` — the ``repro top`` engine: a refreshing
   terminal dashboard (ops/sec, p50/p99 per kind, buffer hit rate, WAL
   fsyncs, live guarantee verdicts) over any operation stream.
@@ -67,7 +66,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     MetricsSink,
-    MetricsSnapshotter,
     TimeSeriesSink,
     lint_prometheus,
     to_prometheus,
@@ -95,7 +93,6 @@ __all__ = [
     "KindProfile",
     "MetricsRegistry",
     "MetricsSink",
-    "MetricsSnapshotter",
     "OpProfiler",
     "RingSink",
     "SlowOpLog",

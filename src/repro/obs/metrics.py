@@ -2,7 +2,7 @@
 
 Where the tracer records *which* events happened, the registry records
 *distributions*: per-operation nodes visited, guard checks per descent,
-split fan-out, buffer hit ratio over time.  The perf harness snapshots a
+split fan-out, buffer hit ratio.  The perf harness snapshots a
 registry into ``BENCH_<suite>.json`` next to the wall-clock samples, so
 the behavioural figures travel with the timings they explain.
 
@@ -22,10 +22,8 @@ can never disagree.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left, bisect_right
-from pathlib import Path
 from typing import Any, Sequence
 
 from repro.errors import ReproError
@@ -45,7 +43,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSink",
-    "MetricsSnapshotter",
     "NODES_VISITED_BUCKETS",
     "SPLIT_FANOUT_BUCKETS",
     "TimeSeriesSink",
@@ -303,29 +300,15 @@ class MetricsSink:
     - ``split.fanout`` histogram — the ``moved`` field of every
       ``data_split``/``index_split`` event;
     - ``buffer.hit_ratio`` gauge — cumulative cache hits over logical
-      reads, updated per ``page_read``;
-    - ``buffer.hit_ratio_series`` gauge-like samples — the ratio sampled
-      every ``sample_every`` logical reads (bounded list), the
-      "hit ratio over time" curve.
+      reads, updated per ``page_read`` (for the ratio over time, sample
+      the same registry with a :class:`TimeSeriesSink`).
     """
 
-    #: Retain at most this many hit-ratio samples (oldest dropped).
-    MAX_SAMPLES = 512
     #: A full-capture subscriber: every event kind.
     kinds = None
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        sample_every: int = 64,
-    ):
-        if sample_every <= 0:
-            raise ReproError(
-                f"sample_every must be positive, got {sample_every}"
-            )
+    def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.sample_every = sample_every
-        self.hit_ratio_series: list[tuple[int, float]] = []
         self._steps_by_op: dict[int, int] = {}
         self._guards_by_op: dict[int, int] = {}
         self._hits = 0
@@ -363,26 +346,7 @@ class MetricsSink:
             self._reads += 1
             if event.fields.get("physical") is False:
                 self._hits += 1
-            ratio = self._hits / self._reads
-            registry.gauge("buffer.hit_ratio").set(ratio)
-            if self._reads % self.sample_every == 0:
-                series = self.hit_ratio_series
-                series.append((self._reads, ratio))
-                if len(series) > self.MAX_SAMPLES:
-                    del series[0]
-
-    def snapshot(self) -> dict[str, Any]:
-        """The registry snapshot plus the hit-ratio time series."""
-        out = self.registry.snapshot()
-        if self.hit_ratio_series:
-            out["buffer.hit_ratio_series"] = {
-                "type": "series",
-                "samples": [
-                    {"reads": reads, "ratio": ratio}
-                    for reads, ratio in self.hit_ratio_series
-                ],
-            }
-        return out
+            registry.gauge("buffer.hit_ratio").set(self._hits / self._reads)
 
 
 class TimeSeriesSink:
@@ -503,85 +467,6 @@ class TimeSeriesSink:
         for name, column in self.columns.items():
             self.columns[name] = column[keep]
         self.every *= 2
-
-
-class MetricsSnapshotter:
-    """Periodically appends full registry snapshots to a JSONL file.
-
-    Where :class:`TimeSeriesSink` keeps a bounded *scalar* trajectory in
-    memory, the snapshotter streams the complete registry state — every
-    counter, gauge and histogram, buckets included — as one JSON line
-    every ``every`` operations, the durable form a dashboard or a later
-    analysis replays.  Drive it either as a tracer subscriber (it counts
-    ``op_end`` events) or by calling :meth:`tick` per operation; the
-    optional ``prepare`` hook runs against the registry right before
-    each snapshot (pass ``monitor.publish`` so derived gauges are
-    current, exactly as with the time-series sink).
-
-    Each line is ``{"ops": N, "metrics": {...registry snapshot...}}``.
-    ``count`` is the number of snapshots written.
-    """
-
-    #: Subscriber declaration: only op ends drive snapshots.
-    kinds = frozenset({OP_END})
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        path: Path | str,
-        every: int = 1000,
-        prepare: Any = None,
-    ):
-        if every <= 0:
-            raise ReproError(f"every must be positive, got {every}")
-        self.registry = registry
-        self.path = Path(path)
-        self.every = every
-        self.prepare = prepare
-        self.count = 0
-        self._op_count = 0
-        try:
-            self._file: Any = self.path.open("w")
-        except OSError as exc:
-            raise ReproError(
-                f"cannot open metrics snapshot file {path}: {exc}"
-            ) from None
-
-    def emit(self, event: TraceEvent) -> None:
-        """Count operation ends from a trace stream (subscriber usage)."""
-        if event.kind == OP_END:
-            self.tick()
-
-    def tick(self) -> None:
-        """Advance one operation; snapshot when the stride elapses."""
-        self._op_count += 1
-        if self._op_count % self.every == 0:
-            self.snapshot()
-
-    def snapshot(self) -> None:
-        """Write one snapshot line right now."""
-        if self._file is None:
-            raise ReproError(
-                f"metrics snapshot file {self.path} is already closed"
-            )
-        if self.prepare is not None:
-            self.prepare(self.registry)
-        record = {"ops": self._op_count, "metrics": self.registry.snapshot()}
-        self._file.write(json.dumps(record, sort_keys=False) + "\n")
-        self._file.flush()
-        self.count += 1
-
-    def close(self) -> None:
-        """Flush and close the file (idempotent)."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "MetricsSnapshotter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ figures the dynamic-indexability analysis (and the future serving
 layer) argue about.  Everything lives in a
 :class:`~repro.obs.metrics.MetricsRegistry` under the ``profile.*``
 namespace, so one :func:`~repro.obs.metrics.to_prometheus` call (or a
-:class:`~repro.obs.metrics.MetricsSnapshotter`) exports it verbatim.
+:class:`~repro.obs.metrics.TimeSeriesSink`) exports it verbatim.
 
 Two collection paths, by design
 -------------------------------

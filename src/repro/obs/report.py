@@ -27,7 +27,7 @@ workload construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.errors import ReproError
 from repro.obs.health import HealthReport, HealthThresholds, evaluate
@@ -39,6 +39,8 @@ __all__ = [
     "EXIT_OK",
     "EXIT_VIOLATION",
     "DoctorResult",
+    "apply_op",
+    "format_table",
     "render_doctor_text",
     "run_doctor",
 ]
@@ -84,6 +86,31 @@ class DoctorResult:
         return out
 
 
+def apply_op(tree: Any, op: tuple[Any, ...]) -> None:
+    """Apply one operation tuple to a duck-typed tree.
+
+    The one op applier of ``repro doctor`` and ``repro top``: ``op`` is
+    ``("insert", point[, value])``, ``("delete", point)``,
+    ``("get", point)``, ``("range", lows, highs)`` or
+    ``("knn", point[, k])``.  Inserts replace an existing record.
+    """
+    verb = op[0]
+    if verb == "insert":
+        tree.insert(op[1], op[2] if len(op) > 2 else None, replace=True)
+    elif verb == "delete":
+        tree.delete(op[1])
+    elif verb == "get":
+        tree.get(op[1])
+    elif verb == "range":
+        tree.range_query(op[1], op[2])
+    elif verb == "knn":
+        tree.nearest(op[1], k=op[2] if len(op) > 2 else 1)
+    else:
+        raise ReproError(
+            f"operation must be insert/delete/get/range/knn, got {verb!r}"
+        )
+
+
 def run_doctor(
     tree: Any,
     operations: Iterable[tuple[Any, ...]] = (),
@@ -95,9 +122,9 @@ def run_doctor(
 ) -> DoctorResult:
     """Drive ``operations`` under the monitor and score the guarantees.
 
-    ``operations`` yields ``("insert", point, value)`` (value optional)
-    or ``("delete", point)`` tuples; an empty stream just examines the
-    tree as it stands (the "examine a snapshot" mode).  The monitor and
+    ``operations`` yields the tuples :func:`apply_op` takes (the doctor's
+    own streams are inserts and deletes); an empty stream just examines
+    the tree as it stands (the "examine a snapshot" mode).  The monitor and
     the time series subscribe to the tree's tracer for the duration; its
     other subscribers are left exactly as found.
     """
@@ -114,16 +141,7 @@ def run_doctor(
     tree.tracer.subscribe(series)
     try:
         for op in operations:
-            verb = op[0]
-            if verb == "insert":
-                value = op[2] if len(op) > 2 else None
-                tree.insert(op[1], value, replace=True)
-            elif verb == "delete":
-                tree.delete(op[1])
-            else:
-                raise ReproError(
-                    f"doctor operation must be insert/delete, got {verb!r}"
-                )
+            apply_op(tree, op)
             applied += 1
         # Final sample so the series always covers the end state.
         series.sample()
@@ -147,27 +165,41 @@ def run_doctor(
 _SEVERITY_MARK = {"ok": "PASS", "warning": "WARN", "violation": "FAIL"}
 
 
-def _format_table(
-    headers: list[str], rows: list[list[Any]], title: str | None = None
+def format_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+    title: str | None = None,
 ) -> str:
-    # Same layout as repro.bench.reporting.format_table, reimplemented
-    # here because importing repro.bench would pull repro.core into this
-    # package (obs sits below core in the dependency order).
-    cells = [[str(value) for value in row] for row in rows]
+    """Render rows as an aligned fixed-width table (floats to 3 places).
+
+    The one table renderer: the doctor and ``repro top`` frames here,
+    ``repro perf`` and the analysis commands through
+    :mod:`repro.bench.reporting`.  It lives in ``repro.obs`` because obs
+    sits below core in the dependency order.
+    """
+    cells = [[_fmt(value) for value in row] for row in rows]
     widths = [
-        max(len(header), *(len(row[i]) for row in cells), 1)
+        max(len(str(header)), *(len(row[i]) for row in cells), 1)
         if cells
-        else len(header)
+        else len(str(header))
         for i, header in enumerate(headers)
     ]
     lines = []
     if title:
         lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append(
+        "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
+    )
     lines.append("  ".join("-" * w for w in widths))
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def _fmt(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    return str(value)
 
 
 def render_doctor_text(result: DoctorResult) -> str:
@@ -213,7 +245,7 @@ def render_doctor_text(result: DoctorResult) -> str:
             ]
         )
     lines.append(
-        _format_table(
+        format_table(
             ["level", "pages", "min occ", "mean occ", "guards", "verdict"],
             rows,
             title="per-level health",

@@ -75,7 +75,7 @@ class RingSink:
         ``dropped``; publishing ``<prefix>.dropped`` (plus ``retained``
         and ``capacity``) puts the truncation signal on the same
         dashboards as everything else — a Prometheus scrape or a
-        :class:`~repro.obs.metrics.MetricsSnapshotter` line shows at a
+        :class:`~repro.obs.metrics.TimeSeriesSink` sample shows at a
         glance whether a capture is complete.  Call it whenever current
         values are wanted (e.g. as a :class:`~repro.obs.TimeSeriesSink`
         ``prepare`` hook); it is O(1).

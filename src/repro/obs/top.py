@@ -34,14 +34,10 @@ from typing import Any, Callable, Iterable
 
 from repro.errors import KeyNotFoundError, ReproError
 from repro.obs.health import HealthReport, HealthThresholds, evaluate
-from repro.obs.metrics import (
-    MetricsRegistry,
-    MetricsSnapshotter,
-    to_prometheus,
-)
+from repro.obs.metrics import MetricsRegistry, TimeSeriesSink, to_prometheus
 from repro.obs.monitor import GuaranteeMonitor
 from repro.obs.profile import OpProfiler, SlowOpLog
-from repro.obs.report import _format_table
+from repro.obs.report import apply_op, format_table
 
 __all__ = ["TopResult", "render_top_frame", "run_top"]
 
@@ -71,6 +67,7 @@ class TopResult:
     last_frame: str = ""
     slow_ops: int = 0
     registry_snapshot: dict[str, Any] = field(default_factory=dict)
+    timeseries: dict[str, Any] = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -88,25 +85,6 @@ class TopResult:
             "slow_ops": self.slow_ops,
             "monitor": self.monitor_state,
         }
-
-
-def _apply(tree: Any, op: tuple[Any, ...]) -> None:
-    verb = op[0]
-    if verb == "insert":
-        tree.insert(op[1], op[2] if len(op) > 2 else None, replace=True)
-    elif verb == "delete":
-        tree.delete(op[1])
-    elif verb == "get":
-        tree.get(op[1])
-    elif verb == "range":
-        tree.range_query(op[1], op[2])
-    elif verb == "knn":
-        tree.nearest(op[1], k=op[2] if len(op) > 2 else 1)
-    else:
-        raise ReproError(
-            f"top operation must be insert/delete/get/range/knn, "
-            f"got {verb!r}"
-        )
 
 
 def _frame_data(
@@ -207,7 +185,7 @@ def render_top_frame(data: dict[str, Any]) -> str:
             ]
         )
     lines.append(
-        _format_table(
+        format_table(
             ["op", "count", "ops/s", "p50 us", "p99 us", "mean us",
              "pages", "errs"],
             rows,
@@ -255,8 +233,7 @@ def run_top(
     registry: MetricsRegistry | None = None,
     thresholds: HealthThresholds | None = None,
     prom_out: Any = None,
-    metrics_out: Any = None,
-    metrics_every: int = 1000,
+    metrics_every: int | None = None,
     emit: Callable[[str], None] | None = None,
 ) -> TopResult:
     """Drive ``operations`` under the full observability stack.
@@ -267,9 +244,10 @@ def run_top(
     ``time.monotonic`` while the stream lasts.  ``prom_out`` writes the
     Prometheus exposition of the shared registry after every frame
     (atomic single file write — point a scraper's textfile collector at
-    it); ``metrics_out`` attaches a
-    :class:`~repro.obs.metrics.MetricsSnapshotter` JSONL stream sampled
-    every ``metrics_every`` operations.  The tree's tracer is restored
+    it).  ``metrics_every`` samples the registry with a
+    :class:`~repro.obs.metrics.TimeSeriesSink` every that many applied
+    operations, plus once at the end, into ``TopResult.timeseries`` (the
+    columnar record ``repro doctor`` produces).  The tree's tracer is restored
     exactly as found.  Returns a :class:`TopResult`; its ``exit_code``
     follows the doctor convention (0 unless a guarantee is violated).
     """
@@ -282,12 +260,11 @@ def run_top(
         profiler.flush()
         monitor.publish(reg)
 
-    snapshotter = (
-        MetricsSnapshotter(
-            registry, metrics_out, every=metrics_every,
-            prepare=refresh_gauges,
-        )
-        if metrics_out is not None
+    # Ticked per applied op rather than subscribed to the tracer:
+    # direct-path gets emit no op_end.
+    series = (
+        TimeSeriesSink(registry, every=metrics_every, prepare=refresh_gauges)
+        if metrics_every is not None
         else None
     )
     applied = 0
@@ -337,12 +314,12 @@ def run_top(
         batch = 0
         for op in operations:
             try:
-                _apply(tree, op)
+                apply_op(tree, op)
             except KeyNotFoundError:  # lint: ignore[R5] -- a miss is a data point on a dashboard; the profiler counts it
                 pass
             applied += 1
-            if snapshotter is not None:
-                snapshotter.tick()
+            if series is not None:
+                series.tick()
             batch += 1
             if batch >= _BATCH:
                 batch = 0
@@ -350,6 +327,8 @@ def run_top(
                     frame(final=False)
                     deadline = monotonic() + refresh
         frame(final=True)
+        if series is not None:
+            series.sample()
         health = evaluate(monitor, thresholds=thresholds)
         result = TopResult(
             ops_applied=applied,
@@ -361,11 +340,9 @@ def run_top(
             last_frame=last_frame_text,
             slow_ops=slow_log.count if slow_log is not None else 0,
             registry_snapshot=registry.snapshot(),
+            timeseries=series.to_dict() if series is not None else {},
         )
     finally:
-        if snapshotter is not None:
-            snapshotter.snapshot()
-            snapshotter.close()
         monitor.detach()
         profiler.detach()
     return result

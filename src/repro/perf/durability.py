@@ -110,6 +110,7 @@ def _overhead(
                     data_capacity=scale.data_capacity,
                     fanout=scale.fanout,
                     store=store,
+                    layout="object",
                 )
             finally:
                 if isinstance(store, DurableStore):

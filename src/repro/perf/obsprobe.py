@@ -7,7 +7,7 @@ with two things the dashboards and the acceptance gate read:
 - a :class:`~repro.obs.MetricsRegistry` snapshot taken by replaying a
   bounded traced workload through a :class:`~repro.obs.MetricsSink`
   (per-op nodes-visited and guard-check histograms, split fan-out,
-  buffer hit-ratio over time);
+  buffer hit ratio);
 - ``overhead`` — the cost of the exact-match path with the tracer
   disabled (no subscribers, the shipping default; the number
   ``docs/OBSERVABILITY.md`` quotes) and with a live ring-sink capture,
@@ -80,7 +80,7 @@ def _traced_metrics(scale: Scale) -> dict[str, Any]:
     for point in points[: min(len(points), 10)]:
         tree.nearest(point, k=scale.k)
     tree.tracer.unsubscribe(sink)
-    return sink.snapshot()
+    return sink.registry.snapshot()
 
 
 def _overhead(scale: Scale) -> dict[str, Any]:

@@ -33,8 +33,13 @@ of a page (see §7.3 multiple page sizes) used by the analysis module.
 from repro.storage.buffer import BufferPool
 from repro.storage.faults import FaultPlan
 from repro.storage.interface import Storage, default_store
-from repro.storage.pager import ColumnarStore, PageStore
+from repro.storage.pager import PageStore
 from repro.storage.stats import BufferStats, IOStats, SizeClassStats
+
+#: A second name for :class:`PageStore`, kept only because the served
+#: benchmark's self-test (``perfbench/selftest.py``) imports it.  A store
+#: no longer picks a page layout: ``BVTree(layout=...)`` does.
+ColumnarStore = PageStore
 
 __all__ = [
     "BufferPool",

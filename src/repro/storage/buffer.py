@@ -89,15 +89,6 @@ class BufferPool:
         """Base page size of the underlying store."""
         return self.store.page_bytes
 
-    @property
-    def layout(self) -> str:
-        """The backing store's default page layout.
-
-        Forwarded so ``BVTree(store=BufferPool(ColumnarStore()))`` picks
-        the columnar layout exactly as the unwrapped store would.
-        """
-        return self.store.layout
-
     def allocate(self, content: Any = None, size_class: int = 0) -> int:
         """Allocate in the store; the fresh page starts out cached."""
         page_id = self.store.allocate(content, size_class=size_class)

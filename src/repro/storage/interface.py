@@ -77,12 +77,12 @@ class Storage(Protocol):
 
 def default_store(page_bytes: int = 4096) -> Storage:
     """The default backing store for a new index: an in-memory page
-    store whose trees default to the columnar page layout.
+    store.
 
     Kept as a factory (rather than letting core construct a store
     itself) so the default backend can change — e.g. to a buffer-pooled
     or sharded store — in exactly one place.
     """
-    from repro.storage.pager import ColumnarStore
+    from repro.storage.pager import PageStore
 
-    return ColumnarStore(page_bytes)
+    return PageStore(page_bytes)

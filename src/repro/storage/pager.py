@@ -31,12 +31,6 @@ class PageStore:
     unless a subscriber takes a read-path kind (``tracer.enabled``).
     """
 
-    #: The page layout a tree built on this store defaults to (see
-    #: :class:`~repro.core.tree.BVTree`'s ``layout`` parameter and
-    #: :class:`ColumnarStore`).  Purely advisory — the store itself holds
-    #: live objects of either representation.
-    layout = "object"
-
     def __init__(self, page_bytes: int = 4096):
         if page_bytes <= 0:
             raise StorageError(f"page size must be positive, got {page_bytes}")
@@ -175,19 +169,3 @@ class PageStore:
     def class_stats(self) -> dict[int, SizeClassStats]:
         """Per-size-class accounting (live view, do not mutate)."""
         return dict(self._classes)
-
-
-class ColumnarStore(PageStore):
-    """A page store whose trees default to the columnar page layout.
-
-    Behaviourally identical to :class:`PageStore` — pages are live
-    objects, I/O accounting is unchanged — but a
-    :class:`~repro.core.tree.BVTree` built on it (without an explicit
-    ``layout=``) packs its pages into the flat columns of
-    :mod:`repro.core.columnar`.  It is what
-    :func:`~repro.storage.default_store` builds; a plain ``PageStore``
-    gives the object-layout oracle the equivalence suite and the perf
-    probe compare against.
-    """
-
-    layout = "columnar"

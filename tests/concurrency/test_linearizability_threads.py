@@ -15,7 +15,7 @@ import pytest
 
 from repro.concurrency import TreeService, build_service, run_threads
 from repro.core.tree import BVTree
-from repro.storage import BufferPool, ColumnarStore, PageStore
+from repro.storage import BufferPool, PageStore
 
 from tests.concurrency.conftest import distinct_points, make_space
 

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.core.tree import BVTree
-from repro.storage import BufferPool, ColumnarStore, PageStore
+from repro.storage import BufferPool, PageStore
 
 from tests.concurrency.conftest import distinct_points, make_space
 
@@ -26,9 +26,7 @@ def _build_tree(layout, store=None):
         space,
         data_capacity=4,
         fanout=4,
-        store=store
-        if store is not None
-        else (ColumnarStore() if layout == "columnar" else PageStore()),
+        store=store if store is not None else PageStore(),
         layout=layout,
     )
     points = distinct_points(300, space, seed=13)
@@ -89,8 +87,7 @@ class TestReaderHammer:
             assert answers[slot] == expected
 
     def test_buffer_pool_thread_safe_read_stats(self, layout):
-        backing = ColumnarStore() if layout == "columnar" else PageStore()
-        pool = BufferPool(backing, capacity=8, thread_safe=True)
+        pool = BufferPool(PageStore(), capacity=8, thread_safe=True)
         tree, points = _build_tree(layout, store=pool)
         errors: list[BaseException] = []
         answers: dict[int, list] = {}

@@ -14,7 +14,7 @@ import pytest
 
 from repro.concurrency import TreeService, run_threads, verify_structure
 from repro.core.tree import BVTree
-from repro.storage import BufferPool, ColumnarStore, PageStore
+from repro.storage import BufferPool, PageStore
 from repro.storage.durable.recovery import create_durable_tree
 
 from tests.concurrency.conftest import distinct_points, make_space
@@ -45,7 +45,7 @@ def test_soak_in_memory(layout):
         space,
         data_capacity=8,
         fanout=8,
-        store=ColumnarStore() if layout == "columnar" else PageStore(),
+        store=PageStore(),
         layout=layout,
     )
     _soak(TreeService(tree), seed=1000 if layout == "object" else 2000)
@@ -54,7 +54,9 @@ def test_soak_in_memory(layout):
 def test_soak_buffered():
     space = make_space(resolution=10)
     pool = BufferPool(PageStore(), capacity=32, thread_safe=True)
-    tree = BVTree(space, data_capacity=8, fanout=8, store=pool)
+    tree = BVTree(
+        space, data_capacity=8, fanout=8, store=pool, layout="object"
+    )
     _soak(TreeService(tree), seed=3000)
 
 

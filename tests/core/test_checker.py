@@ -10,7 +10,7 @@ from repro.geometry.region import RegionKey
 from tests.conftest import make_points
 
 
-def build_tree(space, layout=None):
+def build_tree(space, layout="columnar"):
     t = BVTree(space, data_capacity=4, fanout=4, layout=layout)
     for i, p in enumerate(make_points(200, 2, seed=51)):
         t.insert(p, i, replace=True)

@@ -23,7 +23,8 @@ from repro.core.tree import BVTree
 from repro.errors import DuplicateKeyError, ReproError, TreeInvariantError
 from repro.geometry.region import RegionKey
 from repro.geometry.space import DataSpace
-from repro.storage.pager import ColumnarStore, PageStore
+from repro.storage import BufferPool, PageStore
+from repro.storage.durable import DurableStore
 
 
 def make_page(records=(), ndim=2, path_bits=8):
@@ -140,11 +141,6 @@ class TestColumnarIndexNode:
 
 
 class TestLayoutSelection:
-    def test_columnar_store_implies_columnar_layout(self):
-        tree = BVTree(DataSpace.unit(2, resolution=8), store=ColumnarStore())
-        assert tree.layout == "columnar"
-        assert isinstance(tree.store.read(tree.root_page), ColumnarDataPage)
-
     def test_explicit_flag_overrides_plain_store(self):
         tree = BVTree(
             DataSpace.unit(2, resolution=8),
@@ -159,8 +155,14 @@ class TestLayoutSelection:
         assert tree.layout == "columnar"
         assert isinstance(tree.store.read(tree.root_page), ColumnarDataPage)
 
-    def test_plain_store_implies_object_layout(self):
-        tree = BVTree(DataSpace.unit(2, resolution=8), store=PageStore())
+    def test_layout_comes_only_from_layout_argument(self, tmp_path):
+        space = DataSpace.unit(2, resolution=8)
+        durable = DurableStore(tmp_path, sync="os")
+        for store in (PageStore(), BufferPool(PageStore()), durable):
+            assert not hasattr(store, "layout")
+            assert BVTree(space, store=store).layout == DEFAULT_LAYOUT
+        durable.close(checkpoint=False)
+        tree = BVTree(space, store=PageStore(), layout="object")
         assert tree.layout == "object"
         assert not isinstance(tree.store.read(tree.root_page), ColumnarDataPage)
 
@@ -177,7 +179,7 @@ class TestLocateColumnar:
     def make_tree(self, n=300):
         space = DataSpace.unit(2, resolution=8)
         tree = BVTree(
-            space, data_capacity=4, fanout=4, store=ColumnarStore()
+            space, data_capacity=4, fanout=4, store=PageStore()
         )
         for i in range(n):
             tree.insert(

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -192,7 +193,83 @@ class TestPerf:
         assert "oracle DIVERGED" in err and "knn_equal" in err
 
 
+#: Every subcommand's options and their defaults (positionals by dest).
+_WORKLOAD = {
+    "--workload": "uniform", "--dims": 2, "--seed": 0,
+    "--data-capacity": 16, "--fanout": 16,
+}
+_POLICY = {"--policy": "scaled"}
+COMMAND_OPTIONS = {
+    "figures": {"--fanout": 24, "--integer": False},
+    "thresholds": {"--fanouts": [24, 120], "--page-bytes": 1024},
+    "perf": {
+        "--scale": "full", "--suite": "core", "--n": None,
+        "--repeats": None, "--warmup": None, "--seed": None,
+        "--layout": None, "--only": None, "--format": "text",
+        "--out": None, "--no-write": False, "--baseline": None,
+    },
+    "explain": {
+        **_WORKLOAD, **_POLICY, "--n": 2000, "--point": None,
+        "--rect": None, "--knn": None, "--k": 3, "--format": "text",
+        "--max-rows": 20,
+    },
+    "trace": {
+        **_WORKLOAD, **_POLICY, "--n": 2000, "--out": None,
+        "--ring": 65536, "--input": None, "--kind": None, "--stats": False,
+    },
+    "doctor": {
+        **_WORKLOAD, **_POLICY, "--n": 10_000, "--churn": 0.0,
+        "--every": 256, "--height-slack": 1, "--format": "text",
+        "--series-out": None, "--bench": None,
+    },
+    "top": {
+        **_WORKLOAD, **_POLICY, "--n": 5_000, "--buffer": 256,
+        "--ops": None, "--refresh": 1.0, "--once": False,
+        "--slow-ms": 10.0, "--slow-pages": None, "--slow-out": None,
+        "--prom-out": None, "--metrics-out": None, "--metrics-every": 1000,
+    },
+    "recover": {
+        **_WORKLOAD, "--n": 2000, "directory": None, "--format": "text",
+        "--trace": None, "--build": False, "--fault": None,
+        "--churn": 0.0, "--sync": "commit",
+    },
+    "serve": {
+        **_WORKLOAD, "--n": 10_000, "--host": "127.0.0.1", "--port": 8077,
+        "--layout": "columnar", "--durable": None, "--sync": "os",
+    },
+    "lint": {"lint_args": None},
+    "demo": {
+        **_WORKLOAD, **_POLICY, "--n": 10_000, "--show-tree": 0,
+        "--show-partition": False,
+    },
+    "compare": {
+        **_WORKLOAD, "--n": 10_000,
+        "--structures": ["bv", "kdb", "bang", "lsd", "zorder"],
+    },
+}
+
+
+def subcommands():
+    """The subcommand parsers of ``repro``, by name."""
+    return next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+
 class TestParser:
+    def test_every_subcommand_is_pinned(self):
+        assert set(subcommands()) == set(COMMAND_OPTIONS)
+
+    @pytest.mark.parametrize("name", sorted(COMMAND_OPTIONS))
+    def test_option_set_and_defaults(self, name):
+        options = {
+            "/".join(action.option_strings) or action.dest: action.default
+            for action in subcommands()[name]._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert options == COMMAND_OPTIONS[name]
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -393,8 +470,16 @@ class TestErrorEdge:
             ["doctor", "--n", "200", "--churn", "1.5"],
             ["thresholds", "--fanouts", "0"],
             ["top", "--once", "--n", "200", "--metrics-out", "{missing}"],
+            ["doctor", "--n", "200", "--series-out", "{missing}"],
+            ["top", "--once", "--n", "200", "--prom-out", "{missing}"],
+            ["perf", "--scale", "smoke", "--only", "insert",
+             "--out", "{missing}"],
         ],
-        ids=["explain-arity", "doctor-churn", "thresholds-fanout", "top-metrics-out"],
+        ids=[
+            "explain-arity", "doctor-churn", "thresholds-fanout",
+            "top-metrics-out", "doctor-series-out", "top-prom-out",
+            "perf-out",
+        ],
     )
     def test_user_input_error_exits_2_without_traceback(
         self, capsys, tmp_path, argv

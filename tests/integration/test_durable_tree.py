@@ -60,7 +60,9 @@ class TestDurableBehindBufferPool:
         space, ops = soak_ops()
         durable = DurableStore(tmp_path / "store", sync="os")
         pool = BufferPool(durable, capacity=capacity)
-        buffered = BVTree(space, data_capacity=4, fanout=4, store=pool)
+        buffered = BVTree(
+            space, data_capacity=4, fanout=4, store=pool, layout="object"
+        )
         plain = BVTree(space, data_capacity=4, fanout=4)
         return buffered, plain, pool, durable, ops
 

@@ -153,15 +153,11 @@ def span(op: int, inner: list[tuple[str, dict]]) -> list[TraceEvent]:
 
 
 class TestMetricsSink:
-    def test_rejects_non_positive_sample_every(self):
-        with pytest.raises(ReproError, match="sample_every"):
-            MetricsSink(sample_every=0)
-
     def test_counts_every_kind(self):
         sink = MetricsSink()
         for event in span(1, [(PAGE_READ, {"page": 1, "physical": True})]):
             sink.emit(event)
-        snap = sink.snapshot()
+        snap = sink.registry.snapshot()
         assert snap["events.op_begin"]["value"] == 1
         assert snap["events.page_read"]["value"] == 1
         assert snap["events.op_end"]["value"] == 1
@@ -177,7 +173,7 @@ class TestMetricsSink:
             sink.emit(event)
         for event in span(2, [(DESCENT_STEP, {"level": 1})]):
             sink.emit(event)
-        snap = sink.snapshot()
+        snap = sink.registry.snapshot()
         visited = snap["descent.nodes_visited"]
         assert visited["count"] == 2
         assert visited["total"] == 3.0
@@ -190,36 +186,25 @@ class TestMetricsSink:
         sink = MetricsSink()
         for event in span(1, []):
             sink.emit(event)
-        assert "descent.nodes_visited" not in sink.snapshot()
+        assert "descent.nodes_visited" not in sink.registry.snapshot()
 
     def test_split_fanout_from_moved_field(self):
         sink = MetricsSink()
         sink.emit(TraceEvent(1, 0, DATA_SPLIT, {"key": "0", "moved": 3}))
         sink.emit(TraceEvent(2, 0, DATA_SPLIT, {"key": "1"}))  # no moved
-        snap = sink.snapshot()
+        snap = sink.registry.snapshot()
         assert snap["split.fanout"]["count"] == 1
         assert snap["split.fanout"]["total"] == 3.0
 
-    def test_hit_ratio_gauge_and_series(self):
-        sink = MetricsSink(sample_every=2)
+    def test_hit_ratio_gauge(self):
+        sink = MetricsSink()
         reads = [True, False, False, True]  # physical flags
         for i, physical in enumerate(reads):
             sink.emit(
                 TraceEvent(i + 1, 0, PAGE_READ, {"page": i, "physical": physical})
             )
-        snap = sink.snapshot()
+        snap = sink.registry.snapshot()
         assert snap["buffer.hit_ratio"]["value"] == pytest.approx(0.5)
-        samples = snap["buffer.hit_ratio_series"]["samples"]
-        assert samples == [
-            {"reads": 2, "ratio": pytest.approx(0.5)},
-            {"reads": 4, "ratio": pytest.approx(0.5)},
-        ]
-
-    def test_series_is_bounded(self):
-        sink = MetricsSink(sample_every=1)
-        for i in range(MetricsSink.MAX_SAMPLES + 10):
-            sink.emit(TraceEvent(i + 1, 0, PAGE_READ, {"physical": False}))
-        assert len(sink.hit_ratio_series) == MetricsSink.MAX_SAMPLES
 
 
 class TestTimeSeriesSink:

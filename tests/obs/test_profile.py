@@ -12,7 +12,7 @@ from repro.obs.sinks import RingSink
 from tests.conftest import make_points
 
 
-def build(space, n=200, data_capacity=8, fanout=8, layout=None):
+def build(space, n=200, data_capacity=8, fanout=8, layout="columnar"):
     tree = BVTree(
         space, data_capacity=data_capacity, fanout=fanout, layout=layout
     )

@@ -1,6 +1,5 @@
-"""Tests for Prometheus exposition, its lint, and the JSONL snapshotter."""
+"""Tests for Prometheus exposition and its lint."""
 
-import json
 import random
 
 import pytest
@@ -9,7 +8,6 @@ from repro.errors import ReproError
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
-    MetricsSnapshotter,
     lint_prometheus,
     to_prometheus,
 )
@@ -158,59 +156,3 @@ class TestObserveMany:
         hist.observe_many([2.5, 9.0])
         assert hist.count == 4
         assert hist.counts == [1, 2, 1]
-
-
-class TestMetricsSnapshotter:
-    def test_rejects_nonpositive_every(self, tmp_path):
-        with pytest.raises(ReproError, match="every"):
-            MetricsSnapshotter(
-                MetricsRegistry(), tmp_path / "m.jsonl", every=0
-            )
-
-    def test_ticks_write_jsonl_lines(self, tmp_path):
-        registry = MetricsRegistry()
-        ops = registry.counter("ops")
-        path = tmp_path / "metrics.jsonl"
-        snapshotter = MetricsSnapshotter(registry, path, every=10)
-        for _ in range(25):
-            ops.inc()
-            snapshotter.tick()
-        snapshotter.close()
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert [line["ops"] for line in lines] == [10, 20]
-        assert lines[1]["metrics"]["ops"]["value"] == 20
-        assert snapshotter.count == 2
-
-    def test_prepare_hook_runs_before_each_snapshot(self, tmp_path):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("derived")
-        calls = []
-
-        def prepare(reg):
-            calls.append(reg)
-            gauge.set(len(calls))
-
-        snapshotter = MetricsSnapshotter(
-            registry, tmp_path / "m.jsonl", every=1, prepare=prepare
-        )
-        snapshotter.tick()
-        snapshotter.tick()
-        snapshotter.close()
-        lines = [
-            json.loads(l)
-            for l in (tmp_path / "m.jsonl").read_text().splitlines()
-        ]
-        assert calls == [registry, registry]
-        assert lines[0]["metrics"]["derived"]["value"] == 1
-        assert lines[1]["metrics"]["derived"]["value"] == 2
-
-    def test_final_snapshot_on_demand(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("ops").inc(3)
-        path = tmp_path / "m.jsonl"
-        snapshotter = MetricsSnapshotter(registry, path, every=1000)
-        snapshotter.tick()
-        snapshotter.snapshot()  # explicit flush despite every=1000
-        snapshotter.close()
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1

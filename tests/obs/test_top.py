@@ -113,20 +113,23 @@ class TestArtifacts:
         assert lint_prometheus(text) == []
         assert "repro_profile_get_latency_us_count" in text
 
-    def test_metrics_out_streams_snapshots(self, unit2, tmp_path):
+    def test_metrics_out_streams_snapshots(self, unit2):
         tree, points = build(unit2)
-        metrics = tmp_path / "metrics.jsonl"
         result = run_top(
             tree,
             [("get", p) for p in points[:50]],
             once=True,
-            metrics_out=metrics,
             metrics_every=20,
         )
-        lines = [json.loads(l) for l in metrics.read_text().splitlines()]
-        # two periodic snapshots plus the final one
-        assert [line["ops"] for line in lines][:2] == [20, 40]
-        assert lines[-1]["metrics"]["profile.get.latency_us"]["count"] == 50
+        series = result.timeseries
+        # two periodic samples plus the final one; gets emit no op_end,
+        # so the sampler counts applied ops
+        assert series["ops"] == [20, 40, 50]
+        assert series["metrics"]["profile.get.latency_us.count"][-1] == 50
+        assert all(
+            len(column) == len(series["ops"])
+            for column in series["metrics"].values()
+        )
         assert result.registry_snapshot
 
     def test_slow_log_integration(self, unit2, tmp_path):

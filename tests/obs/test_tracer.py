@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs.events import DATA_SPLIT, OP_BEGIN, OP_END, PAGE_READ, PAGE_WRITE
-from repro.obs.metrics import MetricsSink, MetricsSnapshotter, TimeSeriesSink
+from repro.obs.metrics import MetricsSink, TimeSeriesSink
 from repro.obs.monitor import GuaranteeMonitor
 from repro.obs.profile import OpProfiler
 from repro.obs.sinks import JsonlSink, RingSink
@@ -69,7 +69,6 @@ class TestEnablement:
             GuaranteeMonitor,
             OpProfiler,
             TimeSeriesSink,
-            MetricsSnapshotter,
         ):
             tracer.subscribe(Recorder(subscriber.kinds))
         assert tracer.structural is True
@@ -144,7 +143,6 @@ class TestRouting:
             JsonlSink,
             MetricsSink,
             TimeSeriesSink,
-            MetricsSnapshotter,
             GuaranteeMonitor,
             OpProfiler,
             _OpSpanTap,

@@ -1,8 +1,8 @@
 """Differential property tests: columnar layout vs the object oracle.
 
 Hypothesis drives the *same* random operation sequence against two
-BV-trees that differ only in page layout — one on a plain
-:class:`PageStore` (object pages), one on a :class:`ColumnarStore`
+BV-trees that differ only in page layout — one built with
+``layout="object"`` (object pages), one with ``layout="columnar"``
 (packed array columns).  The object tree is the oracle: for every
 operation the columnar tree must return identical answers, and at the
 end of the sequence the structural counters (``OpCounters``) and
@@ -22,7 +22,7 @@ import pytest
 from repro.core.tree import BVTree
 from repro.errors import KeyNotFoundError
 from repro.geometry.space import DataSpace
-from repro.storage.pager import ColumnarStore, PageStore
+from repro.storage.pager import PageStore
 
 #: Low resolution so random points collide, split and merge aggressively.
 RESOLUTION = 8
@@ -38,8 +38,12 @@ def to_point(cell: tuple[int, int]) -> tuple[float, float]:
 def make_pair() -> tuple[BVTree, BVTree]:
     """An object-layout tree and a columnar tree, same geometry."""
     space = DataSpace.unit(2, resolution=RESOLUTION)
-    obj = BVTree(space, data_capacity=4, fanout=4, store=PageStore())
-    col = BVTree(space, data_capacity=4, fanout=4, store=ColumnarStore())
+    obj = BVTree(
+        space, data_capacity=4, fanout=4, store=PageStore(), layout="object"
+    )
+    col = BVTree(
+        space, data_capacity=4, fanout=4, store=PageStore(), layout="columnar"
+    )
     assert obj.layout == "object" and col.layout == "columnar"
     return obj, col
 

@@ -5,16 +5,18 @@ Two laws, each over randomised inputs:
 - EXPLAIN's ``pages_touched`` equals ``height + 1`` on every exact
   match — the paper's §6 page-access guarantee, now checked through the
   trace rather than through IOStats, on trees with and without guards;
-- ``key_prune_dim`` is ``None`` exactly when ``key_intersects`` is true
-  — the EXPLAIN pruning diagnostic and the hot-loop boolean are the
-  same predicate, so the traced and untraced range paths can never
-  disagree about what was pruned.
+- ``key_prune_dim`` is ``None``, and ``key_intersects`` is true, exactly
+  when the key's decoded float block (``space.key_rect``) intersects the
+  query box — the integer cut-offs the EXPLAIN diagnostic and the
+  hot-loop boolean prune with decide what the float geometry decides,
+  edge-touching boxes included.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.tree import BVTree
 from repro.geometry import Rect, key_intersects, key_prune_dim, query_cell_bounds
+from repro.geometry.region import RegionKey
 from repro.geometry.space import DataSpace
 
 COORD = st.integers(min_value=0, max_value=(1 << 10) - 1)
@@ -90,7 +92,9 @@ class TestPruneDimEquivalence:
         )
         bounds = query_cell_bounds(space, rect)
         args = (value, nbits, space.ndim, space.resolution, bounds)
+        overlaps = space.key_rect(RegionKey(nbits, value)).intersects(rect)
         dim = key_prune_dim(*args)
-        assert (dim is None) == key_intersects(*args)
+        assert key_intersects(*args) == overlaps
+        assert (dim is None) == overlaps
         if dim is not None:
             assert 0 <= dim < space.ndim

@@ -39,21 +39,6 @@ class TestReadThrough:
         assert pool.stats.hit_ratio == 0.0
 
 
-class TestLayoutPassthrough:
-    def test_forwards_backing_store_layout(self):
-        from repro.storage.pager import ColumnarStore
-
-        assert BufferPool(PageStore()).layout == "object"
-        assert BufferPool(ColumnarStore()).layout == "columnar"
-
-    def test_tree_picks_layout_through_pool(self, unit2):
-        from repro.core.tree import BVTree
-        from repro.storage.pager import ColumnarStore
-
-        tree = BVTree(unit2, store=BufferPool(ColumnarStore()))
-        assert tree.layout == "columnar"
-
-
 class TestEviction:
     def test_lru_eviction_order(self, pool):
         pages = [pool.store.allocate(i) for i in range(4)]

@@ -131,7 +131,10 @@ class TestTransactions:
     def build_tree(self, tmp_path, **kwargs):
         store = DurableStore(tmp_path, sync=kwargs.pop("sync", "os"), **kwargs)
         space = DataSpace.unit(2, resolution=16)
-        return BVTree(space, data_capacity=4, fanout=4, store=store), store
+        tree = BVTree(
+            space, data_capacity=4, fanout=4, store=store, layout="object"
+        )
+        return tree, store
 
     def test_one_commit_per_tree_operation(self, tmp_path):
         tree, store = self.build_tree(tmp_path)

@@ -126,9 +126,7 @@ class TestColumnarRoundTrip:
 
     @pytest.fixture
     def columnar(self, unit2):
-        from repro.storage.pager import ColumnarStore
-
-        tree = BVTree(unit2, data_capacity=6, fanout=6, store=ColumnarStore())
+        tree = BVTree(unit2, data_capacity=6, fanout=6, layout="columnar")
         for i, p in enumerate(make_points(700, 2, seed=81)):
             tree.insert(p, i, replace=True)
         return tree
