@@ -958,8 +958,9 @@ def build_parser() -> argparse.ArgumentParser:
             "the single-writer/many-readers TreeService and serves the "
             "HTTP/JSON API (get/insert/delete/range/knn/batch/bulk plus "
             "/health, /stats and Prometheus /metrics) until Ctrl-C. "
-            "Writes coalesce into group commits via the write batcher; "
-            "reads run against immutable snapshots and never block. "
+            "One event loop serves every request: writes parsed in the "
+            "same loop iteration coalesce into one group commit; reads "
+            "run against immutable snapshots. "
             "See docs/SERVING.md."
         ),
     )

@@ -416,6 +416,15 @@ class TimeSeriesSink:
             self._since_sample = 0
             self.sample()
 
+    def sample_end(self) -> None:
+        """Close the series at the end state, once.
+
+        Skipped when the last periodic sample already fell on the final
+        operation (the op count is a multiple of the stride).
+        """
+        if not self.ops or self.ops[-1] != self._op_count:
+            self.sample()
+
     def sample(self) -> None:
         """Take one sample of the registry right now."""
         if self.prepare is not None:

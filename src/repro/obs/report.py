@@ -143,8 +143,7 @@ def run_doctor(
         for op in operations:
             apply_op(tree, op)
             applied += 1
-        # Final sample so the series always covers the end state.
-        series.sample()
+        series.sample_end()
         audit = monitor.audit()
         health = evaluate(monitor, thresholds=thresholds)
         state = monitor.to_dict()

@@ -328,7 +328,7 @@ def run_top(
                     deadline = monotonic() + refresh
         frame(final=True)
         if series is not None:
-            series.sample()
+            series.sample_end()
         health = evaluate(monitor, thresholds=thresholds)
         result = TopResult(
             ops_applied=applied,

@@ -4,6 +4,9 @@ The app is transport-free: :meth:`ServingApp.handle` maps ``(method,
 path, body bytes)`` to a :class:`Response`, so the contract tests drive
 it directly — no socket, no event loop — and the asyncio HTTP layer
 (:mod:`repro.server.http`) is a thin shell around the same method.
+With a :class:`~repro.server.batch.WriteBatcher` attached, a single-op
+write is the one exception: ``handle`` queues it and returns an
+awaitable of its response, which the loop awaits.
 
 Error mapping (asserted by the contract tests)::
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Sequence
+from typing import Any, Awaitable, Callable, Union
 
 from repro.concurrency.service import BatchAbortedError, TreeService, WriteOp
 from repro.errors import (
@@ -41,7 +44,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, to_prometheus
 from repro.obs.profile import LATENCY_BUCKETS_US, PAGES_BUCKETS
-from repro.server.batch import WriteBatcher
+from repro.server.batch import Outcome, WriteBatcher
 
 __all__ = ["Response", "ServingApp", "status_for"]
 
@@ -58,6 +61,11 @@ class Response:
         if self.content_type == "application/json":
             return (json.dumps(self.payload) + "\n").encode()
         return str(self.payload).encode()
+
+
+#: What a handler returns: a response, or (a batched write) an
+#: awaitable of one.
+Reply = Union[Response, Awaitable[Response]]
 
 
 def status_for(exc: BaseException) -> int:
@@ -104,7 +112,7 @@ class _EndpointInstruments:
 @dataclass
 class _Route:
     endpoint: str
-    handler: Callable[["ServingApp", dict[str, Any]], Response]
+    handler: Callable[["ServingApp", dict[str, Any]], Reply]
     needs_body: bool = True
 
 
@@ -121,11 +129,11 @@ class ServingApp:
         created otherwise.
     batcher:
         Optionally a :class:`WriteBatcher`.  When present, single-op
-        writes (``insert``/``delete``) go through it — group-commit
-        coalescing under concurrent load; the call still blocks until
-        the op's own outcome is known.  Without one, writes apply
-        directly (the contract tests run this way).  ``/v1/batch`` and
-        ``/v1/bulk`` always bypass the batcher: the former needs the
+        writes (``insert``/``delete``) go through it — group commits of
+        the writes parsed in one loop iteration — and :meth:`handle`
+        returns an awaitable of their response.  Without one, writes
+        apply directly (the contract tests run this way).  ``/v1/batch``
+        and ``/v1/bulk`` always bypass the batcher: the former needs the
         all-or-nothing path, the latter is a rare whole-tree build.
     """
 
@@ -143,8 +151,13 @@ class ServingApp:
 
     # -- dispatch --------------------------------------------------------
 
-    def handle(self, method: str, path: str, body: bytes | None) -> Response:
-        """Serve one request; never raises (errors become responses)."""
+    def handle(self, method: str, path: str, body: bytes | None) -> Reply:
+        """Serve one request; never raises (errors become responses).
+
+        A batched write returns an awaitable of its response instead,
+        for the calling event loop to await; its latency is observed
+        when the write's outcome resolves.
+        """
         route = _ROUTES.get((method.upper(), path))
         if route is None:
             if any(p == path for _, p in _ROUTES):
@@ -156,12 +169,22 @@ class ServingApp:
         instruments.requests.inc()
         t0 = perf_counter()
         try:
-            if route.needs_body:
-                request = self._parse_body(body)
-                response = route.handler(self, request)
-            else:
-                response = route.handler(self, {})
+            request = self._parse_body(body) if route.needs_body else {}
+            response = route.handler(self, request)
         except BaseException as exc:
+            instruments.errors.inc()
+            response = self._error_response(exc)
+        if not isinstance(response, Response):
+            return self._settle(response, instruments, t0)
+        instruments.latency_us.observe((perf_counter() - t0) * 1e6)
+        return response
+
+    async def _settle(
+        self, pending: Awaitable[Response], instruments: _EndpointInstruments, t0: float
+    ) -> Response:
+        try:
+            response = await pending
+        except Exception as exc:
             instruments.errors.inc()
             response = self._error_response(exc)
         instruments.latency_us.observe((perf_counter() - t0) * 1e6)
@@ -211,10 +234,20 @@ class ServingApp:
             )
         return tuple(float(c) for c in value)
 
-    def _apply_write(self, ops: Sequence[WriteOp]) -> tuple[list[tuple[bool, Any]], int]:
-        if self.batcher is not None:
-            return self.batcher.submit(ops).result()
-        return self.service.apply_ops(ops)
+    def _write(self, op: WriteOp, respond: Callable[[Any, int], Response]) -> Reply:
+        """Apply one op, through the batcher when one is attached.
+
+        ``respond(result, lsn)`` builds the success response; a failed
+        op raises its error for :meth:`handle` to map.
+        """
+        if self.batcher is None:
+            return _written(self.service.apply_ops([op]), respond)
+        future = self.batcher.submit([op])
+
+        async def settled() -> Response:
+            return _written(await future, respond)
+
+        return settled()
 
     # -- endpoints -------------------------------------------------------
 
@@ -241,26 +274,21 @@ class ServingApp:
             {"point": list(point), "value": value, "lsn": snapshot.lsn},
         )
 
-    def _insert(self, request: dict[str, Any]) -> Response:
+    def _insert(self, request: dict[str, Any]) -> Reply:
         point = self._point(request)
         replace = bool(request.get("replace", False))
         op: WriteOp = ("insert", point, request.get("value"), replace)
-        outcomes, lsn = self._apply_write([op])
-        ok, result = outcomes[0]
-        if not ok:
-            self._instrument("insert").errors.inc()
-            return self._error_response(result)
-        return Response(201, {"point": list(point), "lsn": lsn})
+        return self._write(
+            op, lambda _, lsn: Response(201, {"point": list(point), "lsn": lsn})
+        )
 
-    def _delete(self, request: dict[str, Any]) -> Response:
+    def _delete(self, request: dict[str, Any]) -> Reply:
         point = self._point(request)
-        outcomes, lsn = self._apply_write([("delete", point)])
-        ok, result = outcomes[0]
-        if not ok:
-            self._instrument("delete").errors.inc()
-            return self._error_response(result)
-        return Response(
-            200, {"point": list(point), "value": result, "lsn": lsn}
+        return self._write(
+            ("delete", point),
+            lambda value, lsn: Response(
+                200, {"point": list(point), "value": value, "lsn": lsn}
+            ),
         )
 
     def _range(self, request: dict[str, Any]) -> Response:
@@ -373,6 +401,13 @@ class ServingApp:
             to_prometheus(self.registry),
             content_type="text/plain; version=0.0.4",
         )
+
+
+def _written(done: Outcome, respond: Callable[[Any, int], Response]) -> Response:
+    (ok, result), lsn = done[0][0], done[1]
+    if not ok:
+        raise result
+    return respond(result, lsn)
 
 
 _ROUTES: dict[tuple[str, str], _Route] = {

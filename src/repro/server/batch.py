@@ -1,36 +1,42 @@
-"""Group-commit write batching for the serving layer.
+"""Group-commit write batching on the serving event loop.
 
 HTTP write requests land one at a time, but the service pays fixed
 costs per commit — the writer lock handoff and the version publication.
-The batcher amortises them: requests queue up, and a single background
-writer thread blocks for the first one, then takes whatever else is
-*already* queued (up to ``max_batch``) and applies the whole group
+The batcher amortises them without a thread of its own.  :meth:`submit`
+runs on the event loop: it parks the request with an ``asyncio`` future
+and, for the first request of a group, schedules one ``call_soon``
+drain, so a group is every write parsed in the same loop iteration.
+The drain commits it in chunks of at most ``max_batch`` requests, each
 under **one** lock hold and **one** publication via
-:meth:`TreeService.apply_ops`, then resolves each request's future with
-its own outcome.  There is no timer: a group is exactly what queued
-while the previous group was committing, so coalescing happens under
-load and a lone write never waits.  The WAL does *not* share the group:
-a durable store still commits (and, with ``sync="commit"``, fsyncs)
-one WAL transaction per op, so a group of five ops publishes once but
-logs five commits.
+:meth:`TreeService.apply_ops`, and resolves each request's future with
+its own outcome.  There is no timer, so a lone write never waits for
+stragglers.  A connection has at most one request in flight, so pending
+writes are bounded by open connections.
+
+The commit runs on the loop thread, so with ``sync="commit"`` reads
+wait behind a group's fsyncs.  The WAL does *not* share the group: a
+durable store still commits one WAL transaction per op.
 
 Requests stay independent — a failed op (duplicate key, missing key)
-fails only its own future; the rest of the group commits.  This is
-deliberately *not* the all-or-nothing ``/v1/batch`` endpoint, which
-goes through :meth:`TreeService.apply_batch` directly.
+fails only its own request's outcome; the rest of the group commits.
+This is deliberately *not* the all-or-nothing ``/v1/batch`` endpoint,
+which goes through :meth:`TreeService.apply_batch` directly.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from concurrent.futures import Future
+import asyncio
 from typing import Any, Sequence
 
 from repro.concurrency.service import TreeService, WriteOp
 from repro.errors import ReproError
 
 __all__ = ["BatchStats", "WriteBatcher"]
+
+#: One request's result: its own per-op outcomes and the commit's LSN.
+Outcome = tuple[list[tuple[bool, Any]], int]
+#: One queued request: its ops and the future its caller awaits.
+_Request = tuple[list[WriteOp], "asyncio.Future[Outcome]"]
 
 
 class BatchStats:
@@ -56,20 +62,8 @@ class BatchStats:
         }
 
 
-class _Pending:
-    __slots__ = ("ops", "future")
-
-    def __init__(self, ops: list[WriteOp], future: "Future[Any]"):
-        self.ops = ops
-        self.future = future
-
-
-#: Queue sentinel that tells the writer thread to exit.
-_SHUTDOWN = object()
-
-
 class WriteBatcher:
-    """A background writer thread that drains queued writes in groups."""
+    """Coalesces the writes of one loop iteration into group commits."""
 
     def __init__(self, service: TreeService, *, max_batch: int = 64):
         if max_batch <= 0:
@@ -77,85 +71,59 @@ class WriteBatcher:
         self.service = service
         self.max_batch = max_batch
         self.stats = BatchStats()
-        self._queue: "queue.Queue[Any]" = queue.Queue()
-        #: Guards ``_closed`` together with the enqueue, so no request
-        #: can land behind the shutdown sentinel.
-        self._lock = threading.Lock()
+        self._pending: list[_Request] = []
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._drain_loop, name="repro-write-batcher", daemon=True
-        )
-        self._thread.start()
 
-    def submit(self, ops: Sequence[WriteOp]) -> "Future[tuple[list[tuple[bool, Any]], int]]":
-        """Enqueue one request's ops; resolves to ``(outcomes, lsn)``.
+    def submit(self, ops: Sequence[WriteOp]) -> "asyncio.Future[Outcome]":
+        """Queue one request's ops; call on the loop thread.
 
-        The future carries the request's own per-op outcomes plus the
-        LSN at which its successful effects became visible.  A
-        service-level failure (poisoned writer) rejects the future with
-        the underlying exception.
+        The future resolves to ``(outcomes, lsn)``: the request's own
+        per-op outcomes plus the LSN at which its successful effects
+        became visible.  A service-level failure (poisoned writer)
+        rejects it with the underlying exception.
         """
-        future: "Future[tuple[list[tuple[bool, Any]], int]]" = Future()
-        with self._lock:
-            if self._closed:
-                raise ReproError("write batcher is closed")
-            self._queue.put(_Pending(list(ops), future))
+        if self._closed:
+            raise ReproError("write batcher is closed")
+        loop = asyncio.get_running_loop()
+        future: "asyncio.Future[Outcome]" = loop.create_future()
+        if not self._pending:
+            loop.call_soon(self._drain)
+        self._pending.append((list(ops), future))
         return future
 
     def close(self) -> None:
-        """Stop accepting writes, drain the queue, join the thread."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._queue.put(_SHUTDOWN)
-        self._thread.join()
+        """Refuse new writes and fail any still pending.
 
-    # -- writer thread ---------------------------------------------------
+        Safe after the loop has stopped: the failed futures' callbacks
+        run if the loop runs again.
+        """
+        self._closed = True
+        pending, self._pending = self._pending, []
+        for _, future in pending:
+            if not future.done():
+                future.set_exception(ReproError("write batcher is closed"))
 
-    def _drain_loop(self) -> None:
-        inbox = self._queue
-        item = None
-        while item is not _SHUTDOWN:
-            item = inbox.get()
-            group: list[_Pending] = []
-            while item is not _SHUTDOWN:
-                group.append(item)
-                if len(group) == self.max_batch:
-                    break
-                try:
-                    item = inbox.get_nowait()
-                except queue.Empty:
-                    break
-            if group:
-                self._apply_group(group)
-        # Nothing can follow the sentinel (``submit`` enqueues under the
-        # lock that ``close`` sets ``_closed`` under); should anything
-        # have, fail it rather than leave its caller blocked forever.
-        while True:
-            try:
-                leftover = inbox.get_nowait()
-            except queue.Empty:
-                return
-            leftover.future.set_exception(ReproError("write batcher is closed"))
+    def _drain(self) -> None:
+        # A request cancelled at shutdown is not applied.
+        live = [(ops, f) for ops, f in self._pending if not f.done()]
+        self._pending = []
+        for start in range(0, len(live), self.max_batch):
+            self._commit(live[start : start + self.max_batch])
 
-    def _apply_group(self, group: list[_Pending]) -> None:
-        flat: list[WriteOp] = []
-        slices: list[tuple[int, int]] = []
-        for pending in group:
-            start = len(flat)
-            flat.extend(pending.ops)
-            slices.append((start, len(flat)))
+    def _commit(self, group: list[_Request]) -> None:
+        flat = [op for ops, _ in group for op in ops]
         try:
             outcomes, lsn = self.service.apply_ops(flat)
-        except BaseException as exc:
-            for pending in group:
-                pending.future.set_exception(exc)
+        except Exception as exc:
+            for _, future in group:
+                future.set_exception(exc)
             return
         stats = self.stats
         stats.batches += 1
         stats.requests += len(group)
         stats.ops += len(flat)
         stats.max_batch_seen = max(stats.max_batch_seen, len(group))
-        for pending, (start, end) in zip(group, slices):
-            pending.future.set_result((outcomes[start:end], lsn))
+        start = 0
+        for ops, future in group:
+            future.set_result((outcomes[start : start + len(ops)], lsn))
+            start += len(ops)

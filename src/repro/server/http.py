@@ -4,18 +4,18 @@ Minimal by design: request line + headers + ``Content-Length`` body,
 keep-alive connections, JSON in and out.  No dependency beyond the
 standard library (the container the repo targets has no web framework).
 
-Threading model: the event loop serves *reads* inline — a snapshot read
-is sub-millisecond CPU work, and the GIL means a thread pool would add
-handoffs without adding parallelism.  *Writes* are handed to the
-:class:`~repro.server.batch.WriteBatcher`'s single writer thread and
-awaited as futures, so a slow write (a split cascade, a WAL fsync)
-never stalls the accept loop, and write requests that queue while one
-group commits coalesce into the next group commit.  The app object itself is shared safely: its state
-is the service (thread-safe by construction) and the metrics registry
-(counter increments; per-sample exactness is not load-bearing).
+Threading model: one event loop serves every request.  Reads run
+inline — a snapshot read is sub-millisecond CPU work, and under the GIL
+a thread pool would add handoffs without adding parallelism.  A
+single-op write is queued with the :class:`~repro.server.batch.WriteBatcher`
+and its connection awaits the response; the batcher commits every write
+parsed in the same loop iteration as one group, on the loop thread.
+Each connection has at most one request in flight, so pending writes
+are bounded by the open connections.
 
-:class:`ServerHandle` hosts the loop in a daemon thread for tests and
-the CLI's foreground mode alike.
+:class:`ServerHandle` hosts the loop in a daemon thread for in-process
+callers (the tests); ``repro serve`` runs :func:`serve_app` in the
+foreground.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ async def _handle_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
-    loop = asyncio.get_running_loop()
     try:
         while True:
             try:
@@ -112,17 +111,9 @@ async def _handle_connection(
                 return
             method, path, headers, body = request
             keep_alive = headers.get("connection", "").lower() != "close"
-            if method.upper() == "POST" and path in (
-                "/v1/insert",
-                "/v1/delete",
-            ) and app.batcher is not None:
-                # Hand the write to the batcher thread and yield the
-                # loop; handle() would otherwise block it on the lock.
-                response = await loop.run_in_executor(
-                    None, app.handle, method, path, body
-                )
-            else:
-                response = app.handle(method, path, body)
+            response = app.handle(method, path, body)
+            if not isinstance(response, Response):
+                response = await response
             writer.write(_encode(response, keep_alive))
             await writer.drain()
             if not keep_alive:
@@ -184,8 +175,8 @@ async def serve_app(
 class ServerHandle:
     """Run a serving app's event loop in a background thread.
 
-    Used by the CLI (which then just waits for Ctrl-C) and by the HTTP
-    tests (bind port 0, read :attr:`port`, talk over a real socket).
+    Used by the HTTP tests and the benchmark's self-tests: bind port 0,
+    read :attr:`port`, talk over a real socket.
     """
 
     def __init__(self, app: ServingApp, host: str = "127.0.0.1", port: int = 0):

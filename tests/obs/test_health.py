@@ -21,6 +21,7 @@ from repro.obs import (
 )
 from repro.obs.health import OK, VIOLATION, WARNING, HealthReport
 from repro.obs.health import HealthFinding
+from repro.obs.report import run_doctor
 from tests.conftest import make_points
 
 
@@ -193,3 +194,17 @@ class TestReportShape:
     def test_finding_to_dict_omits_absent_fields(self):
         data = HealthFinding("height", OK, "fine").to_dict()
         assert set(data) == {"guarantee", "severity", "message"}
+
+
+class TestDoctorSeries:
+    @pytest.mark.parametrize(
+        "inserts, expected", [(40, [20, 40]), (50, [20, 40, 50])]
+    )
+    def test_series_ends_at_the_last_op_once(self, unit2, inserts, expected):
+        tree = BVTree(unit2, data_capacity=8, fanout=8)
+        ops = [
+            ("insert", point, i)
+            for i, point in enumerate(make_points(inserts, 2, seed=5))
+        ]
+        result = run_doctor(tree, ops, sample_every=20)
+        assert result.timeseries["ops"] == expected

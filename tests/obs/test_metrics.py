@@ -286,6 +286,18 @@ class TestTimeSeriesSink:
         assert series.columns["c"] == series.ops
         assert all(len(col) == len(series.ops) for col in series.columns.values())
 
+    @pytest.mark.parametrize(
+        "ticks, expected", [(6, [2, 4, 6]), (7, [2, 4, 6, 7]), (0, [0])]
+    )
+    def test_sample_end_records_the_end_state_once(self, ticks, expected):
+        registry = MetricsRegistry()
+        series = TimeSeriesSink(registry, every=2)
+        for _ in range(ticks):
+            series.tick()
+        series.sample_end()
+        series.sample_end()
+        assert series.ops == expected
+
     def test_to_dict_round_trip_shape(self):
         registry = MetricsRegistry()
         registry.gauge("g").set(7.0)

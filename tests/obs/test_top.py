@@ -132,6 +132,21 @@ class TestArtifacts:
         )
         assert result.registry_snapshot
 
+    @pytest.mark.parametrize(
+        "gets, expected", [(40, [20, 40]), (50, [20, 40, 50])]
+    )
+    def test_metrics_out_ends_at_the_last_op_once(
+        self, unit2, gets, expected
+    ):
+        tree, points = build(unit2)
+        result = run_top(
+            tree,
+            [("get", p) for p in points[:gets]],
+            once=True,
+            metrics_every=20,
+        )
+        assert result.timeseries["ops"] == expected
+
     def test_slow_log_integration(self, unit2, tmp_path):
         tree, points = build(unit2)
         log = SlowOpLog(tmp_path / "slow.jsonl", pages=1)

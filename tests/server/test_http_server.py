@@ -13,10 +13,15 @@ import threading
 
 import pytest
 
-from repro.concurrency import build_service
+from repro import DataSpace
+from repro.concurrency import TreeService, build_service
 from repro.server.app import ServingApp
 from repro.server.batch import WriteBatcher
 from repro.server.http import ServerHandle
+from repro.storage.durable.recovery import (
+    create_durable_tree,
+    open_durable_tree,
+)
 
 
 @pytest.fixture()
@@ -215,3 +220,53 @@ class TestBatcherCoalescing:
         )
         assert (status, payload["applied"]) == (200, 2)
         assert app.batcher.stats.requests == before
+
+
+class TestDurableServedWrites:
+    def test_acknowledged_writes_survive_a_reopen_with_sync_commit(
+        self, tmp_path
+    ):
+        """The loop fsyncs each commit; recovery replays every ack."""
+        space = DataSpace.unit(2, resolution=16)
+        tree = create_durable_tree(
+            tmp_path, space, data_capacity=4, fanout=4, sync="commit"
+        )
+        store = tree.store
+        service = TreeService(tree)
+        batcher = WriteBatcher(service)
+        points = [
+            [i / 16 + 1 / 32, j / 16 + 1 / 32]
+            for i in range(4)
+            for j in range(5)
+        ]
+        try:
+            with ServerHandle(ServingApp(service, batcher=batcher)) as handle:
+                for i, p in enumerate(points):
+                    status, _ = request(
+                        handle, "POST", "/v1/insert", {"point": p, "value": i}
+                    )
+                    assert status == 201
+                for p in points[::3]:
+                    status, _ = request(
+                        handle, "POST", "/v1/delete", {"point": p}
+                    )
+                    assert status == 200
+                for i, p in enumerate(points):
+                    status, _ = request(
+                        handle, "POST", "/v1/get", {"point": p}
+                    )
+                    assert status == (404 if i % 3 == 0 else 200)
+            assert store.wal_stats.syncs >= len(points)
+        finally:
+            batcher.close()
+            service.detach()
+            store.close(checkpoint=False)
+        recovered, report = open_durable_tree(tmp_path, sync="os")
+        try:
+            expected = {
+                tuple(p): i for i, p in enumerate(points) if i % 3 != 0
+            }
+            assert dict(recovered.items()) == expected
+            assert report.op_commits.count("delete") == len(points[::3])
+        finally:
+            recovered.store.close(checkpoint=False)
