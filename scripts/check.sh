@@ -118,6 +118,9 @@ echo "== concurrency =="
 # benchmark's self-tests ride along: their write-count test drives two
 # clients through the real batcher and requires that they coalesce.
 python -m pytest -x -q tests/concurrency tests/server
+# The server under asyncio's debug mode with warnings as errors: an
+# unclosed transport or a stray shutdown traceback fails the lane.
+python -X dev -W error -m pytest -q tests/server
 python3 perfbench/selftest.py
 
 echo "== serve smoke =="

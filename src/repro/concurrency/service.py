@@ -31,7 +31,7 @@ published versions with WAL transactions.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, ContextManager, Iterator, Sequence
 
 from repro.concurrency.clone import clone_page
 from repro.concurrency.snapshots import PageTable, Snapshot, TreeVersion
@@ -160,6 +160,9 @@ class RecordingStore:
 
     def __contains__(self, page_id: int) -> bool:
         return page_id in self.inner
+
+    def transaction(self, name: str) -> ContextManager[Any]:
+        return self.inner.transaction(name)
 
 
 class TreeService:

@@ -243,6 +243,33 @@ class ColumnarDataPage(DataPage):
         page._c_values = list(self._c_values)
         return page
 
+    def changes_since(self, base: DataPage) -> tuple[
+        list[tuple[int, tuple[tuple[float, ...], Any]]], list[int]
+    ]:
+        """The object layout's record-map diff, read off the columns
+        without materialising ``records``."""
+        if not isinstance(base, ColumnarDataPage):
+            return super().changes_since(base)
+        paths, values, coords = self._c_paths, self._c_values, self._c_coords
+        b_paths, b_values, b_coords = base._c_paths, base._c_values, base._c_coords
+        if paths == b_paths and values == b_values and coords == b_coords:
+            return [], []
+        nd = self.ndim
+        base_at = {path: j for j, path in enumerate(b_paths)}
+        pop = base_at.pop
+        added = []
+        for i, path in enumerate(paths):
+            j = pop(path, None)
+            point = coords[i * nd : i * nd + nd]
+            value = values[i]
+            if (
+                j is None
+                or not (value is b_values[j] or value == b_values[j])
+                or point != b_coords[j * nd : j * nd + nd]
+            ):
+                added.append((path, (tuple(point), value)))
+        return added, list(base_at)
+
     def extract_block(self, key: RegionKey, path_bits: int) -> "ColumnarDataPage":
         """Split out the records inside ``key``'s block into a new page.
 

@@ -220,6 +220,14 @@ class DataPage:
         page.records.update(self.records)
         return page
 
+    def changes_since(self, base: "DataPage") -> tuple[
+        list[tuple[int, tuple[tuple[float, ...], Any]]], list[int]
+    ]:
+        """``(added_or_replaced, removed_paths)`` from ``base`` to this
+        page; ``base`` is an earlier :meth:`clone` of it (the durable
+        store's delta base)."""
+        return diff_records(base.records, self.records)
+
     def __contains__(self, path: int) -> bool:
         return path in self.records
 
@@ -228,3 +236,39 @@ class DataPage:
 
     def __repr__(self) -> str:
         return f"DataPage({len(self.records)} records)"
+
+
+def diff_records(
+    base: dict[int, tuple[tuple[float, ...], Any]],
+    current: dict[int, tuple[tuple[float, ...], Any]],
+) -> tuple[list[tuple[int, tuple[tuple[float, ...], Any]]], list[int]]:
+    """``(added_or_replaced, removed_paths)`` from ``base`` to ``current``."""
+    base_get = base.get
+    # Unchanged records are the *same* objects (a clone shares the
+    # record tuples of a map whose entries are replaced, never
+    # mutated), so one identity sweep narrows the page to the few
+    # suspects and the classification loop below runs over those alone.
+    suspects = [
+        (path, record)
+        for path, record in current.items()
+        if base_get(path) is not record
+    ]
+    if not suspects and len(base) == len(current):
+        return [], []
+    added = []
+    new_paths = 0
+    for path, record in suspects:
+        previous = base_get(path)
+        if previous is None:
+            new_paths += 1
+            added.append((path, record))
+        elif previous != record:
+            added.append((path, record))
+    # |base ∩ current| == len(current) - new_paths, so this equality
+    # holds exactly when nothing was removed — the common insert case
+    # skips the O(page) scan of ``base``.
+    if len(base) + new_paths == len(current):
+        removed: list[int] = []
+    else:
+        removed = [path for path in base if path not in current]
+    return added, removed

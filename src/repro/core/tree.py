@@ -193,11 +193,12 @@ class BVTree:
         # guarantee monitor (update-path kinds only) can group split work
         # per operation; read ops stay on ``enabled``.
         tracer = self.tracer
-        if not tracer.structural:
-            _insert.insert_point(self, point, value, replace=replace)
-            return
-        with tracer.operation("insert", point=list(point)):
-            _insert.insert_point(self, point, value, replace=replace)
+        with self.store.transaction("insert"):
+            if not tracer.structural:
+                _insert.insert_point(self, point, value, replace=replace)
+                return
+            with tracer.operation("insert", point=list(point)):
+                _insert.insert_point(self, point, value, replace=replace)
 
     def get(self, point: Sequence[float]) -> Any:
         """The value stored at ``point`` (KeyNotFoundError if absent)."""
@@ -306,10 +307,11 @@ class BVTree:
         ``insert(..., replace=True)`` would).
         """
         tracer = self.tracer
-        if not tracer.structural:
-            return _bulk.bulk_load(self, records, replace=replace)
-        with tracer.operation("bulk_load"):
-            return _bulk.bulk_load(self, records, replace=replace)
+        with self.store.transaction("bulk_load"):
+            if not tracer.structural:
+                return _bulk.bulk_load(self, records, replace=replace)
+            with tracer.operation("bulk_load"):
+                return _bulk.bulk_load(self, records, replace=replace)
 
     def update_many(
         self,
@@ -365,10 +367,11 @@ class BVTree:
     def delete(self, point: Sequence[float]) -> Any:
         """Remove and return the record at ``point`` (KeyNotFoundError if absent)."""
         tracer = self.tracer
-        if not tracer.structural:
-            return _delete.delete_point(self, point)
-        with tracer.operation("delete", point=list(point)):
-            return _delete.delete_point(self, point)
+        with self.store.transaction("delete"):
+            if not tracer.structural:
+                return _delete.delete_point(self, point)
+            with tracer.operation("delete", point=list(point)):
+                return _delete.delete_point(self, point)
 
     # ------------------------------------------------------------------
     # Queries

@@ -137,19 +137,21 @@ async def serve_app(
 ) -> None:
     """Serve ``app`` until ``stop`` is set (or forever)."""
 
-    connections: set["asyncio.Task[None]"] = set()
+    connections: dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
 
     async def client(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
         if task is not None:
-            connections.add(task)
+            connections[task] = writer
         try:
             await _handle_connection(app, reader, writer)
+        except ConnectionError:
+            pass  # the peer (or shutdown) closed the connection
         finally:
             if task is not None:
-                connections.discard(task)
+                connections.pop(task, None)
 
     server = await asyncio.start_server(client, host, port)
     try:
@@ -163,11 +165,13 @@ async def serve_app(
             await stop.wait()
     finally:
         server.close()
+        # Idle keep-alive connections are parked in readline().  Closing
+        # their transports ends each one on EOF, so every connection
+        # task finishes normally; a cancelled task would make asyncio
+        # log a CancelledError traceback per connection.
+        for writer in connections.values():
+            writer.close()
         await server.wait_closed()
-        # Idle keep-alive connections are parked in readline(); cancel
-        # them so the loop closes without orphaned tasks.
-        for task in list(connections):
-            task.cancel()
         if connections:
             await asyncio.gather(*connections, return_exceptions=True)
 

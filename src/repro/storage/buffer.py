@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Iterator
+from typing import Any, ContextManager, Iterator
 
 from repro.errors import StorageError
 from repro.obs.events import PAGE_READ
@@ -131,6 +131,10 @@ class BufferPool:
 
     def __contains__(self, page_id: int) -> bool:
         return page_id in self.store
+
+    def transaction(self, name: str) -> ContextManager[Any]:
+        """Pass through to the store."""
+        return self.store.transaction(name)
 
     def read(self, page_id: int) -> Any:
         """Read a page, from cache if resident.

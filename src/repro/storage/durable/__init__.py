@@ -19,8 +19,8 @@ Module map:
   log, the tolerant scanner;
 - :mod:`~repro.storage.durable.pagefile` — the checkpoint image format
   and its strict loader;
-- :mod:`~repro.storage.durable.store` — :class:`DurableStore` and the
-  op-span subscriber that groups mutations into transactions;
+- :mod:`~repro.storage.durable.store` — :class:`DurableStore`, its
+  explicit per-operation transactions and page-clone delta bases;
 - :mod:`~repro.storage.durable.recovery` — redo replay, tree rebuild,
   the :class:`RecoveryReport`.
 

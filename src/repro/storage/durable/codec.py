@@ -31,12 +31,12 @@ this codec differs in being *per page* (the unit of WAL records and
 checkpoint slots) rather than per tree.
 
 Besides full images the codec speaks *deltas* for data pages
-(:func:`encode_data_delta` / :func:`apply_data_delta`): the difference
-between two record maps as added/replaced records plus removed paths.
-The durable store logs a delta whenever it has already logged the page
-once this incarnation, which turns the WAL hot path from O(page) to
-O(change) — the difference between re-encoding sixteen records per
-insert and encoding one.
+(:func:`encode_delta_body` / :func:`apply_data_delta`): the difference
+between two versions of a page as added/replaced records plus removed
+paths.  The durable store logs a delta whenever it has already logged
+the page once this incarnation, which turns the WAL hot path from
+O(page) to O(change) — the difference between re-encoding sixteen
+records per insert and encoding one.
 """
 
 from __future__ import annotations
@@ -47,17 +47,15 @@ from typing import Any
 
 from repro.core.columnar import ColumnarDataPage, ColumnarIndexNode
 from repro.core.entry import Entry
-from repro.core.node import DataPage, IndexNode
+from repro.core.node import DataPage, IndexNode, diff_records
 from repro.errors import WalCorruptionError
 from repro.geometry.region import RegionKey
 
 __all__ = [
     "apply_data_delta",
     "decode_content",
-    "diff_records",
     "encode_content",
     "encode_data_delta",
-    "encode_data_delta_body",
     "encode_delta_body",
 ]
 
@@ -169,42 +167,6 @@ def decode_content(data: dict[str, Any]) -> Any:
     raise WalCorruptionError(f"unknown page content kind {kind!r}")
 
 
-def diff_records(
-    base: dict[int, tuple[tuple[float, ...], Any]],
-    current: dict[int, tuple[tuple[float, ...], Any]],
-) -> tuple[list[tuple[int, tuple[tuple[float, ...], Any]]], list[int]]:
-    """``(added_or_replaced, removed_paths)`` from ``base`` to ``current``."""
-    base_get = base.get
-    # Unchanged records are the *same* objects (the base starts as a
-    # shallow copy of a map whose entries are replaced, never mutated),
-    # so one identity sweep narrows the page to the few suspects and
-    # the classification loop below runs over those alone.
-    suspects = [
-        (path, record)
-        for path, record in current.items()
-        if base_get(path) is not record
-    ]
-    if not suspects and len(base) == len(current):
-        return [], []
-    added = []
-    new_paths = 0
-    for path, record in suspects:
-        previous = base_get(path)
-        if previous is None:
-            new_paths += 1
-            added.append((path, record))
-        elif previous != record:
-            added.append((path, record))
-    # |base ∩ current| == len(current) - new_paths, so this equality
-    # holds exactly when nothing was removed — the common insert case
-    # skips the O(page) scan of ``base``.
-    if len(base) + new_paths == len(current):
-        removed: list[int] = []
-    else:
-        removed = [path for path in base if path not in current]
-    return added, removed
-
-
 def encode_data_delta(
     base: dict[int, tuple[tuple[float, ...], Any]],
     current: dict[int, tuple[tuple[float, ...], Any]],
@@ -261,25 +223,6 @@ def encode_delta_body(
         f',"r":[{",".join(map(str, removed))}]'
         f',"v":{values},"x":{txn}}}'
     ).encode("ascii")
-
-
-def encode_data_delta_body(
-    page_id: int,
-    txn: int,
-    base: dict[int, tuple[tuple[float, ...], Any]],
-    current: dict[int, tuple[tuple[float, ...], Any]],
-) -> bytes | None:
-    """Diff ``base`` against ``current`` and encode the delta record.
-
-    ``None`` when the maps are equal (nothing to log).  The store's
-    write path runs :func:`diff_records` and :func:`encode_delta_body`
-    separately — it needs the diff to advance its delta base — so this
-    convenience wrapper mostly serves tests and tooling.
-    """
-    added, removed = diff_records(base, current)
-    if not added and not removed:
-        return None
-    return encode_delta_body(page_id, txn, added, removed)
 
 
 def apply_data_delta(content: Any, payload: dict[str, Any]) -> DataPage:

@@ -10,24 +10,24 @@ and adds a durability shadow: every mutation is appended to a
 returns, and a checkpoint compacts the log into a
 :class:`~repro.storage.durable.pagefile` image.
 
-Transactions ride the tracer
-----------------------------
-One *tree operation* is one WAL transaction.  The store does not ask the
-tree to say when an operation starts — the tree already announces it:
-``BVTree.insert``/``delete``/``bulk_load`` open tracer op spans whenever
-``tracer.structural`` is true.  The store subscribes a tap
-(:class:`_OpSpanTap`) to whatever tracer it carries, watches
-``op_begin``/``op_end``, and groups every mutation inside the span into
-one transaction.  The transaction's records are buffered and written to
-the log in one burst at ``op_end``, the commit marker riding the last
-record's type byte (``REC_COMMIT_FLAG``, with the operation name in its
-payload), followed in ``sync="commit"`` mode by a single fsync — group
-commit, one transaction per tree operation, with zero changes to
-:mod:`repro.core` (lint rule R3).  A span that exits with an error
-writes nothing at all: the buffered records are dropped, so a failed
-operation is invisible after a crash, same as it is in memory.
-Mutations outside any span (tree construction, direct store use)
-auto-commit individually.
+Transactions are explicit
+-------------------------
+One *tree operation* is one WAL transaction.  ``BVTree.insert``,
+``delete`` and ``bulk_load`` open the ``Storage`` protocol's
+``transaction(name)`` context around their work, traced or not; every
+mutation inside the outermost open one joins it.  The records are
+buffered and written to the log in one burst when it closes, the commit
+marker riding the last record's type byte (``REC_COMMIT_FLAG``, with
+the operation name in its payload), followed in ``sync="commit"`` mode
+by a single fsync.  A transaction closed by an exception writes nothing
+at all, so a failed operation is invisible after a crash, same as it is
+in memory.  Mutations outside any transaction (tree construction,
+direct store use) auto-commit individually.
+
+A data page's first write logs its full image; later writes log only
+the change since the page's last logged ``clone()``, which the store
+keeps as the delta base.  An aborted transaction that had buffered
+records forgets every base: a full image is always a valid next record.
 
 Crash discipline
 ----------------
@@ -41,12 +41,12 @@ directory with :func:`repro.storage.durable.recovery.recover_store`.
 from __future__ import annotations
 
 import os
+from types import TracebackType
 from typing import Any
 
 from repro.core.node import DataPage
 from repro.errors import SimulatedCrashError, StorageError
-from repro.obs.events import CHECKPOINT, OP_BEGIN, OP_END, TraceEvent
-from repro.obs.tracer import Tracer
+from repro.obs.events import CHECKPOINT
 from repro.storage.durable import codec
 from repro.storage.durable.pagefile import (
     StoreState,
@@ -71,39 +71,36 @@ WAL_NAME = "wal.log"
 PAGEFILE_NAME = "pages.dat"
 TMP_PAGEFILE_NAME = "pages.dat.tmp"
 
-#: The tree operations that become WAL transactions (their spans carry
-#: mutations; read spans like ``get``/``range`` never reach the WAL).
-_TXN_OPS = frozenset({"insert", "delete", "bulk_load"})
-
 _SYNC_MODES = ("commit", "os")
 
 
-class _OpSpanTap:
-    """A tracer subscriber that turns op spans into transactions.
+class _Transaction:
+    """One :meth:`DurableStore.transaction`; leaving the outermost one
+    commits, or aborts if an exception is propagating."""
 
-    Declares ``kinds`` so the tracer builds no other event for it (page
-    writes, splits); see :mod:`repro.obs.tracer`.
-    """
+    __slots__ = ("_store", "_name")
 
-    __slots__ = ("_store",)
-
-    #: The only event kinds this tap consumes.
-    kinds = frozenset({OP_BEGIN, OP_END})
-
-    def __init__(self, store: "DurableStore"):
+    def __init__(self, store: "DurableStore", name: str):
         self._store = store
+        self._name = name
 
-    def emit(self, event: TraceEvent) -> None:
-        if event.kind == OP_BEGIN:
-            if event.fields.get("name") in _TXN_OPS:
-                self._store._begin_op(event.op)
-        elif event.kind == OP_END:
-            if event.fields.get("name") in _TXN_OPS:
-                self._store._end_op(
-                    event.op,
-                    str(event.fields["name"]),
-                    error=("error" in event.fields),
-                )
+    def __enter__(self) -> None:
+        self._store._depth += 1
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        store = self._store
+        store._depth -= 1
+        if store._depth or store._dead or store._closed:
+            return
+        if exc_type is None:
+            store._commit(self._name)
+        else:
+            store._abort()
 
 
 class _DeadPageTable(dict):
@@ -189,7 +186,7 @@ class DurableStore(PageStore):
                     f"({name} exists); reopen it with "
                     f"repro.storage.durable.recover_store"
                 )
-        self._open_wal(0)
+        self._wal = WriteAheadLog(self.wal_path, self.faults)
 
     def _setup(
         self,
@@ -203,9 +200,6 @@ class DurableStore(PageStore):
             raise StorageError(
                 f"unknown sync mode {sync!r}; one of {_SYNC_MODES}"
             )
-        # The tracer property (below) consults these; they must exist
-        # before PageStore.__init__ assigns ``self.tracer``.
-        self._op_tap: _OpSpanTap | None = None
         self._wal: WriteAheadLog | None = None
         self._dead = False
         self._closed = False
@@ -214,25 +208,13 @@ class DurableStore(PageStore):
         self.faults = faults if faults is not None else FaultPlan()
         self.sync = sync
         self._meta: dict[str, Any] = {}
-        self._op_stack: list[int] = []
+        self._depth = 0
         self._txn = 1
         self._txn_dirty = False
-        # Last record map logged per data page (the delta base) and the
-        # pages whose base advanced inside the open transaction — an
-        # abort rolls those bases back to "unknown" so the next write
-        # logs a full image again (see ``write``).
-        self._logged: dict[int, dict[int, tuple[tuple[float, ...], Any]]] = {}
-        self._txn_touched: set[int] = set()
+        # A clone of each data page as last logged: the delta base.
+        self._logged: dict[int, DataPage] = {}
         self._txn_buf: list[tuple[int, bytes]] = []
         os.makedirs(self.directory, exist_ok=True)
-
-    def _open_wal(self, start_seq: int) -> None:
-        """Open a fresh WAL and subscribe the op-span tap to the tracer."""
-        self._wal = WriteAheadLog(
-            self.wal_path, self.faults, start_seq=start_seq
-        )
-        self._op_tap = _OpSpanTap(self)
-        self._tracer.subscribe(self._op_tap)
 
     # ------------------------------------------------------------------
     # Paths and stats
@@ -265,24 +247,6 @@ class DurableStore(PageStore):
     def wal_seq(self) -> int:
         """Sequence number of the most recent WAL record."""
         return self._live_wal().seq
-
-    # ------------------------------------------------------------------
-    # Tracer rebinding: the op tap follows the tracer
-    # ------------------------------------------------------------------
-
-    @property
-    def tracer(self) -> Tracer:
-        """The shared tracer (the op-span tap moves with it)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Tracer) -> None:
-        tap = self._op_tap
-        if tap is not None:
-            self._tracer.unsubscribe(tap)
-        self._tracer = tracer
-        if tap is not None:
-            tracer.subscribe(tap)
 
     # ------------------------------------------------------------------
     # Liveness
@@ -318,29 +282,13 @@ class DurableStore(PageStore):
         return self._closed
 
     # ------------------------------------------------------------------
-    # WAL transaction plumbing (driven by the tracer tap)
+    # WAL transactions
     # ------------------------------------------------------------------
 
-    def _begin_op(self, op_id: int) -> None:
-        if self._dead or self._closed:
-            return
-        self._op_stack.append(op_id)
-
-    def _end_op(self, op_id: int, name: str, error: bool) -> None:
-        stack = self._op_stack
-        if not stack or stack[-1] != op_id:
-            # A span we never saw open (tap attached mid-operation, or
-            # the store died inside it and was reset) — ignore.
-            if op_id in stack:
-                del stack[stack.index(op_id) :]
-            return
-        stack.pop()
-        if stack or self._dead or self._closed:
-            return
-        if error:
-            self._abort()
-        else:
-            self._commit(name)
+    def transaction(self, name: str) -> _Transaction:
+        """A context grouping its mutations into one WAL transaction
+        named ``name`` (see the module docstring)."""
+        return _Transaction(self, name)
 
     def _log(self, rtype: int, payload: dict[str, Any]) -> None:
         payload["x"] = self._txn
@@ -359,7 +307,7 @@ class DurableStore(PageStore):
             return
         self._txn_buf.append((rtype, body))
         self._txn_dirty = True
-        if not self._op_stack:
+        if not self._depth:
             self._commit("auto")
 
     def _commit(self, op_name: str) -> None:
@@ -394,18 +342,15 @@ class DurableStore(PageStore):
         buf.clear()
         self._txn += 1
         self._txn_dirty = False
-        self._txn_touched.clear()
 
     def _abort(self) -> None:
         # The buffered records are simply dropped — an aborted
-        # transaction leaves no trace in the log.  The delta bases
-        # advanced inside it are lies though; forget them and the next
-        # write of those pages logs a full image.
-        self._txn_buf.clear()
-        for page_id in self._txn_touched:
-            self._logged.pop(page_id, None)
-        self._txn_touched.clear()
+        # transaction leaves no trace in the log.  Delta bases advanced
+        # inside it are lies though; forget them all and the next write
+        # of each page logs a full image.
         if self._txn_dirty:
+            self._txn_buf.clear()
+            self._logged.clear()
             self._txn += 1
             self._txn_dirty = False
 
@@ -418,8 +363,7 @@ class DurableStore(PageStore):
             self._ensure_alive()
         page_id = super().allocate(content, size_class)
         if isinstance(content, DataPage):
-            self._logged[page_id] = dict(content.records)
-            self._txn_touched.add(page_id)
+            self._logged[page_id] = content.clone()
         self._log(
             REC_ALLOC,
             {"id": page_id, "sc": size_class, "c": codec.encode_content(content)},
@@ -432,22 +376,19 @@ class DurableStore(PageStore):
         super().write(page_id, content)
         if isinstance(content, DataPage):
             # Log the change, not the page: O(records touched) instead
-            # of O(page).  The base is the record map as of the last
-            # logged image of this page, advanced *in place* by exactly
-            # the delta that was logged; an unchanged write (possible —
-            # the tree rewrites pages it may not have modified) logs
-            # nothing at all, which replay cannot distinguish anyway.
+            # of O(page).  The base is a clone of the page as last
+            # logged; an unchanged write (possible — the tree rewrites
+            # pages it may not have modified) logs nothing at all, which
+            # replay cannot distinguish anyway.
             base = self._logged.get(page_id)
-            current = content.records
-            self._txn_touched.add(page_id)
             if base is None:
-                self._logged[page_id] = dict(current)
+                self._logged[page_id] = content.clone()
                 self._log(
                     REC_WRITE,
                     {"id": page_id, "c": codec.encode_content(content)},
                 )
                 return
-            added, removed = codec.diff_records(base, current)
+            added, removed = content.changes_since(base)
             if added or removed:
                 self._buffer(
                     REC_WRITE,
@@ -455,10 +396,7 @@ class DurableStore(PageStore):
                         page_id, self._txn, added, removed
                     ),
                 )
-                for path, record in added:
-                    base[path] = record
-                for path in removed:
-                    del base[path]
+                self._logged[page_id] = content.clone()
             return
         self._logged.pop(page_id, None)
         self._log(
@@ -545,7 +483,7 @@ class DurableStore(PageStore):
                 f"{self.directory}: {self.faults.describe()}"
             )
         wal.reset()
-        tracer = self._tracer
+        tracer = self.tracer
         if tracer.structural:
             tracer.emit(
                 CHECKPOINT,
@@ -620,5 +558,7 @@ class DurableStore(PageStore):
         dump_state(tmp_path, state)
         os.replace(tmp_path, store.pagefile_path)
         fsync_dir(store.directory)
-        store._open_wal(start_seq)
+        store._wal = WriteAheadLog(
+            store.wal_path, store.faults, start_seq=start_seq
+        )
         return store

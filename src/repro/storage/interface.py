@@ -15,7 +15,7 @@ a backing store when the caller did not supply one.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Protocol, runtime_checkable
+from typing import Any, ContextManager, Iterator, Protocol, runtime_checkable
 
 from repro.obs.tracer import Tracer
 from repro.storage.stats import SizeClassStats
@@ -73,6 +73,17 @@ class Storage(Protocol):
 
     def __contains__(self, page_id: int) -> bool:
         """Whether a page id is currently allocated."""
+
+    def transaction(self, name: str) -> ContextManager[Any]:
+        """A context spanning one tree operation's mutations.
+
+        ``BVTree.insert``/``delete``/``bulk_load`` open one around their
+        work.  An in-memory store returns a shared no-op context and a
+        wrapping store forwards to the one it wraps.  The durable store
+        logs the mutations inside the outermost one as one WAL
+        transaction named ``name``: committed on a normal exit, dropped
+        when an exception propagates.
+        """
 
 
 def default_store(page_bytes: int = 4096) -> Storage:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from contextlib import nullcontext
+from typing import Any, ContextManager, Iterator
 
 from repro.errors import PageNotFoundError, StorageError
 from repro.obs.events import PAGE_ALLOC, PAGE_FREE, PAGE_READ, PAGE_WRITE
 from repro.obs.tracer import Tracer
 from repro.storage.stats import IOStats, SizeClassStats
+
+#: The one transaction context of in-memory stores: nothing to group.
+_NO_TRANSACTION: ContextManager[None] = nullcontext()
 
 
 class PageStore:
@@ -133,6 +137,10 @@ class PageStore:
         tracer = self.tracer
         if tracer.structural:
             tracer.emit(PAGE_FREE, page=page_id)
+
+    def transaction(self, name: str) -> ContextManager[Any]:
+        """No grouping in memory: one shared no-op context."""
+        return _NO_TRANSACTION
 
     # ------------------------------------------------------------------
     # Introspection

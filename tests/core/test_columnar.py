@@ -8,6 +8,8 @@ extraction, guard/native column bookkeeping — plus the layout selection
 plumbing on the tree and store.
 """
 
+import random
+
 import pytest
 
 from repro.core.columnar import (
@@ -19,6 +21,7 @@ from repro.core.columnar import (
 )
 from repro.core.descent import descend, locate
 from repro.core.entry import Entry
+from repro.core.node import diff_records
 from repro.core.tree import BVTree
 from repro.errors import DuplicateKeyError, ReproError, TreeInvariantError
 from repro.geometry.region import RegionKey
@@ -91,6 +94,45 @@ class TestColumnarDataPage:
         )
         assert list(page.paths()) == [3, 40, 200]
         assert page.get(40) == ((40 / 256, 0.5), 80)
+
+    def test_changes_since_a_clone(self):
+        base = make_page([(p, (p / 256, 0.5), p) for p in (3, 40, 90, 200)])
+        page = base.clone()
+        assert page.changes_since(base) == ([], [])
+        page.insert(7, (0.25, 0.25), "new")
+        page.delete(90)
+        page.insert(40, (0.75, 0.5), 40, replace=True)  # moved point
+        page.insert(200, (200 / 256, 0.5), "other", replace=True)
+        page.insert(3, (3 / 256, 0.5), 3, replace=True)  # same record
+        assert page.changes_since(base) == (
+            [
+                (7, ((0.25, 0.25), "new")),
+                (40, ((0.75, 0.5), 40)),
+                (200, ((200 / 256, 0.5), "other")),
+            ],
+            [90],
+        )
+
+    def test_changes_since_matches_the_record_map_diff(self):
+        # The column diff must agree with the object layout's record-map
+        # diff over random insert / delete / replace mixes.
+        rng = random.Random(5)
+        for _ in range(200):
+            base = make_page()
+            for path in rng.sample(range(256), rng.randint(0, 14)):
+                base.insert(path, (rng.random(), rng.random()), path % 3)
+            page = base.clone()
+            for _ in range(rng.randint(0, 4)):
+                path = rng.randrange(256)
+                if path in page and rng.random() < 0.5:
+                    page.delete(path)
+                else:
+                    point = page.get(path) or ((rng.random(), 0.5), None)
+                    value = rng.choice([point[1], path % 3, "v"])
+                    page.insert(path, point[0], value, replace=True)
+            assert page.changes_since(base) == diff_records(
+                dict(base.records), dict(page.records)
+            )
 
 
 def make_node(entries=(), index_level=1, path_bits=8):

@@ -10,7 +10,6 @@ from repro.obs.monitor import GuaranteeMonitor
 from repro.obs.profile import OpProfiler
 from repro.obs.sinks import JsonlSink, RingSink
 from repro.obs.tracer import READ_PATH_KINDS, Tracer
-from repro.storage.durable.store import _OpSpanTap
 
 
 class Recorder:
@@ -145,7 +144,6 @@ class TestRouting:
             TimeSeriesSink,
             GuaranteeMonitor,
             OpProfiler,
-            _OpSpanTap,
         ):
             kinds = subscriber.kinds
             assert kinds is None or isinstance(kinds, frozenset), subscriber

@@ -8,6 +8,7 @@ write requests through the batcher.
 
 import http.client
 import json
+import logging
 import socket
 import threading
 
@@ -126,6 +127,40 @@ class TestHttpRoundTrips:
             response.read()
         finally:
             conn.close()
+
+
+class TestShutdown:
+    def test_stop_with_idle_keep_alive_connections_logs_no_error(
+        self, caplog
+    ):
+        service, _ = build_service()
+        handle = ServerHandle(ServingApp(service)).start()
+        conns = []
+        try:
+            for _ in range(3):
+                conn = http.client.HTTPConnection(
+                    handle.host, handle.port, timeout=10
+                )
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                assert response.getheader("Connection") == "keep-alive"
+                response.read()
+                conns.append(conn)
+            # Three connections now sit idle in the server's readline().
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                handle.stop()
+        finally:
+            handle.stop()
+            for conn in conns:
+                conn.close()
+            service.detach()
+        assert not handle._thread.is_alive()
+        errors = [
+            record
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []
 
 
 class TestMalformedRequests:

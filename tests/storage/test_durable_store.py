@@ -1,18 +1,21 @@
 """Unit tests of :class:`DurableStore`: logging, transactions, liveness."""
 
+import gc
 import os
+import random
+import tracemalloc
 
 import pytest
 
+from repro.concurrency.service import TreeService, delete_op, insert_op
 from repro.core.node import DataPage
 from repro.core.tree import BVTree
 from repro.errors import RecoveryError, SimulatedCrashError, StorageError
 from repro.geometry.space import DataSpace
-from repro.obs.events import OP_BEGIN, OP_END
+from repro.obs.events import OP_END
 from repro.obs.monitor import GuaranteeMonitor
 from repro.obs.profile import OpProfiler
 from repro.obs.sinks import RingSink
-from repro.obs.tracer import Tracer
 from repro.storage.durable.recovery import recover_store
 from repro.storage.durable.store import (
     PAGEFILE_NAME,
@@ -26,6 +29,7 @@ from repro.storage.durable.wal import (
     scan_wal,
 )
 from repro.storage.faults import FaultPlan
+from repro.storage.buffer import BufferPool
 from repro.storage.pager import PageStore
 
 
@@ -163,16 +167,15 @@ class TestTransactions:
         tree, store = self.build_tree(tmp_path)
         tree.insert((0.5, 0.5), "kept")
         length_before = store._wal.length
-        tracer = store.tracer
-        op = tracer._next_op()
-        tracer.emit(OP_BEGIN, name="insert")
-        # Simulate the mutation the span would have made, then fail it.
-        store.tracer.current_op = op
-        store._begin_op(op)
-        page = data_page((9, (0.9, 0.9), "doomed"))
-        store.allocate(page)
-        store._end_op(op, "insert", error=True)
+        commits_before = store.wal_stats.commits
+        # An operation that mutates and then fails inside its
+        # transaction: the buffered allocation never reaches the log.
+        with pytest.raises(RuntimeError, match="doomed"):
+            with store.transaction("insert"):
+                store.allocate(data_page((9, (0.9, 0.9), "doomed")))
+                raise RuntimeError("doomed")
         assert store._wal.length == length_before
+        assert store.wal_stats.commits == commits_before
         store.close(checkpoint=False)
         # Only the committed insert survives recovery.
         recovered, report = recover_store(tmp_path, sync="os")
@@ -186,19 +189,72 @@ class TestTransactions:
         assert store.wal_stats.syncs >= 4
         store.close(checkpoint=False)
 
-    def test_tap_follows_tracer_rebinding(self, tmp_path):
+    def test_untraced_tree_commits_one_transaction_per_op(self, tmp_path):
+        # The store subscribes to no tracer: a fresh durable tree stays
+        # untraced and still commits each operation as one transaction.
+        space = DataSpace.unit(2, resolution=16)
         store = DurableStore(tmp_path, sync="os")
-        old = store.tracer
-        new = Tracer()
-        store.tracer = new
-        assert store._op_tap in new.subscribers
-        assert store._op_tap not in old.subscribers
-        assert new.structural
+        tree = BVTree(space, data_capacity=4, fanout=4, store=store)
+        assert tree.tracer.structural is False
+        assert store.tracer.subscribers == ()
+        points = [((i % 7) / 8 + 0.01, (i % 5) / 6 + 0.02) for i in range(30)]
+        base = store.wal_stats.commits
+        tree.bulk_load([(p, i) for i, p in enumerate(points)])
+        assert store.wal_stats.commits == base + 1
+        for i in range(12):
+            tree.insert((0.9 - i / 64, 0.95), i)
+        for i in range(5):
+            tree.delete(points[i])
+        assert store.wal_stats.commits == base + 1 + 12 + 5
+        assert tree.tracer.structural is False
+        flagged = [
+            payload["op"]
+            for _, rtype, payload in wal_records(store)
+            if rtype & REC_COMMIT_FLAG
+        ]
+        assert flagged[-18:] == ["bulk_load"] + ["insert"] * 12 + ["delete"] * 5
         store.close(checkpoint=False)
 
-    def test_op_tap_declares_its_kinds(self, tmp_path):
+    def test_nested_transactions_commit_once_at_the_outermost(self, tmp_path):
         store = DurableStore(tmp_path, sync="os")
-        assert store._op_tap.kinds == frozenset({OP_BEGIN, OP_END})
+        base = store.wal_stats.commits
+        with store.transaction("bulk_load"):
+            store.allocate(data_page((1, (0.5,), "a")))
+            with store.transaction("insert"):
+                store.allocate(data_page((2, (0.25,), "b")))
+            assert store.wal_stats.commits == base
+        assert store.wal_stats.commits == base + 1
+        assert wal_records(store)[-1][2]["op"] == "bulk_load"
+        store.close(checkpoint=False)
+
+    def test_dirty_abort_forgets_delta_bases(self, tmp_path):
+        store = DurableStore(tmp_path, sync="os")
+        page = data_page((1, (0.5,), "a"))
+        page_id = store.allocate(page)
+        with pytest.raises(RuntimeError):
+            with store.transaction("insert"):
+                page.insert(2, (0.25,), "b")
+                store.write(page_id, page)
+                raise RuntimeError("abort")
+        # The aborted delta never reached the log, so the next write of
+        # the page must log a full image, not a delta against the lie.
+        page.insert(3, (0.75,), "c")
+        store.write(page_id, page)
+        last = wal_records(store)[-1][2]
+        assert "dk" not in last
+        assert sorted(last["c"]["p"]) == [1, 2, 3]
+        store.close(checkpoint=False)
+
+    def test_clean_abort_keeps_delta_bases(self, tmp_path):
+        store = DurableStore(tmp_path, sync="os")
+        page = data_page((1, (0.5,), "a"))
+        page_id = store.allocate(page)
+        with pytest.raises(RuntimeError):
+            with store.transaction("insert"):
+                raise RuntimeError("validation failed before any write")
+        page.insert(2, (0.25,), "b")
+        store.write(page_id, page)
+        assert wal_records(store)[-1][2]["dk"] == 1
         store.close(checkpoint=False)
 
     def test_one_commit_per_op_beside_other_subscribers(self, tmp_path):
@@ -222,6 +278,85 @@ class TestTransactions:
         ends = [e for e in ring.events() if e.kind == OP_END]
         assert [e.fields["name"] for e in ends] == ["insert"] * 8 + ["delete"]
         store.close(checkpoint=False)
+
+
+class TestTransactionForwarding:
+    """Wrapping stores forward ``transaction``: a wrapper that did not
+    would fall back to one auto-commit per mutation, silently."""
+
+    def points(self, n=40):
+        return [((i * 37 % 97) / 97, (i * 61 % 89) / 89) for i in range(n)]
+
+    def assert_one_commit_per_op(self, store, insert, delete):
+        points = self.points()
+        for i, point in enumerate(points):
+            before = store.wal_stats.commits
+            insert(point, i)
+            assert store.wal_stats.commits == before + 1
+        for point in points[::3]:
+            before = store.wal_stats.commits
+            delete(point)
+            assert store.wal_stats.commits == before + 1
+
+    def test_buffer_pool_over_durable_store(self, tmp_path):
+        store = DurableStore(tmp_path, sync="os")
+        space = DataSpace.unit(2, resolution=16)
+        tree = BVTree(
+            space,
+            data_capacity=4,
+            fanout=4,
+            store=BufferPool(store, capacity=8),
+            layout="columnar",
+        )
+        self.assert_one_commit_per_op(store, tree.insert, tree.delete)
+        store.close(checkpoint=False)
+
+    def test_tree_service_over_durable_store(self, tmp_path):
+        store = DurableStore(tmp_path, sync="os")
+        space = DataSpace.unit(2, resolution=16)
+        tree = BVTree(
+            space, data_capacity=4, fanout=4, store=store, layout="columnar"
+        )
+        service = TreeService(tree)
+        self.assert_one_commit_per_op(store, service.insert, service.delete)
+        before = store.wal_stats.commits
+        outcomes, _ = service.apply_ops(
+            [insert_op((0.01, 0.99), 1), delete_op(self.points()[1])]
+        )
+        assert [ok for ok, _ in outcomes] == [True, True]
+        assert store.wal_stats.commits == before + 2
+        service.detach()
+        store.close(checkpoint=False)
+
+
+class TestMemory:
+    def test_delta_bases_stay_small_beside_the_tree(self, tmp_path):
+        # The durable store keeps one clone of each data page as its
+        # delta base, nothing else per record: a bulk-loaded durable
+        # tree holds at most 1.5x the live memory of an in-memory one
+        # (values included, since the tree owns them once loaded).
+        space = DataSpace.unit(2)
+
+        def live_bytes(store):
+            rng = random.Random(3)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                tree = BVTree(space, store=store, layout="columnar")
+                tree.bulk_load(
+                    ((rng.random(), rng.random()), 10_000 + i)
+                    for i in range(10_000)
+                )
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        in_memory = live_bytes(PageStore())
+        store = DurableStore(tmp_path, sync="os")
+        durable = live_bytes(store)
+        store.close(checkpoint=False)
+        assert durable <= 1.5 * in_memory, (durable, in_memory)
 
 
 class TestCheckpoint:

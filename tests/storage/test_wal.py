@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from repro.core.node import diff_records
 from repro.errors import SimulatedCrashError, StorageError, WalCorruptionError
 from repro.storage.durable import codec
 from repro.storage.durable.wal import (
@@ -228,7 +229,8 @@ class TestCodecRoundTrips:
             3: ((0.25, 0.5), "a"),
             7: ((0.125, 0.75), 11),
         }
-        body = codec.encode_data_delta_body(9, 4, base, current)
+        added, removed = diff_records(base, current)
+        body = codec.encode_delta_body(9, 4, added, removed)
         payload = codec.loads(body)
         delta = codec.encode_data_delta(base, current)
         for key, value in delta.items():
@@ -238,9 +240,7 @@ class TestCodecRoundTrips:
 
     def test_delta_encodes_non_finite_floats_exactly(self):
         inf = float("inf")
-        body = codec.encode_data_delta_body(
-            1, 1, {}, {5: ((inf, -0.0), None)}
-        )
+        body = codec.encode_delta_body(1, 1, [(5, ((inf, -0.0), None))], [])
         page = codec.decode_content({"k": "data", "d": 2, "p": [], "v": [],
                                      "pts": ""})
         codec.apply_data_delta(page, codec.loads(body))
@@ -259,12 +259,12 @@ class TestCodecRoundTrips:
 
     def test_equal_maps_yield_no_delta(self):
         records = {1: ((0.5,), "v")}
-        assert codec.encode_data_delta_body(1, 1, records, dict(records)) is None
+        assert diff_records(records, dict(records)) == ([], [])
         assert codec.encode_data_delta(records, dict(records)) is None
 
     def test_diff_detects_removals(self):
         base = {1: ((0.1,), "a"), 2: ((0.2,), "b")}
         current = {1: ((0.1,), "a")}
-        added, removed = codec.diff_records(base, current)
+        added, removed = diff_records(base, current)
         assert added == []
         assert removed == [2]
