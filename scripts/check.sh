@@ -139,7 +139,8 @@ assert summary["failed"] == 0, f"serve smoke saw failed ops: {summary}"
 PY
 rm -f "$serve_json"
 # The traced pass must still hook every serving layer: a refactor that
-# unwraps the app, the batcher or the group commit reads 0 here.
+# unwraps the app, the batcher, the group commit or a snapshot read
+# method reads 0 here.
 python3 perfbench/run.py --workload serve_write --seed 1 --seconds 5 \
     --trace 1 > "$serve_json" 2>/dev/null
 python - "$serve_json" <<'PY'
@@ -148,7 +149,14 @@ summary = json.load(open(sys.argv[1]))
 assert summary["correct"] is True, f"traced serve smoke saw wrong answers: {summary}"
 assert summary["failed"] == 0, f"traced serve smoke saw failed ops: {summary}"
 metrics = summary["metrics"]
-for name in ("server.batch_wait_us", "server.batch_ops_per_commit", "server.app_us.insert"):
+for name in (
+    "server.batch_wait_us",
+    "server.batch_ops_per_commit",
+    "server.app_us.insert",
+    "core.get_us",
+    "core.range_us",
+    "core.knn_us",
+):
     assert metrics[name]["value"] > 0, f"traced serve smoke lost {name}: {metrics.get(name)}"
 PY
 rm -f "$serve_json"

@@ -5,9 +5,9 @@ assume *someone* arbitrates concurrent access; this package is that
 someone.  :class:`TreeService` serializes writes and publishes immutable
 :class:`~repro.concurrency.snapshots.TreeVersion` objects; readers pin
 versions wait-free via :meth:`TreeService.snapshot` and run the ordinary
-core read paths against them.  :mod:`repro.concurrency.lockstep` is the
+core read paths against them.  ``tests/concurrency/lockstep.py`` is the
 harness that proves the construction linearizable for the single-writer
-case (see ``docs/SERVING.md`` and ``tests/concurrency/``).
+case (see ``docs/SERVING.md``).
 
 The core tree itself stays single-threaded and free of concurrency
 primitives — lint rule R15 bans ``threading``/``asyncio`` from
@@ -16,17 +16,6 @@ per the same discipline that keeps backends out of the core (R3).
 """
 
 from repro.concurrency.clone import clone_page
-from repro.concurrency.lockstep import (
-    LockstepError,
-    Oracle,
-    build_service,
-    dump_schedule,
-    load_schedule,
-    run_schedule,
-    run_threads,
-    verify_snapshot,
-    verify_structure,
-)
 from repro.concurrency.service import (
     BatchAbortedError,
     RecordingStore,
@@ -43,22 +32,13 @@ from repro.concurrency.snapshots import (
 
 __all__ = [
     "BatchAbortedError",
-    "LockstepError",
-    "Oracle",
     "PageTable",
     "RecordingStore",
     "Snapshot",
     "TreeService",
     "TreeVersion",
     "VersionStore",
-    "build_service",
     "clone_page",
     "delete_op",
-    "dump_schedule",
     "insert_op",
-    "load_schedule",
-    "run_schedule",
-    "run_threads",
-    "verify_snapshot",
-    "verify_structure",
 ]

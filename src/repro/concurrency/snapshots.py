@@ -9,29 +9,25 @@ every commit and swaps one reference — so pinning a version is just
 holding it, and a reader never observes a half-applied split cascade by
 construction.
 
-A :class:`Snapshot` wraps a version with everything the core read paths
-need.  It deliberately duck-types the :class:`~repro.core.BVTree`
-surface those paths consume (``space``, ``page_layout``, ``height``,
-``root_page``, ``store``, ``tracer``, ``root_entry()``), so exact-match
-descent, range queries and k-NN run *unchanged* against a snapshot —
-same code, same page-access counts, frozen data.
+A :class:`Snapshot` wraps a version with the tree state the core read
+paths consume (``space``, ``page_layout``, ``height``, ``root_page``,
+``store``, ``tracer``) and binds :class:`~repro.core.BVTree`'s read
+methods in its class body, so exact-match descent, range queries and
+k-NN run *unchanged* against a snapshot — the same methods, the same
+page-access counts, frozen data.  Its tracer never has a subscriber, so
+a snapshot read takes the tree's untraced branch.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.concurrency.clone import clone_page
 from repro.core.columnar import PageLayout
-from repro.core.descent import Locate, locate
-from repro.core.entry import Entry
-from repro.core.node import DataPage, IndexNode
+from repro.core.node import IndexNode
 from repro.core.policy import CapacityPolicy
-from repro.core import query as _query
-from repro.core.knn import KNNResult, nearest_neighbours
-from repro.errors import KeyNotFoundError, PageNotFoundError, StorageError
-from repro.geometry.rect import Rect
-from repro.geometry.region import ROOT_KEY
+from repro.core.tree import BVTree
+from repro.errors import PageNotFoundError, StorageError
 from repro.geometry.space import DataSpace
 from repro.obs.tracer import Tracer
 
@@ -248,7 +244,7 @@ class Snapshot:
         self.store = VersionStore(version.pages)
         self.tracer = UNTRACED
 
-    # -- tree duck type (what the core read paths consume) --------------
+    # -- the tree state the core read paths consume ----------------------
 
     @property
     def height(self) -> int:
@@ -266,93 +262,36 @@ class Snapshot:
     def lsn(self) -> int:
         return self.version.lsn
 
-    def root_entry(self) -> Entry:
-        """The virtual entry for the root (the whole data space)."""
-        return Entry(ROOT_KEY, self.height, self.root_page)
+    # -- reads: BVTree's own methods, bound to this frozen version -------
 
-    # -- reads ----------------------------------------------------------
-
-    def get(self, point: Sequence[float]) -> Any:
-        """The value stored at ``point`` in this version."""
-        path = self.space.point_path(point)
-        entry = self.page_layout.descend(self, path)[0]
-        page: DataPage = self.store.read(entry.page)
-        record = page.get(path)
-        if record is None:
-            raise KeyNotFoundError(f"no record at {tuple(point)}")
-        return record[1]
-
-    def contains(self, point: Sequence[float]) -> bool:
-        """True if a record exists at ``point`` in this version."""
-        try:
-            self.get(point)
-        except KeyNotFoundError:
-            return False
-        return True
-
-    def search(self, point: Sequence[float]) -> Locate:
-        """Exact-match descent diagnostics against this version."""
-        return locate(self, self.space.point_path(point))
-
-    def range_query(
-        self, lows: Sequence[float], highs: Sequence[float]
-    ) -> "_query.QueryResult":
-        """All records in the half-open box ``[lows, highs)``."""
-        return _query.range_query(self, Rect(lows, highs))
-
-    def partial_match(
-        self, constraints: dict[int, float]
-    ) -> "_query.QueryResult":
-        """Records matching exact values on a subset of dimensions."""
-        return _query.partial_match(self, constraints)
-
-    def nearest(self, point: Sequence[float], k: int = 1) -> KNNResult:
-        """The ``k`` records nearest to ``point`` in this version."""
-        return nearest_neighbours(self, point, k=k)
-
-    def items(self) -> Iterator[tuple[tuple[float, ...], Any]]:
-        """Iterate all (point, value) records (unspecified order)."""
-        stack = [self.root_entry()]
-        while stack:
-            entry = stack.pop()
-            if entry.level == 0:
-                page: DataPage = self.store.peek(entry.page)
-                yield from page.records.values()
-            else:
-                node: IndexNode = self.store.peek(entry.page)
-                stack.extend(node.entries)
-
-    def __len__(self) -> int:
-        return self.version.count
-
-    def __contains__(self, point: Sequence[float]) -> bool:
-        return self.contains(point)
+    root_entry = BVTree.root_entry
+    layout = BVTree.layout
+    config = BVTree.config
+    get = BVTree.get
+    contains = BVTree.contains
+    search = BVTree.search
+    range_query = BVTree.range_query
+    partial_match = BVTree.partial_match
+    nearest = BVTree.nearest
+    items = BVTree.items
+    __len__ = BVTree.__len__
+    __contains__ = BVTree.__contains__
 
     # -- validation -----------------------------------------------------
 
-    def materialize(self) -> Any:
+    def materialize(self) -> BVTree:
         """Rebuild a standalone :class:`~repro.core.BVTree` of this version.
 
         Clones every page into a fresh in-memory store (page ids are
         remapped; the logical structure — keys, levels, guards, record
-        placement — is preserved exactly), rebuilding the per-level key
-        registry along the way.  The result is a fully independent tree
-        the structural checker and the guarantee doctor can run against,
+        placement — is preserved exactly) and hands the root to
+        :meth:`~repro.core.BVTree.adopt`, which rebuilds the per-level
+        key registry.  The result is a fully independent tree the
+        structural checker and the guarantee doctor can run against,
         which is how the lockstep suite proves a snapshot can never
         expose a torn split cascade or guard-set inconsistency.
         """
-        from repro.core.tree import BVTree
-
-        policy = self.policy
-        tree = BVTree(
-            self.space,
-            data_capacity=policy.data_capacity,
-            fanout=policy.fanout,
-            policy=policy.kind,
-            page_bytes=policy.page_bytes,
-            layout=self.page_layout.name,
-        )
-        tree.store.free(tree.root_page)
+        tree = BVTree.from_config(self.config())
         pages = self.version.pages
 
         def copy(page_id: int) -> int:
@@ -360,13 +299,10 @@ class Snapshot:
             if isinstance(content, IndexNode):
                 for entry in content.entries:
                     entry.page = copy(entry.page)
-                    tree.register_entry(entry)
                 return tree.alloc_index_node(content)
             return tree.alloc_data_page(content)
 
-        tree.root_page = copy(self.root_page)
-        tree.height = self.height
-        tree.count = self.count
+        tree.adopt(copy(self.root_page))
         return tree
 
     def __repr__(self) -> str:

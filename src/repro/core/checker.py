@@ -50,8 +50,9 @@ def check_tree(
     7. (``check_owners``) ``find_owner`` locates every entry — the descent
        property that makes updates single-descent operations;
     8. (``sample_points > 0``) stored records are re-found via the public
-       exact-match search, which also re-verifies the path-length law
-       ``nodes visited == height + 1``.
+       exact-match search, whose descent raises on a node whose index
+       level is not the one expected — that is what holds it to the
+       path-length law ``nodes visited == height + 1``.
     """
     if check_justification is None:
         check_justification = tree.stats.merges == 0
@@ -183,11 +184,6 @@ def check_tree(
         page = tree.store.read(found.entry.page)
         if tree.space.point_path(point) not in page.records:
             raise TreeInvariantError(f"stored record {point} not re-found")
-        if found.nodes_visited != tree.height + 1:
-            raise TreeInvariantError(
-                f"search for {point} visited {found.nodes_visited} pages "
-                f"in a tree of height {tree.height}"
-            )
 
 
 def _check_occupancy(tree: "BVTree", root: Entry) -> None:

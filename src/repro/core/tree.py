@@ -25,6 +25,7 @@ from repro.core import query as _query
 from repro.core.columnar import DEFAULT_LAYOUT, page_layout
 from repro.core.descent import Locate, locate
 from repro.core.entry import Entry
+from repro.core.knn import KNNResult, nearest_neighbours
 from repro.core.node import DataPage, IndexNode
 from repro.core.policy import CapacityPolicy
 from repro.core.stats import OpCounters, TreeStats, collect
@@ -35,8 +36,30 @@ from repro.obs.tracer import Tracer
 from repro.storage import Storage, default_store
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.knn import KNNResult
     from repro.obs.explain import ExplainReport
+
+
+def tree_config(
+    space: DataSpace, policy: CapacityPolicy, layout: str
+) -> dict[str, Any]:
+    """The JSON record of a tree's geometry, policy and page layout.
+
+    JSON snapshots and durable stores both persist it;
+    :meth:`BVTree.from_config` reads it back.
+    """
+    return {
+        "space": {
+            "bounds": [list(b) for b in space.bounds],
+            "resolution": space.resolution,
+        },
+        "policy": {
+            "data_capacity": policy.data_capacity,
+            "fanout": policy.fanout,
+            "kind": policy.kind,
+            "page_bytes": policy.page_bytes,
+        },
+        "layout": layout,
+    }
 
 
 class BVTree:
@@ -119,6 +142,71 @@ class BVTree:
         #: Regions whose merge was deferred; retried on later deletions
         #: (see :mod:`repro.core.delete`).
         self.merge_retry: set[tuple[int, RegionKey]] = set()
+
+    @classmethod
+    def from_config(
+        cls, record: dict[str, Any], store: Storage | None = None
+    ) -> "BVTree":
+        """An empty tree built from a :func:`tree_config` record."""
+        space = record["space"]
+        policy = record["policy"]
+        return cls(
+            DataSpace(
+                [tuple(b) for b in space["bounds"]],
+                resolution=space["resolution"],
+            ),
+            data_capacity=policy["data_capacity"],
+            fanout=policy["fanout"],
+            policy=policy["kind"],
+            page_bytes=policy["page_bytes"],
+            store=store,
+            # Records written before the layout field existed are
+            # object-layout.
+            layout=record.get("layout", "object"),
+        )
+
+    def config(self) -> dict[str, Any]:
+        """This tree's :func:`tree_config` record."""
+        return tree_config(self.space, self.policy, self.layout)
+
+    def adopt(self, root_page: int) -> set[int]:
+        """Make the page graph under ``root_page`` this (fresh) tree.
+
+        A tree is its pages plus the level-labelled entries in them, so
+        rebuilding one from pages already in its store is one walk: free
+        the fresh root, register every reachable entry (the key registry
+        is derived state), and read the root, height and count off the
+        pages.  Returns the ids of the pages reached.  Raises
+        :class:`TreeInvariantError` on a page reached twice or a payload
+        that is not a node.
+        """
+        self.store.free(self.root_page)
+        peek = self.store.peek
+        count = 0
+        visited: set[int] = set()
+        stack = [root_page]
+        while stack:
+            page_id = stack.pop()
+            if page_id in visited:
+                raise TreeInvariantError(f"image reaches page {page_id} twice")
+            visited.add(page_id)
+            content = peek(page_id)
+            if isinstance(content, IndexNode):
+                for entry in content.entries:
+                    self.register_entry(entry)
+                    stack.append(entry.page)
+            elif isinstance(content, DataPage):
+                count += len(content)
+            else:
+                raise TreeInvariantError(
+                    f"page {page_id} holds {type(content).__name__}, "
+                    f"not a tree node"
+                )
+        root = peek(root_page)
+        self.root_page = root_page
+        self.height = root.index_level if isinstance(root, IndexNode) else 0
+        self.count = count
+        return visited
 
     # ------------------------------------------------------------------
     # Structure plumbing
@@ -416,14 +504,12 @@ class BVTree:
         """
         return _query.partial_match(self, constraints)
 
-    def nearest(self, point: Sequence[float], k: int = 1) -> "KNNResult":
+    def nearest(self, point: Sequence[float], k: int = 1) -> KNNResult:
         """The ``k`` records nearest to ``point`` (Euclidean distance).
 
         Returns a :class:`~repro.core.knn.KNNResult` with the neighbours
         ordered nearest-first and the traversal's page-access count.
         """
-        from repro.core.knn import nearest_neighbours
-
         tracer = self.tracer
         if not tracer.enabled:
             profiler = tracer.profiler

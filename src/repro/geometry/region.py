@@ -33,7 +33,7 @@ class RegionKey:
     is available as :data:`ROOT_KEY`.
     """
 
-    __slots__ = ("nbits", "value", "_bits")
+    __slots__ = ("nbits", "value")
 
     def __init__(self, nbits: int, value: int):
         if nbits < 0:
@@ -159,27 +159,8 @@ class RegionKey:
     # ------------------------------------------------------------------
 
     def bit_string(self) -> str:
-        """The key as a literal bit string (empty for the root).
-
-        Memoised on first use: traced descents and EXPLAIN render the
-        same key repeatedly, and the ``format`` call showed up in their
-        profiles.  Keys that never print pay nothing (the slot stays
-        unset until the first call).
-
-        Thread-safe without a lock, by construction: the memo is an
-        idempotent publish.  Two racing callers both derive the same
-        string from the immutable ``(nbits, value)`` pair, and the slot
-        write is a single atomic store — the loser overwrites an equal
-        value.  A reader either sees the slot set (and returns it) or
-        unset (and derives it); no torn state exists.  The concurrency
-        suite's reader hammer exercises exactly this race.
-        """
-        try:
-            return self._bits
-        except AttributeError:
-            bits = format(self.value, f"0{self.nbits}b") if self.nbits else ""
-            object.__setattr__(self, "_bits", bits)
-            return bits
+        """The key as a literal bit string (empty for the root)."""
+        return format(self.value, f"0{self.nbits}b") if self.nbits else ""
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegionKey):

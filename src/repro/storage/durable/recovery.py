@@ -31,10 +31,13 @@ Algorithm (:func:`recover_store`):
 
 :func:`rebuild_tree` then reconstructs a live
 :class:`~repro.core.tree.BVTree` over the recovered store: the root is
-the unique live page no index entry references, the registry is rebuilt
-by walking the entries, and the result must pass the structural checker
-(with the same occupancy/justification relaxations a snapshot load uses
-— those invariants depend on *operation history*, which a recovered
+the unique live page no index entry references,
+:meth:`~repro.core.tree.BVTree.adopt` rebuilds the registry by walking
+the entries (the same walk a JSON snapshot load and
+:meth:`~repro.concurrency.Snapshot.materialize` use), every live page
+must be reached, and the result must pass the structural checker (with
+the same occupancy/justification relaxations a snapshot load uses —
+those invariants depend on *operation history*, which a recovered
 process no longer has).
 
 Recovery narrates itself through an optional tracer —
@@ -50,9 +53,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.columnar import DEFAULT_LAYOUT
-from repro.core.node import DataPage, IndexNode
-from repro.core.tree import BVTree
-from repro.errors import RecoveryError
+from repro.core.node import IndexNode
+from repro.core.policy import CapacityPolicy
+from repro.core.tree import BVTree, tree_config
+from repro.errors import RecoveryError, TreeInvariantError
 from repro.geometry.space import DataSpace
 from repro.obs.events import RECOVERY_BEGIN, RECOVERY_END, WAL_REPLAY
 from repro.obs.tracer import Tracer
@@ -331,67 +335,42 @@ def create_durable_tree(
     """
     store = DurableStore(directory, page_bytes, faults=faults, sync=sync)
     store.set_meta("__page_bytes__", page_bytes)
-    store.set_meta(
-        TREE_META_KEY,
-        {
-            "space": {
-                "bounds": [list(b) for b in space.bounds],
-                "resolution": space.resolution,
-            },
-            "policy": {
-                "data_capacity": data_capacity,
-                "fanout": fanout,
-                "kind": policy,
-                "page_bytes": page_bytes,
-            },
-            "layout": layout,
-        },
-    )
-    return BVTree(
+    record = tree_config(
         space,
-        data_capacity=data_capacity,
-        fanout=fanout,
-        policy=policy,
-        page_bytes=page_bytes,
-        store=store,
-        layout=layout,
+        CapacityPolicy(
+            data_capacity=data_capacity,
+            fanout=fanout,
+            kind=policy,
+            page_bytes=page_bytes,
+        ),
+        layout,
     )
+    store.set_meta(TREE_META_KEY, record)
+    return BVTree.from_config(record, store=store)
 
 
 def rebuild_tree(store: DurableStore) -> BVTree:
     """Reconstruct a live :class:`BVTree` over a recovered store.
 
-    The store must carry the metadata :func:`create_durable_tree` wrote.
-    The rebuilt tree passes the structural checker with the occupancy
-    and justification checks relaxed, exactly as a snapshot load does:
-    both invariants are statements about operation *history* (deferred
-    merges, escape hatches) that a recovered process no longer has.
+    The store must carry the record :func:`create_durable_tree` wrote.
+    The root is the one live page no index entry references;
+    :meth:`BVTree.adopt` walks the graph under it, and every live page
+    must be reached.  The rebuilt tree passes the structural checker
+    with the occupancy and justification checks relaxed, exactly as a
+    snapshot load does: both invariants are statements about operation
+    *history* (deferred merges, escape hatches) that a recovered
+    process no longer has.
     """
-    tree_meta = store.meta.get(TREE_META_KEY)
-    if tree_meta is None:
+    record = store.meta.get(TREE_META_KEY)
+    if record is None:
         raise RecoveryError(
             f"store in {store.directory} carries no tree metadata "
             f"({TREE_META_KEY!r}); was it created with create_durable_tree?"
         )
-    space = DataSpace(
-        [tuple(b) for b in tree_meta["space"]["bounds"]],
-        resolution=tree_meta["space"]["resolution"],
-    )
-    policy = tree_meta["policy"]
     existing = set(store.page_ids())
-    tree = BVTree(
-        space,
-        data_capacity=policy["data_capacity"],
-        fanout=policy["fanout"],
-        policy=policy["kind"],
-        page_bytes=policy["page_bytes"],
-        store=store,
-        # Metadata written before the layout field existed is object-layout.
-        layout=tree_meta.get("layout", "object"),
-    )
+    tree = BVTree.from_config(record, store=store)
     if not existing:
         return tree  # the store was empty; keep the fresh root
-    store.free(tree.root_page)
 
     referenced: set[int] = set()
     for page_id in existing:
@@ -405,43 +384,15 @@ def rebuild_tree(store: DurableStore) -> BVTree:
             f"({sorted(roots)}); a consistent tree has exactly one"
         )
     root_page = roots.pop()
-
-    count = 0
-    visited: set[int] = set()
-    stack = [root_page]
-    while stack:
-        page_id = stack.pop()
-        if page_id in visited:
-            raise RecoveryError(
-                f"recovered image reaches page {page_id} twice"
-            )
-        visited.add(page_id)
-        content = store.peek(page_id)
-        if isinstance(content, IndexNode):
-            for entry in content.entries:
-                tree.register_entry(entry)
-                stack.append(entry.page)
-        elif isinstance(content, DataPage):
-            count += len(content)
-        else:
-            raise RecoveryError(
-                f"recovered page {page_id} holds "
-                f"{type(content).__name__}, not a tree node"
-            )
+    try:
+        visited = tree.adopt(root_page)
+    except TreeInvariantError as exc:
+        raise RecoveryError(f"recovered {exc}") from exc
     if visited != existing:
         raise RecoveryError(
             f"recovered image has {len(existing - visited)} orphan pages "
             f"unreachable from root {root_page}"
         )
-
-    root_content = store.peek(root_page)
-    tree.root_page = root_page
-    tree.height = (
-        root_content.index_level
-        if isinstance(root_content, IndexNode)
-        else 0
-    )
-    tree.count = count
     tree.check(check_occupancy=False, check_justification=False)
     return tree
 

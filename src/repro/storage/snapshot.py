@@ -2,8 +2,11 @@
 
 The paged representation serialises naturally: every page is either a
 data page (records keyed by bit path) or an index node (level-labelled
-entries).  Record values must be JSON-serialisable; everything else —
-keys, paths, the registry — is rebuilt exactly.  The snapshot is a
+entries).  Record values must be JSON-serialisable.  The header is the
+tree's :func:`~repro.core.tree.tree_config` record; loading builds an
+empty tree from it, copies the pages under fresh ids and hands the root
+to :meth:`~repro.core.tree.BVTree.adopt`, which rebuilds the key
+registry and reads height and count off the pages.  The snapshot is a
 faithful structural copy: heights, page populations, guard placement and
 therefore all cost guarantees survive a round trip.
 
@@ -22,7 +25,6 @@ from repro.core.entry import Entry
 from repro.core.node import DataPage, IndexNode
 from repro.core.tree import BVTree
 from repro.geometry.region import RegionKey
-from repro.geometry.space import DataSpace
 
 FORMAT_VERSION = 1
 
@@ -67,17 +69,7 @@ def dump_tree(tree: BVTree, fp: IO[str]) -> None:
             stack.extend(content.entries)
     snapshot = {
         "format": FORMAT_VERSION,
-        "space": {
-            "bounds": [list(b) for b in tree.space.bounds],
-            "resolution": tree.space.resolution,
-        },
-        "policy": {
-            "data_capacity": tree.policy.data_capacity,
-            "fanout": tree.policy.fanout,
-            "kind": tree.policy.kind,
-            "page_bytes": tree.policy.page_bytes,
-        },
-        "layout": tree.layout,
+        **tree.config(),
         "height": tree.height,
         "root_page": tree.root_page,
         "count": tree.count,
@@ -112,23 +104,10 @@ def _from_snapshot(snapshot: dict[str, Any]) -> BVTree:
             f"unsupported snapshot format {snapshot.get('format')!r}; "
             f"this library reads version {FORMAT_VERSION}"
         )
-    space = DataSpace(
-        [tuple(b) for b in snapshot["space"]["bounds"]],
-        resolution=snapshot["space"]["resolution"],
-    )
-    policy = snapshot["policy"]
-    tree = BVTree(
-        space,
-        data_capacity=policy["data_capacity"],
-        fanout=policy["fanout"],
-        policy=policy["kind"],
-        page_bytes=policy["page_bytes"],
-        # Older snapshots predate the layout field; they are object-layout.
-        layout=snapshot.get("layout", "object"),
-    )
-    tree.store.free(tree.root_page)  # replace the fresh root
+    tree = BVTree.from_config(snapshot)
 
     # First pass: materialise pages under fresh ids.
+    space = tree.space
     id_map: dict[int, int] = {}
     index_nodes: list[tuple[dict[str, Any], IndexNode]] = []
     for page in snapshot["pages"]:
@@ -147,7 +126,8 @@ def _from_snapshot(snapshot: dict[str, Any]) -> BVTree:
         else:
             raise ReproError(f"unknown page kind {page['kind']!r}")
 
-    # Second pass: wire entries through the id map and rebuild the registry.
+    # Second pass: wire entries through the id map; adopt rebuilds the
+    # registry and reads root, height and count off the pages.
     root_page = snapshot["root_page"]
     if root_page not in id_map:
         raise ReproError("snapshot root page missing from page list")
@@ -160,10 +140,8 @@ def _from_snapshot(snapshot: dict[str, Any]) -> BVTree:
                 RegionKey.from_bits(raw["key"]), raw["level"], id_map[child]
             )
             node.add(entry)
-            tree.register_entry(entry)
-
-    tree.root_page = id_map[root_page]
-    tree.height = snapshot["height"]
-    tree.count = snapshot["count"]
+    tree.adopt(id_map[root_page])
+    if (tree.height, tree.count) != (snapshot["height"], snapshot["count"]):
+        raise ReproError("snapshot height/count disagree with its pages")
     tree.check(check_occupancy=False, check_justification=False)
     return tree

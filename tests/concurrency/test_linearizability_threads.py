@@ -13,11 +13,12 @@ import random
 
 import pytest
 
-from repro.concurrency import TreeService, build_service, run_threads
+from repro.concurrency import TreeService
 from repro.core.tree import BVTree
 from repro.storage import BufferPool, PageStore
 
 from tests.concurrency.conftest import distinct_points, make_space
+from tests.concurrency.lockstep import build_service, run_threads
 
 
 def mixed_ops(points, seed, delete_fraction=0.3, replace_fraction=0.2):

@@ -13,9 +13,9 @@ import random
 
 import pytest
 
-from repro.concurrency import LockstepError, build_service, run_schedule
 
 from tests.concurrency.conftest import distinct_points, make_space
+from tests.concurrency.lockstep import LockstepError, build_service, run_schedule
 
 
 def _queries(rng, live_points, all_points):
@@ -176,7 +176,7 @@ class TestHarnessCatchesBugs:
             )
 
     def test_wrong_value_is_detected(self, layout):
-        from repro.concurrency import verify_snapshot
+        from tests.concurrency.lockstep import verify_snapshot
 
         service, oracle = build_service(layout)
         oracle.commit([{"op": "insert", "point": [0.5, 0.5], "value": "A"}])

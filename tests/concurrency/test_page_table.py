@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency import PageTable
-from repro.concurrency.lockstep import build_service
 from repro.concurrency.snapshots import CHUNK_BITS
 
 from tests.concurrency.conftest import distinct_points, make_space
+from tests.concurrency.lockstep import build_service
 
 # Ids over a few chunks, so puts and drops collide inside chunks and
 # chunks empty out and come back.

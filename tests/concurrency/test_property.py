@@ -11,7 +11,7 @@ should be pinned as a JSON repro in ``tests/concurrency/repros/``.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.concurrency import run_schedule
+from tests.concurrency.lockstep import run_schedule
 
 # A coarse grid keeps the key space small enough that random ops hit
 # the same paths often — the interesting cases (duplicate inserts,
@@ -97,6 +97,6 @@ class TestScheduleProperties:
         """After any schedule: the final snapshot materializes into a
         tree that passes the invariant checker and the doctor — no torn
         split cascade, no guard-set inconsistency survived."""
-        from repro.concurrency import verify_structure
+        from tests.concurrency.lockstep import verify_structure
 
         verify_structure(service.snapshot())

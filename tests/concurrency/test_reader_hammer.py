@@ -1,10 +1,9 @@
 """Eight reader threads on one shared tree: the read-path cache races.
 
 The read path looks pure but mutates shared structures under the hood —
-the ``RegionKey.bit_string`` memo and the buffer pool's hit/miss
-bookkeeping.  This suite is the regression net for their thread safety:
-identical answers from every thread, no exceptions, and pool stats that
-still add up afterwards.
+the buffer pool's hit/miss bookkeeping.  This suite is the regression
+net for its thread safety: identical answers from every thread, no
+exceptions, and pool stats that still add up afterwards.
 """
 
 import threading
@@ -46,7 +45,7 @@ def _hammer(tree, points, errors, answers, slot):
             local.append(
                 tuple(tuple(n.point) for n in neighbours.neighbours)
             )
-            # Hammer the bit_string memo directly too.
+            # Format keys too, as traced descents and EXPLAIN do.
             locate = tree.search(points[(slot + round_no) % len(points)])
             locate.entry.key.bit_string()
         answers[slot] = local

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.concurrency import dump_schedule, load_schedule, run_schedule
+from tests.concurrency.lockstep import dump_schedule, load_schedule, run_schedule
 
 REPRO_DIR = Path(__file__).parent / "repros"
 REPROS = sorted(REPRO_DIR.glob("*.json"))

@@ -17,7 +17,7 @@ from repro.concurrency import (
     delete_op,
     insert_op,
 )
-from repro.concurrency.lockstep import build_service
+from repro.core.tree import BVTree
 from repro.errors import (
     DuplicateKeyError,
     KeyNotFoundError,
@@ -26,6 +26,7 @@ from repro.errors import (
 )
 
 from tests.concurrency.conftest import distinct_points, make_space
+from tests.concurrency.lockstep import build_service
 
 
 class TestSnapshotIsolation:
@@ -118,7 +119,18 @@ class TestMaterialize:
         assert sorted(
             (tuple(p), v) for p, v in tree.items()
         ) == sorted((tuple(p), v) for p, v in pinned.items())
+        assert (tree.layout, tree.height, len(tree)) == (
+            layout,
+            pinned.height,
+            len(pinned),
+        )
         tree.check(check_occupancy=False, check_justification=False)
+
+
+def test_snapshot_reads_are_the_tree_methods():
+    # perfbench's traced pass wraps these through Snapshot.__dict__.
+    for name in ("get", "range_query", "nearest"):
+        assert Snapshot.__dict__[name] is BVTree.__dict__[name]
 
 
 class TestVersionStoreReadOnly:

@@ -12,12 +12,13 @@ preemption cycles room to show up.
 
 import pytest
 
-from repro.concurrency import TreeService, run_threads, verify_structure
+from repro.concurrency import TreeService
 from repro.core.tree import BVTree
 from repro.storage import BufferPool, PageStore
 from repro.storage.durable.recovery import create_durable_tree
 
 from tests.concurrency.conftest import distinct_points, make_space
+from tests.concurrency.lockstep import run_threads, verify_structure
 from tests.concurrency.test_linearizability_threads import mixed_ops
 
 pytestmark = pytest.mark.slow

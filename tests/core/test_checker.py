@@ -7,6 +7,8 @@ from repro.core.entry import Entry
 from repro.core.node import DataPage, IndexNode
 from repro.core.tree import BVTree
 from repro.geometry.region import RegionKey
+from repro.obs.events import DESCENT_STEP
+from repro.obs.sinks import RingSink
 from tests.conftest import make_points
 
 
@@ -131,3 +133,39 @@ class TestCorruptionDetection:
 
     def test_sampled_relocation(self, tree):
         tree.check(sample_points=1000)  # more samples than records is fine
+
+
+class TestDescentLevelBound:
+    """Each descent reads one node per index level and raises on a node
+    whose index level is not the one its entry promised: that is what
+    holds an exact match to ``height + 1`` pages (paper §6)."""
+
+    @pytest.fixture
+    def corrupted(self, tree):
+        """A stored point, with the level-1 node on its path relabelled."""
+        assert tree.height >= 2
+        point = next(iter(tree.items()))[0]
+        sink = RingSink()
+        tree.tracer.subscribe(sink)
+        tree.search(point)
+        tree.tracer.unsubscribe(sink)
+        node_page = next(
+            event.fields["node_page"]
+            for event in sink.events()
+            if event.kind == DESCENT_STEP and event.fields["level"] == 1
+        )
+        tree.store.read(node_page).index_level = 2
+        return tree, point
+
+    def test_untraced_columnar_descent_raises(self, corrupted):
+        tree, point = corrupted
+        assert tree.layout == "columnar" and not tree.tracer.enabled
+        with pytest.raises(TreeInvariantError, match="points at node of index"):
+            tree.get(point)
+
+    def test_traced_descent_raises(self, corrupted):
+        tree, point = corrupted
+        tree.tracer.subscribe(RingSink())
+        assert tree.tracer.enabled
+        with pytest.raises(TreeInvariantError, match="points at node of index"):
+            tree.get(point)

@@ -10,17 +10,23 @@ Two compositions the storage layer promises to support unchanged:
   from a crashed directory must snapshot and reload like any other.
 """
 
+import json
 import random
 
 import pytest
 
+from repro.core.entry import Entry
 from repro.core.tree import BVTree
-from repro.errors import SimulatedCrashError
+from repro.errors import RecoveryError, SimulatedCrashError
+from repro.geometry.region import RegionKey
 from repro.geometry.space import DataSpace
 from repro.storage.buffer import BufferPool
 from repro.storage.durable.recovery import (
+    TREE_META_KEY,
     create_durable_tree,
     open_durable_tree,
+    rebuild_tree,
+    recover_store,
 )
 from repro.storage.durable.store import DurableStore
 from repro.storage.faults import FaultPlan
@@ -138,3 +144,98 @@ class TestSnapshotOfRecoveredTree:
         grandchild = loads_tree(dumps_tree(clone))
         assert sorted(grandchild.items()) == sorted(recovered.items())
         recovered.store.close(checkpoint=False)
+
+
+@pytest.mark.parametrize("layout", ["object", "columnar"])
+def test_snapshot_header_is_the_durable_tree_record(tmp_path, layout):
+    space = DataSpace([(-10.0, 10.0), (0.0, 5.0)], resolution=14)
+    tree = create_durable_tree(
+        tmp_path / "d",
+        space,
+        data_capacity=5,
+        fanout=7,
+        policy="uniform",
+        page_bytes=512,
+        layout=layout,
+        sync="os",
+    )
+    rng = random.Random(84)
+    for i in range(60):
+        tree.insert((rng.uniform(-10, 10), rng.uniform(0, 5)), i)
+    snapshot = json.loads(dumps_tree(tree))
+    tree.store.close(checkpoint=False)
+    store, _ = recover_store(tmp_path / "d", sync="os")
+    header = {key: snapshot[key] for key in ("space", "policy", "layout")}
+    assert header == store.meta[TREE_META_KEY]
+    store.close(checkpoint=False)
+
+
+class TestRebuildRejectsCorruptImages:
+    """One test per check :func:`rebuild_tree` makes on a recovered page
+    graph, matched on the message each one raises."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        tree = create_durable_tree(
+            tmp_path / "d",
+            DataSpace.unit(2, resolution=16),
+            data_capacity=4,
+            fanout=8,
+            sync="os",
+        )
+        for i, p in enumerate(make_points(12, 2, seed=85)):
+            tree.insert(p, i, replace=True)
+        assert tree.height == 1
+        return tree
+
+    def rebuild(self, tree):
+        directory = tree.store.directory
+        tree.store.close(checkpoint=False)
+        store, _ = recover_store(directory, sync="os")
+        try:
+            return rebuild_tree(store)
+        finally:
+            store.close(checkpoint=False)
+
+    def fresh_key(self, tree):
+        return RegionKey.from_bits("1" * tree.space.path_bits)
+
+    def test_clean_image_rebuilds(self, tree):
+        assert self.rebuild(tree).count == 12
+
+    def test_two_root_candidates(self, tree):
+        tree.store.allocate(tree.make_data_page())
+        with pytest.raises(RecoveryError, match="has 2 root candidates"):
+            self.rebuild(tree)
+
+    def test_page_reached_twice(self, tree):
+        root = tree.store.read(tree.root_page)
+        shared = root.entries[0].page
+        root.add(Entry(self.fresh_key(tree), 0, shared))
+        tree.store.write(tree.root_page, root)
+        with pytest.raises(
+            RecoveryError, match=f"recovered image reaches page {shared} twice"
+        ):
+            self.rebuild(tree)
+
+    def test_orphan_page(self, tree):
+        # An index node that references only itself: no root candidate,
+        # but unreachable from the root.
+        loop = tree.store.allocate(tree.make_index_node(1))
+        tree.store.write(
+            loop, tree.make_index_node(1, [Entry(self.fresh_key(tree), 0, loop)])
+        )
+        with pytest.raises(
+            RecoveryError,
+            match=f"has 1 orphan pages unreachable from root {tree.root_page}",
+        ):
+            self.rebuild(tree)
+
+    def test_payload_that_is_not_a_node(self, tree):
+        victim = tree.store.read(tree.root_page).entries[0].page
+        tree.store.write(victim, "junk")
+        with pytest.raises(
+            RecoveryError,
+            match=f"recovered page {victim} holds str, not a tree node",
+        ):
+            self.rebuild(tree)

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.concurrency import build_service
 from repro.concurrency.service import BatchAbortedError
 from repro.errors import (
     DuplicateKeyError,
@@ -23,6 +22,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import lint_prometheus
 from repro.server.app import Response, ServingApp, status_for
+from tests.concurrency.lockstep import build_service
 
 
 def make_app(**kwargs):

@@ -15,11 +15,12 @@ import threading
 
 import pytest
 
-from repro.concurrency import build_service, delete_op, insert_op
+from repro.concurrency import delete_op, insert_op
 from repro.errors import DuplicateKeyError, KeyNotFoundError, ReproError
 from repro.server.app import ServingApp
 from repro.server.batch import WriteBatcher
 from repro.server.http import ServerHandle
+from tests.concurrency.lockstep import build_service
 
 
 class RecordingService:

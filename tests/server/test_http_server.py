@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro import DataSpace
-from repro.concurrency import TreeService, build_service
+from repro.concurrency import TreeService
 from repro.server.app import ServingApp
 from repro.server.batch import WriteBatcher
 from repro.server.http import ServerHandle
@@ -23,6 +23,7 @@ from repro.storage.durable.recovery import (
     create_durable_tree,
     open_durable_tree,
 )
+from tests.concurrency.lockstep import build_service
 
 
 @pytest.fixture()

@@ -114,6 +114,13 @@ class TestValidation:
         with pytest.raises(ReproError):
             loads_tree(json.dumps(snapshot))
 
+    @pytest.mark.parametrize("field", ["height", "count"])
+    def test_rejects_header_that_disagrees_with_pages(self, populated, field):
+        snapshot = json.loads(dumps_tree(populated))
+        snapshot[field] += 1
+        with pytest.raises(ReproError):
+            loads_tree(json.dumps(snapshot))
+
     def test_values_must_be_jsonable(self, unit2):
         tree = BVTree(unit2, data_capacity=4, fanout=4)
         tree.insert((0.5, 0.5), object())
