@@ -47,6 +47,17 @@ echo "== perf smoke =="
 smoke_json="${TMPDIR:-/tmp}/repro-perf-smoke.json"
 python -m repro perf --scale smoke --out "$smoke_json" >/dev/null
 python -m repro doctor --bench "$smoke_json" >/dev/null
+# The profiler's own page count on the buffered probe tree must equal
+# the descent bound: every exact match reads height + 1 pages.
+python - "$smoke_json" <<'PY'
+import json
+import sys
+with open(sys.argv[1]) as fh:
+    profile = json.load(fh)["profile"]
+get = profile["get"]
+assert get["ops"] > 0, get
+assert get["mean_pages"] == profile["tree_height"] + 1, profile
+PY
 rm -f "$smoke_json"
 python -m repro perf --scale smoke --layout columnar --no-write >/dev/null
 python -m repro perf --scale smoke --no-write --baseline BENCH_core.json >/dev/null

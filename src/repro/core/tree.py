@@ -307,12 +307,7 @@ class BVTree:
             # distributions, and the exception propagates unchanged.
             profiler = tracer.profiler
             if profiler is not None:
-                rstats = profiler.rstats
-                r0 = (
-                    rstats.hits + rstats.misses
-                    if profiler.buffered
-                    else rstats.reads
-                )
+                r0 = profiler.rstats.reads
                 t0 = perf_counter()
                 try:
                     path = self.space.point_path(point)
@@ -474,12 +469,7 @@ class BVTree:
             profiler = tracer.profiler
             if profiler is None:
                 return _query.range_query(self, Rect(lows, highs))
-            rstats = profiler.rstats
-            r0 = (
-                rstats.hits + rstats.misses
-                if profiler.buffered
-                else rstats.reads
-            )
+            r0 = profiler.rstats.reads
             t0 = perf_counter()
             try:
                 result = _query.range_query(self, Rect(lows, highs))
@@ -515,12 +505,7 @@ class BVTree:
             profiler = tracer.profiler
             if profiler is None:
                 return nearest_neighbours(self, point, k=k)
-            rstats = profiler.rstats
-            r0 = (
-                rstats.hits + rstats.misses
-                if profiler.buffered
-                else rstats.reads
-            )
+            r0 = profiler.rstats.reads
             t0 = perf_counter()
             try:
                 result = nearest_neighbours(self, point, k=k)

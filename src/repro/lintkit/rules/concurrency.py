@@ -7,10 +7,9 @@ or event loop *inside* the core would be a smell twice over — it would
 duplicate synchronisation the service layer already owns (two lock
 hierarchies is how deadlocks are built), and it would quietly change the
 core's cost model (every descent paying for lock traffic that the
-single-threaded perf suite then can't see).  The storage layer may opt
-in where a shared structure needs it (``BufferPool(thread_safe=True)``,
-the geometry rect cache) — those are leaf caches with self-contained
-critical sections, not tree logic.
+single-threaded perf suite then can't see).  The storage layer below
+the core is single-caller too: served readers read frozen snapshots,
+and the live store is touched only under the service's writer lock.
 
 The rule flags any import of ``threading``, ``asyncio`` or ``_thread``
 — plain, aliased or ``from``-form — in ``repro/core``.

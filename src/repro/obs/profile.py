@@ -13,18 +13,24 @@ namespace, so one :func:`~repro.obs.metrics.to_prometheus` call (or a
 
 Two collection paths, by design
 -------------------------------
+Both paths measure the same thing: counter deltas between the start
+and the end of one operation.  Pages read and written are the deltas of
+the ``reads``/``writes`` counters of the store the tree holds — a bare
+store, a durable store and a buffer pool all count them under those
+names — and an update's split cascade is the delta of the tree's own
+``OpCounters`` data and index splits.
+
 *Update* operations (``insert``/``delete``/``bulk_load``) already open
 tracer spans under the ``structural`` guard, so the profiler subscribes
-to the tracer declaring ``kinds = {op_begin, op_end, data_split,
-index_split}`` and folds each event in O(1) — exactly the
-:class:`GuaranteeMonitor` discipline.
+to the tracer declaring ``kinds = {op_begin, op_end}``, takes its marks
+at ``op_begin`` and records the deltas at ``op_end``.
 
 *Read* operations never open spans while the tracer is disabled: a span
 plus :class:`~repro.obs.events.TraceEvent` construction costs more than
 an entire exact-match descent's profiling budget (the perf probe holds
 profiled gets within 5% of bare ones).  Instead the profiler registers
 itself on ``tracer.profiler`` and the read paths take the before-op
-marks inline (one ``perf_counter`` read, one logical-read count off
+marks inline (one ``perf_counter`` read, one ``reads`` count off
 :attr:`OpProfiler.rstats`) and close with a single
 :meth:`OpProfiler.end_get` (etc.) call — two ``perf_counter`` reads, one
 I/O-counter delta and one raw-sample append per op (exact-match samples
@@ -56,13 +62,7 @@ from time import perf_counter
 from typing import Any, Sequence
 
 from repro.errors import ReproError
-from repro.obs.events import (
-    DATA_SPLIT,
-    INDEX_SPLIT,
-    OP_BEGIN,
-    OP_END,
-    TraceEvent,
-)
+from repro.obs.events import OP_BEGIN, OP_END, TraceEvent
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
@@ -155,7 +155,7 @@ class KindProfile:
         )
         self.errors: Counter = registry.counter(f"{prefix}.errors")
         # No pages_read counter: the pages histogram's sum *is* the
-        # total logical reads (``_sum`` in the Prometheus exposition),
+        # total reads (``_sum`` in the Prometheus exposition),
         # and the read hot path cannot afford a redundant counter.
         self.pages_written: Counter = registry.counter(
             f"{prefix}.pages_written"
@@ -306,12 +306,14 @@ class OpProfiler:
     """Live per-kind cost profiles for one BV-tree.
 
     Attach with :meth:`attach` (subscribes the profiler to the tracer
-    and registers it as the tracer's direct-call ``profiler`` hook),
-    detach with :meth:`detach`.  While attached:
+    and registers it as the tracer's direct-call ``profiler`` hook; one
+    profiler per tree at a time), detach with :meth:`detach`.  While
+    attached:
 
     - every update operation is profiled through its tracer span
-      (latency from ``op_begin``/``op_end``, cascade depth from the
-      split events in between, I/O from the store's counter deltas);
+      (latency, I/O and cascade depth as the deltas of the clock, the
+      store's counters and the tree's split counters between
+      ``op_begin`` and ``op_end``);
     - every read operation is profiled through the direct
       ``begin``/``end_*`` calls the tree's read paths make when they
       see ``tracer.profiler`` set — unless the tracer is enabled, in
@@ -326,7 +328,7 @@ class OpProfiler:
 
     #: Subscriber declaration: the tracer builds no other kind for it
     #: (see repro.obs.tracer).
-    kinds = frozenset({OP_BEGIN, OP_END, DATA_SPLIT, INDEX_SPLIT})
+    kinds = frozenset({OP_BEGIN, OP_END})
 
     def __init__(
         self,
@@ -341,18 +343,16 @@ class OpProfiler:
         #: kind -> KindProfile (created on each kind's first operation).
         self.profiles: dict[str, KindProfile] = {}
         self.attached = False
-        #: open span id -> (kind, t0, reads0, writes0, detail fields).
-        self._open: dict[int, tuple[str, float, int, int, dict[str, Any]]] = {}
-        #: open span id -> split chain length so far.
-        self._splits: dict[int, int] = {}
-        #: Read-side I/O stats and buffered-ness, resolved at attach
-        #: time.  Public on purpose: the tree's read paths inline the
-        #: before-op marks (one clock read, one logical-read count)
-        #: against these instead of paying a method call — see
+        #: open span id -> (kind, t0, reads0, writes0, splits0, detail).
+        self._open: dict[
+            int, tuple[str, float, int, int, int, dict[str, Any]]
+        ] = {}
+        #: The store's I/O counters (``reads``/``writes``), resolved at
+        #: attach time.  Public on purpose: the tree's read paths inline
+        #: the before-op marks (one clock read, one ``reads`` count)
+        #: against it instead of paying a method call — see
         #: :meth:`end_get` for the budget arithmetic.
         self.rstats: Any = None
-        self.buffered = False
-        self._wstats: Any = None
         self._explaining = False
         self._get_profile: KindProfile | None = None
         #: Raw ``(latency_us, pages)`` samples from the exact-match hot
@@ -372,17 +372,20 @@ class OpProfiler:
     # ------------------------------------------------------------------
 
     def attach(self) -> "OpProfiler":
-        """Start profiling (idempotent); resolves the I/O counters."""
+        """Start profiling (idempotent); resolves the I/O counters.
+
+        Raises :class:`~repro.errors.ReproError` while another profiler
+        is attached to the tree: the read paths call one profiler, so a
+        second one would silently take every read from the first.
+        """
         if self.attached:
             return self
-        store = self.tree.store
-        rstats = store.stats
-        # A BufferPool counts logical reads as hits + misses and holds
-        # no ``reads`` field; a bare store counts them in IOStats.reads.
-        self.buffered = not hasattr(rstats, "reads")
-        self.rstats = rstats
-        self._wstats = store.store.stats if self.buffered else rstats
         tracer = self.tree.tracer
+        if tracer.profiler is not None:
+            raise ReproError(
+                "another OpProfiler is attached to this tree; detach it first"
+            )
+        self.rstats = self.tree.store.stats
         tracer.subscribe(self)
         tracer.profiler = self
         self.attached = True
@@ -398,7 +401,6 @@ class OpProfiler:
             tracer.profiler = None
         tracer.unsubscribe(self)
         self._open.clear()
-        self._splits.clear()
         self.attached = False
 
     def __enter__(self) -> "OpProfiler":
@@ -421,10 +423,10 @@ class OpProfiler:
         """Close a profiled exact-match lookup.
 
         ``t0``/``r0`` are the before-op marks the caller took inline
-        (``perf_counter()`` and the logical-read count off
-        :attr:`rstats`).  This is the one profiled path with a real
-        budget — the perf probe gates it at 1.05x a bare descent, well
-        under a microsecond — which shapes everything here: the marks
+        (``perf_counter()`` and ``rstats.reads``).  This is the one
+        profiled path with a real budget — the perf probe gates it at
+        1.05x a bare descent, well under a microsecond — which shapes
+        everything here: the marks
         are locals passed in rather than profiler state (no extra
         method call, no attribute round-trip), the histograms are not
         updated in place but fed one raw ``(latency_us, pages)`` sample
@@ -433,13 +435,10 @@ class OpProfiler:
         load.  The slow-op check stays per-operation — a slow query
         must be EXPLAINed against the tree state that made it slow, not
         a batch later.  Range/k-NN closes cost tens of microseconds to
-        milliseconds and keep the readable :meth:`_finish` path.
+        milliseconds and keep the readable :meth:`_close` path.
         """
         elapsed_us = (_clock() - t0) * 1e6
-        rstats = self.rstats
-        reads = (
-            rstats.hits + rstats.misses if self.buffered else rstats.reads
-        ) - r0
+        reads = self.rstats.reads - r0
         raw = self._get_raw
         raw.append((elapsed_us, reads))
         if len(raw) >= GET_BATCH:
@@ -483,68 +482,53 @@ class OpProfiler:
         highs: Sequence[float],
     ) -> None:
         """Close a profiled range query."""
-        slow_us, reads = self._finish("range", t0, r0)
-        if slow_us is not None:
-            self._slow(
-                "range",
-                slow_us,
-                reads,
-                0,
-                0,
-                {"lows": list(lows), "highs": list(highs)},
-            )
+        self._close(
+            "range", t0, r0, 0, 0, {"lows": list(lows), "highs": list(highs)}
+        )
 
     def end_knn(
         self, t0: float, r0: int, point: Sequence[float], k: int
     ) -> None:
         """Close a profiled k-NN query."""
-        slow_us, reads = self._finish("knn", t0, r0)
-        if slow_us is not None:
-            self._slow(
-                "knn", slow_us, reads, 0, 0, {"point": list(point), "k": k}
-            )
+        self._close("knn", t0, r0, 0, 0, {"point": list(point), "k": k})
 
     def end_error(self, kind: str) -> None:
-        """Close a profiled read op that raised: count, don't distort."""
-        profile = self.profiles.get(kind)
-        if profile is None:
-            profile = self._make_profile(kind)
-        profile.errors.inc()
+        """Close a profiled op that raised: count, don't distort."""
+        self._make_profile(kind).errors.inc()
 
-    def _finish(
-        self, kind: str, t0: float, r0: int
-    ) -> tuple[float | None, int]:
-        """Record one successful read op; non-None when it was slow."""
+    def _close(
+        self,
+        kind: str,
+        t0: float,
+        r0: int,
+        writes: int,
+        cascade: int,
+        detail: dict[str, Any],
+    ) -> None:
+        """Record one successful op that started at ``t0`` with ``r0``
+        reads on the store, and capture it if it was slow."""
         elapsed_us = (perf_counter() - t0) * 1e6
-        rstats = self.rstats
-        reads = (
-            rstats.hits + rstats.misses if self.buffered else rstats.reads
-        ) - r0
-        profile = self.profiles.get(kind)
-        if profile is None:
-            profile = self._make_profile(kind)
-        profile.record(elapsed_us, reads, 0, 0)
+        reads = self.rstats.reads - r0
+        self._make_profile(kind).record(elapsed_us, reads, writes, cascade)
         log = self.slow_log
         if log is not None and log.matches(elapsed_us, reads):
-            return elapsed_us, reads
-        return None, reads
+            self._slow(kind, elapsed_us, reads, writes, cascade, detail)
+
+    def _splits_done(self) -> int:
+        """Data plus index splits the tree has performed so far."""
+        counters = self.tree.stats
+        return counters.data_splits + counters.index_splits
 
     # ------------------------------------------------------------------
     # TraceSink interface (subscriber: update paths, and traced reads)
     # ------------------------------------------------------------------
 
     def emit(self, event: TraceEvent) -> None:
-        """Fold one structural event into the profiles (O(1))."""
-        kind = event.kind
-        if kind == OP_BEGIN:
+        """Mark an op span's start, or record the op at its end (O(1))."""
+        if event.kind == OP_BEGIN:
             name = event.fields.get("name")
             if name:
                 rstats = self.rstats
-                reads = (
-                    rstats.hits + rstats.misses
-                    if self.buffered
-                    else rstats.reads
-                )
                 detail = {
                     key: value
                     for key, value in event.fields.items()
@@ -553,37 +537,27 @@ class OpProfiler:
                 self._open[event.op] = (
                     name,
                     perf_counter(),
-                    reads,
-                    self._wstats.writes,
+                    rstats.reads,
+                    rstats.writes,
+                    self._splits_done(),
                     detail,
                 )
-        elif kind == OP_END:
-            entry = self._open.pop(event.op, None)
-            cascade = self._splits.pop(event.op, 0)
-            if entry is None:
-                return
-            name, t0, reads0, writes0, detail = entry
-            profile = self.profiles.get(name)
-            if profile is None:
-                profile = self._make_profile(name)
-            if "error" in event.fields:
-                profile.errors.inc()
-                return
-            elapsed_us = (perf_counter() - t0) * 1e6
-            rstats = self.rstats
-            reads = (
-                rstats.hits + rstats.misses
-                if self.buffered
-                else rstats.reads
-            ) - reads0
-            writes = self._wstats.writes - writes0
-            profile.record(elapsed_us, reads, writes, cascade)
-            log = self.slow_log
-            if log is not None and log.matches(elapsed_us, reads):
-                self._slow(name, elapsed_us, reads, writes, cascade, detail)
-        elif kind in (DATA_SPLIT, INDEX_SPLIT):
-            if event.op:
-                self._splits[event.op] = self._splits.get(event.op, 0) + 1
+            return
+        entry = self._open.pop(event.op, None)
+        if entry is None:
+            return
+        name, t0, r0, w0, s0, detail = entry
+        if "error" in event.fields:
+            self.end_error(name)
+            return
+        self._close(
+            name,
+            t0,
+            r0,
+            self.rstats.writes - w0,
+            self._splits_done() - s0,
+            detail,
+        )
 
     # ------------------------------------------------------------------
     # Slow-op capture

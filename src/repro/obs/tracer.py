@@ -140,8 +140,10 @@ class Tracer:
         #: the one exception to the subscriber list.  A read span plus
         #: event construction costs more than the profiler's whole
         #: budget, so an attached :class:`~repro.obs.profile.OpProfiler`
-        #: sits here and untraced reads call ``profiler.end_*()`` directly.
-        #: Update paths ignore this slot; the profiler subscribes to them.
+        #: sits here and untraced reads mark ``profiler.rstats.reads``
+        #: and call ``profiler.end_*()`` directly.  One profiler holds
+        #: the slot at a time (a second ``attach`` raises).  Update paths
+        #: ignore this slot; the profiler subscribes to their op spans.
         self.profiler: Any = None
         self._seq = 0
         self._ops = 0

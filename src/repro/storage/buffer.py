@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Any, ContextManager, Iterator
 
@@ -19,10 +18,14 @@ _ABSENT = object()
 class BufferPool:
     """Read-through, write-through LRU cache of pages.
 
-    The pool distinguishes *logical* reads (every :meth:`read` call) from
-    *physical* reads (cache misses that hit the underlying store).  All
-    writes go straight to the store so the store content is always
-    authoritative; the cached copy is refreshed at the same time.
+    The pool counts its accesses under the store's names:
+    ``stats.reads`` is every :meth:`read` call and ``stats.writes`` every
+    :meth:`write`, exactly as a bare :class:`PageStore` counts them, so
+    ``tree.store.stats.reads`` means the same on either.  ``stats.hits``
+    splits the reads served from the cache from the misses that read
+    the underlying store.  All writes go straight to the store so the
+    store content is always authoritative; the cached copy is refreshed
+    at the same time.
 
     The pool exposes the full :class:`PageStore` surface (allocation,
     freeing, size classes, accounting), so it can be passed anywhere a
@@ -35,41 +38,23 @@ class BufferPool:
     a miss is covered by the single ``physical=True`` event the store's
     fault-in read emits.  Counting a trace's ``physical=True`` events
     therefore reproduces the store's ``IOStats.reads`` exactly, and the
-    total ``page_read`` count reproduces ``BufferStats.logical_reads``
-    (the integration tests assert both equalities).
+    total ``page_read`` count reproduces ``BufferStats.reads`` (the
+    integration tests assert both equalities).
 
-    Thread safety: by default the pool is single-caller, like every
-    store — the hit path is two dict operations plus two counter
-    increments, and a mutex there would tax every buffered read of a
-    single-threaded index.  Pass ``thread_safe=True`` when the pool is
-    shared by concurrent readers (``cache.move_to_end`` racing an
-    eviction corrupts the ``OrderedDict``; the stats counters lose
-    increments): the cache and counter mutations then run under an
-    internal lock.  Served trees do not need this — snapshot readers
-    never touch the live store (see ``docs/SERVING.md``) — it exists for
-    direct shared-tree readers, e.g. the reader-hammer regression test.
+    Like every store, the pool is single-caller: concurrent readers
+    would race ``cache.move_to_end`` against an eviction and lose
+    counter increments.  Served trees never share it — snapshot readers
+    read their own frozen page tables, and the writer touches the live
+    store only under the service's writer lock (see ``docs/SERVING.md``).
     """
 
-    def __init__(
-        self,
-        store: PageStore,
-        capacity: int = 64,
-        *,
-        thread_safe: bool = False,
-    ):
+    def __init__(self, store: PageStore, capacity: int = 64):
         if capacity <= 0:
             raise StorageError(f"buffer capacity must be positive, got {capacity}")
         self.store = store
         self.capacity = capacity
         self.stats = BufferStats()
         self._cache: OrderedDict[int, Any] = OrderedDict()
-        # None in the default single-caller mode: the hot read path
-        # branches on it rather than entering a no-op context manager,
-        # whose __enter__/__exit__ calls would more than double the cost
-        # of a cache hit (measured; the hit path is ~190ns of dict work).
-        self._lock: threading.Lock | None = (
-            threading.Lock() if thread_safe else None
-        )
 
     # ------------------------------------------------------------------
     # PageStore surface (decorator passthrough)
@@ -92,18 +77,13 @@ class BufferPool:
     def allocate(self, content: Any = None, size_class: int = 0) -> int:
         """Allocate in the store; the fresh page starts out cached."""
         page_id = self.store.allocate(content, size_class=size_class)
-        self._install_locked(page_id, content)
+        self._install(page_id, content)
         return page_id
 
     def free(self, page_id: int) -> None:
         """Free in the store and drop any cached copy."""
         self.store.free(page_id)
-        lock = self._lock
-        if lock is None:
-            self._cache.pop(page_id, None)
-        else:
-            with lock:
-                self._cache.pop(page_id, None)
+        self._cache.pop(page_id, None)
 
     def register_size_class(self, size_class: int, page_bytes: int) -> None:
         """Pass through to the store."""
@@ -143,18 +123,13 @@ class BufferPool:
         touch — because every page access of a buffered index funnels
         through here.
         """
-        lock = self._lock
-        if lock is not None:
-            with lock:
-                return self._read_inner(page_id)
-        return self._read_inner(page_id)
-
-    def _read_inner(self, page_id: int) -> Any:
+        stats = self.stats
         cache = self._cache
         content = cache.get(page_id, _ABSENT)
         if content is not _ABSENT:
             cache.move_to_end(page_id)
-            self.stats.hits += 1
+            stats.reads += 1
+            stats.hits += 1
             tracer = self.store.tracer
             if tracer.enabled:
                 tracer.emit(PAGE_READ, page=page_id, physical=False)
@@ -164,17 +139,15 @@ class BufferPool:
         # logical event here, or one miss would be traced twice and the
         # trace-derived counts would drift from IOStats.reads.
         content = self.store.read(page_id)
-        self.stats.misses += 1
+        stats.reads += 1
         self._install(page_id, content)
         return content
 
     def peek(self, page_id: int) -> Any:
-        """Read a page without touching hit/miss counters or LRU order.
+        """Read a page without touching the counters or LRU order.
 
         Serves from the cache when resident (no recency update), and
         otherwise peeks the underlying store without installing the page.
-        Lock-free even in thread-safe mode: the single dict probe is
-        atomic under the GIL, and peek mutates nothing.
         """
         content = self._cache.get(page_id, _ABSENT)
         if content is not _ABSENT:
@@ -184,7 +157,8 @@ class BufferPool:
     def write(self, page_id: int, content: Any) -> None:
         """Write a page through to the store and refresh the cache."""
         self.store.write(page_id, content)
-        self._install_locked(page_id, content)
+        self.stats.writes += 1
+        self._install(page_id, content)
 
     def invalidate(self, page_id: int) -> None:
         """Drop a page from the cache (e.g. after it is freed).
@@ -193,23 +167,12 @@ class BufferPool:
         counted; a no-op call for a page that was never resident leaves
         the counters untouched.
         """
-        lock = self._lock
-        if lock is None:
-            dropped = self._cache.pop(page_id, _ABSENT) is not _ABSENT
-        else:
-            with lock:
-                dropped = self._cache.pop(page_id, _ABSENT) is not _ABSENT
-        if dropped:
+        if self._cache.pop(page_id, _ABSENT) is not _ABSENT:
             self.stats.invalidations += 1
 
     def clear(self) -> None:
         """Empty the cache without touching the store."""
-        lock = self._lock
-        if lock is None:
-            self._cache.clear()
-        else:
-            with lock:
-                self._cache.clear()
+        self._cache.clear()
 
     def resident(self, page_id: int) -> bool:
         """True if the page is currently cached."""
@@ -224,11 +187,3 @@ class BufferPool:
         while len(self._cache) > self.capacity:
             self._cache.popitem(last=False)
             self.stats.evictions += 1
-
-    def _install_locked(self, page_id: int, content: Any) -> None:
-        lock = self._lock
-        if lock is None:
-            self._install(page_id, content)
-        else:
-            with lock:
-                self._install(page_id, content)

@@ -10,8 +10,9 @@ class IOStats:
     """Mutable counters of page-level operations.
 
     ``reads``/``writes`` count every access through a :class:`PageStore`;
-    when a :class:`~repro.storage.buffer.BufferPool` is interposed, its own
-    hit/miss counters distinguish logical from physical reads.
+    a :class:`~repro.storage.buffer.BufferPool` counts the accesses made
+    through it under the same names (:class:`BufferStats`), so the
+    store's ``reads`` under a pool are the pool's misses.
     """
 
     reads: int = 0
@@ -47,30 +48,37 @@ class IOStats:
 
 @dataclass
 class BufferStats:
-    """Hit/miss/eviction counters for a buffer pool."""
+    """Access, hit and eviction counters for a buffer pool.
 
+    ``reads``/``writes`` carry :class:`IOStats`' meaning: every access
+    made through the pool.  ``hits`` is the share of ``reads`` served
+    from the cache; the rest are :attr:`misses`, each one a read of the
+    underlying store.
+    """
+
+    reads: int = 0
+    writes: int = 0
     hits: int = 0
-    misses: int = 0
     evictions: int = 0
     invalidations: int = 0
 
     def reset(self) -> None:
         """Zero all counters."""
+        self.reads = 0
+        self.writes = 0
         self.hits = 0
-        self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
     @property
-    def logical_reads(self) -> int:
-        """Reads served from cache plus reads that went to the store."""
-        return self.hits + self.misses
+    def misses(self) -> int:
+        """Reads that went to the store."""
+        return self.reads - self.hits
 
     @property
     def hit_ratio(self) -> float:
-        """Fraction of logical reads served from the cache (0 if none)."""
-        logical = self.logical_reads
-        return self.hits / logical if logical else 0.0
+        """Fraction of reads served from the cache (0 if none)."""
+        return self.hits / self.reads if self.reads else 0.0
 
 
 @dataclass

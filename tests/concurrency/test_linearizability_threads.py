@@ -76,12 +76,13 @@ class TestThreadedLinearizability:
         ops = mixed_ops(points[120:], seed=77, delete_fraction=0.0)
         run_threads(service, ops, readers=4)
 
-    def test_buffered_store_under_thread_safe_pool(self):
-        """The writer-side store may be a BufferPool; with
-        thread_safe=True its cache bookkeeping stays consistent while
-        the service hammers it from the writer thread."""
+    def test_buffered_store_under_writer_lock(self):
+        """The writer-side store may be a BufferPool: only the writer
+        touches the live store, under the writer lock, so the pool's
+        cache bookkeeping stays consistent while readers race it on
+        snapshots."""
         space = make_space()
-        pool = BufferPool(PageStore(), capacity=8, thread_safe=True)
+        pool = BufferPool(PageStore(), capacity=8)
         tree = BVTree(
             space, data_capacity=4, fanout=4, store=pool, layout="object"
         )
@@ -89,5 +90,5 @@ class TestThreadedLinearizability:
         points = distinct_points(100, space, seed=21)
         ops = mixed_ops(points, seed=22)
         run_threads(service, ops, readers=3)
-        assert pool.stats.hits + pool.stats.misses > 0
+        assert pool.stats.reads > 0
         assert min(pool.stats.hits, pool.stats.misses) >= 0

@@ -1,9 +1,9 @@
-"""Eight reader threads on one shared tree: the read-path cache races.
+"""Eight reader threads on one shared tree: the read path stays pure.
 
-The read path looks pure but mutates shared structures under the hood —
-the buffer pool's hit/miss bookkeeping.  This suite is the regression
-net for its thread safety: identical answers from every thread, no
-exceptions, and pool stats that still add up afterwards.
+Readers of one ``PageStore``-backed tree share every page and the key
+registry.  This suite is the regression net for anything the read path
+might start mutating under the hood: identical answers from every
+thread and no exceptions.
 """
 
 import threading
@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.core.tree import BVTree
-from repro.storage import BufferPool, PageStore
+from repro.storage import PageStore
 
 from tests.concurrency.conftest import distinct_points, make_space
 
@@ -19,14 +19,10 @@ N_THREADS = 8
 ROUNDS = 40
 
 
-def _build_tree(layout, store=None):
+def _build_tree(layout):
     space = make_space(resolution=8)
     tree = BVTree(
-        space,
-        data_capacity=4,
-        fanout=4,
-        store=store if store is not None else PageStore(),
-        layout=layout,
+        space, data_capacity=4, fanout=4, store=PageStore(), layout=layout
     )
     points = distinct_points(300, space, seed=13)
     tree.bulk_load(((p, i) for i, p in enumerate(points)), replace=True)
@@ -84,27 +80,3 @@ class TestReaderHammer:
                     tuple(tuple(n.point) for n in neighbours.neighbours)
                 )
             assert answers[slot] == expected
-
-    def test_buffer_pool_thread_safe_read_stats(self, layout):
-        pool = BufferPool(PageStore(), capacity=8, thread_safe=True)
-        tree, points = _build_tree(layout, store=pool)
-        errors: list[BaseException] = []
-        answers: dict[int, list] = {}
-        threads = [
-            threading.Thread(
-                target=_hammer, args=(tree, points, errors, answers, slot)
-            )
-            for slot in range(N_THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        # With the lock, every logical read is classified exactly once;
-        # a torn hit/miss pair would break this equality.
-        logical = pool.stats.hits + pool.stats.misses
-        assert logical > 0
-        assert pool.stats.hits > 0  # capacity 8 over a hot root: hits
-        assert pool.stats.misses > 0  # 300 points >> 8 frames: misses

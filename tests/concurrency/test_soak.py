@@ -54,7 +54,7 @@ def test_soak_in_memory(layout):
 
 def test_soak_buffered():
     space = make_space(resolution=10)
-    pool = BufferPool(PageStore(), capacity=32, thread_safe=True)
+    pool = BufferPool(PageStore(), capacity=32)
     tree = BVTree(
         space, data_capacity=8, fanout=8, store=pool, layout="object"
     )

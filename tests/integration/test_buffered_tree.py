@@ -77,7 +77,7 @@ class TestCacheEconomics:
         searches = 400
         for _ in range(searches):
             tree.get(rng.choice(points))
-        logical = pool.stats.logical_reads
+        logical = pool.stats.reads
         physical = pool.store.stats.reads
         assert physical < logical / 2
 

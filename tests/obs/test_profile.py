@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.tree import BVTree
 from repro.errors import KeyNotFoundError, ReproError
+from repro.obs.events import OP_BEGIN, OP_END
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import GET_BATCH, OpProfiler, SlowOpLog
 from repro.obs.sinks import RingSink
@@ -163,6 +164,29 @@ class TestLifecycle:
         profiler.attach()
         assert tree.tracer.profiler is profiler
         assert profiler in tree.tracer.subscribers
+
+    def test_second_profiler_is_refused(self, unit2):
+        """The read hook has one slot: a second attach must not take
+        the first profiler's reads."""
+        tree, points = build(unit2)
+        first = OpProfiler(tree).attach()
+        second = OpProfiler(tree)
+        with pytest.raises(ReproError, match="another OpProfiler"):
+            second.attach()
+        assert not second.attached
+        assert tree.tracer.profiler is first
+        assert second not in tree.tracer.subscribers
+        for point in points[:100]:
+            tree.get(point)
+        assert first.profile("get").ops == 100
+        first.detach()
+        second.attach()
+        assert tree.tracer.profiler is second
+        second.detach()
+
+    def test_subscribes_to_op_spans_only(self):
+        """Cascades come from the split counters, not split events."""
+        assert OpProfiler.kinds == {OP_BEGIN, OP_END}
 
     def test_detach_restores_tracer(self, unit2):
         tree, points = build(unit2)

@@ -122,7 +122,7 @@ class TestPageReadsEqualIOStats:
         for i, point in enumerate(make_points(300, 2, seed=47)):
             tree.insert(point, i, replace=True)
         io_before = pool.store.stats.snapshot()
-        logical_before = pool.stats.logical_reads
+        logical_before = pool.stats.reads
         sink = RingSink(capacity=1 << 20)
         tree.tracer.subscribe(sink)
         try:
@@ -134,7 +134,7 @@ class TestPageReadsEqualIOStats:
         physical = [e for e in reads if e.fields.get("physical") is True]
         assert sink.dropped == 0
         assert len(physical) == pool.store.stats.delta(io_before).reads
-        assert len(reads) == pool.stats.logical_reads - logical_before
+        assert len(reads) == pool.stats.reads - logical_before
         # The tiny pool guarantees both hits and misses occurred, so the
         # equalities above discriminate.
         assert 0 < len(physical) < len(reads)

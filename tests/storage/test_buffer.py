@@ -33,7 +33,7 @@ class TestReadThrough:
         pool.read(page)
         pool.read(page)
         assert pool.stats.hit_ratio == pytest.approx(2 / 3)
-        assert pool.stats.logical_reads == 3
+        assert pool.stats.reads == 3
 
     def test_hit_ratio_empty(self, pool):
         assert pool.stats.hit_ratio == 0.0
@@ -69,6 +69,17 @@ class TestWriteThrough:
         assert pool.store.read(page) == "y"
         assert pool.read(page) == "y"
         assert pool.stats.misses == 0  # cached by the write
+
+    def test_counts_writes_like_the_store(self, pool):
+        """Every write-through is one pool write and one store write,
+        and a failed read counts nowhere."""
+        page = pool.store.allocate("x")
+        pool.write(page, "y")
+        pool.write(page, "z")
+        assert pool.stats.writes == pool.store.stats.writes == 2
+        with pytest.raises(StorageError):
+            pool.read(page + 1)
+        assert pool.stats.reads == pool.store.stats.reads == 0
 
     def test_invalidate(self, pool):
         page = pool.store.allocate("x")

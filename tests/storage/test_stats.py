@@ -49,23 +49,23 @@ class TestIOStatsDelta:
 class TestBufferStatsHitRatio:
     def test_zero_logical_reads_is_zero_not_nan(self):
         stats = BufferStats()
-        assert stats.logical_reads == 0
+        assert stats.reads == 0
         assert stats.hit_ratio == 0.0
 
     def test_all_misses(self):
-        stats = BufferStats(misses=4)
+        stats = BufferStats(reads=4)
         assert stats.hit_ratio == 0.0
 
     def test_all_hits(self):
-        stats = BufferStats(hits=4)
+        stats = BufferStats(reads=4, hits=4)
         assert stats.hit_ratio == 1.0
 
     def test_mixed(self):
-        stats = BufferStats(hits=3, misses=1)
-        assert stats.logical_reads == 4
+        stats = BufferStats(reads=4, hits=3)
+        assert stats.misses == 1
         assert stats.hit_ratio == 0.75
 
     def test_reset_restores_the_empty_denominator(self):
-        stats = BufferStats(hits=3, misses=1)
+        stats = BufferStats(reads=4, hits=3)
         stats.reset()
         assert stats.hit_ratio == 0.0
