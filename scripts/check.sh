@@ -132,6 +132,9 @@ python -m pytest -x -q tests/concurrency tests/server
 # The server under asyncio's debug mode with warnings as errors: an
 # unclosed transport or a stray shutdown traceback fails the lane.
 python -X dev -W error -m pytest -q tests/server
+# The same for the storage layer: a leaked WAL or page-file handle is a
+# ResourceWarning, and fails the lane.
+python -X dev -W error -m pytest -q tests/storage
 python3 perfbench/selftest.py
 
 echo "== serve smoke =="

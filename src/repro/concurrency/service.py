@@ -31,7 +31,7 @@ published versions with WAL transactions.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, ContextManager, Iterator, Sequence
+from typing import Any, Callable, ContextManager, Iterable, Iterator, Sequence
 
 from repro.concurrency.clone import clone_page
 from repro.concurrency.snapshots import PageTable, Snapshot, TreeVersion
@@ -280,7 +280,7 @@ class TreeService:
 
     def bulk_load(
         self,
-        records: Sequence[tuple[Sequence[float], Any]],
+        records: Iterable[tuple[Sequence[float], Any]],
         replace: bool = False,
     ) -> tuple[int, int]:
         """Bulk-build the (empty) tree; returns ``(loaded, LSN)``."""

@@ -71,7 +71,7 @@ def bulk_load(
         )
     space = tree.space
     encoded = [
-        (space.point_path(point), tuple(float(x) for x in point), value)
+        (space.point_path(point), tuple(map(float, point)), value)
         for point, value in records
     ]
     encoded.sort(key=lambda item: item[0])

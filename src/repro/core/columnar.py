@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -207,6 +208,16 @@ class ColumnarDataPage(DataPage):
     def paths(self) -> Iterator[int]:
         """Iterate the bit paths, in ascending path order."""
         return iter(self._c_paths)
+
+    def columns(self) -> tuple[list[int], list[Any], bytes]:
+        """``(paths, values, coordinates)`` in path order, the
+        coordinates packed as little-endian doubles: a full page image
+        read off the columns without materialising ``records``."""
+        coords = self._c_coords
+        if sys.byteorder != "little":
+            coords = array("d", coords)
+            coords.byteswap()
+        return list(self._c_paths), list(self._c_values), coords.tobytes()
 
     def __contains__(self, path: int) -> bool:
         paths = self._c_paths

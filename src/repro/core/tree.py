@@ -15,7 +15,7 @@ Example
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.errors import KeyNotFoundError, ReproError, TreeInvariantError
 from repro.core import bulk as _bulk
@@ -369,7 +369,7 @@ class BVTree:
 
     def bulk_load(
         self,
-        records: Iterator[tuple[Sequence[float], Any]] | Sequence[tuple[Sequence[float], Any]],
+        records: Iterable[tuple[Sequence[float], Any]],
         replace: bool = False,
     ) -> int:
         """Bulk-build this (empty) tree from ``(point, value)`` records.

@@ -161,9 +161,10 @@ def _crash_and_recover(
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """One full crash/recover cycle plus the doctor on the survivor."""
     directory = f"{workdir}/crash"
-    # Crash roughly three quarters of the way through the insert
-    # stream: an insert costs ~1.3 WAL appends (one delta record that
-    # doubles as the commit marker, plus the occasional split burst).
+    # Crash roughly five sixths of the way through the insert
+    # stream: an insert costs ~1.2 WAL appends (one delta record that
+    # doubles as the commit marker, plus one record per other page an
+    # occasional split touches).
     plan = FaultPlan(
         crash_after_appends=max(4, len(points)), tail="torn"
     )

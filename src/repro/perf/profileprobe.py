@@ -15,12 +15,13 @@ Runs once per ``repro perf`` suite and fills the ``profile`` block of
   None`` attribute check).
 
 Measuring a few-hundred-nanosecond hook under multi-percent machine
-noise needs care, so the probe populates ``PROFILE_POINTS`` records
-(capped by the scale) — the hook is a fixed cost per op, so the timed
-descents must run at serving depth, not toy depth, for the ratio to be
-honest — and times bare, profiled and detached as a pair on small
-warmed chunks with :func:`repro.perf.timer.paired_lookups` (the
-median of per-round ratios; see :mod:`repro.perf.timer`).
+noise needs care, so the probe populates ``PROFILE_POINTS`` records at
+every scale — the hook is a fixed cost per op, so the timed descents
+must run at the full scale's depth, not the smoke scale's, for the
+ratio and its budget verdict to mean the same thing in CI — and times
+bare, profiled and detached as a pair on small warmed chunks with
+:func:`repro.perf.timer.paired_lookups` (the median of per-round
+ratios; see :mod:`repro.perf.timer`).
 
 The block also carries the profiler's own view of the timed rounds —
 per-kind op count, latency percentiles, mean page accesses — which
@@ -31,6 +32,7 @@ lookup.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import Any
 
 from repro.obs import MetricsRegistry, OpProfiler
@@ -43,14 +45,16 @@ __all__ = ["PROFILE_OVERHEAD_BUDGET", "PROFILE_POINTS", "profile_snapshot"]
 #: The acceptance gate on ``profiler_overhead_ratio``.
 PROFILE_OVERHEAD_BUDGET = 1.05
 
-#: Probe-tree population (capped by ``scale.n_points``) — sized so the
-#: timed descents run at serving depth, not toy depth.
+#: Probe-tree population at every scale (the full scale's): the timed
+#: descents run at serving depth, not the smoke scale's toy depth.
 PROFILE_POINTS = 50_000
 
 
 def profile_snapshot(scale: Scale) -> dict[str, Any]:
     """The ``profile`` block of a ``BENCH_<suite>.json`` snapshot."""
-    tree, points = probe_tree(scale, PROFILE_POINTS)
+    tree, points = probe_tree(
+        replace(scale, n_points=PROFILE_POINTS), PROFILE_POINTS
+    )
     tree.bulk_load([(p, i) for i, p in enumerate(points)], replace=True)
     profiler = OpProfiler(tree, registry=MetricsRegistry())
     timing = paired_lookups(

@@ -35,6 +35,7 @@ from typing import Any, Awaitable, Callable, Union
 
 from repro.concurrency.service import BatchAbortedError, TreeService, WriteOp
 from repro.errors import (
+    DimensionMismatchError,
     DuplicateKeyError,
     GeometryError,
     KeyNotFoundError,
@@ -47,6 +48,9 @@ from repro.obs.profile import LATENCY_BUCKETS_US, PAGES_BUCKETS
 from repro.server.batch import Outcome, WriteBatcher
 
 __all__ = ["Response", "ServingApp", "status_for"]
+
+#: The coordinate types a JSON body may carry (``bool`` is not one).
+_NUMERIC = frozenset((int, float))
 
 
 @dataclass
@@ -365,13 +369,30 @@ class ServingApp:
         raw = request.get("records")
         if not isinstance(raw, list) or not raw:
             raise ReproError("field 'records' must be a non-empty array")
-        records: list[tuple[tuple[float, ...], Any]] = []
+        # One validation pass before the tree is touched; the loader
+        # then converts each coordinate once, off an iterator.
+        ndim = self.service.tree.space.ndim
+        numeric = _NUMERIC.__contains__
         for i, item in enumerate(raw):
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ReproError(f"records[{i}] must be a [point, value] pair")
-            records.append((self._point({"point": item[0]}), item[1]))
+            point = item[0]
+            if (
+                not isinstance(point, (list, tuple))
+                or not point
+                or not all(map(numeric, map(type, point)))
+            ):
+                raise ReproError(
+                    f"records[{i}] point must be a non-empty array of numbers"
+                )
+            if len(point) != ndim:
+                raise DimensionMismatchError(
+                    f"records[{i}] point has {len(point)} coordinates, "
+                    f"the space has {ndim}"
+                )
         loaded, lsn = self.service.bulk_load(
-            records, replace=bool(request.get("replace", False))
+            ((item[0], item[1]) for item in raw),
+            replace=bool(request.get("replace", False)),
         )
         return Response(201, {"loaded": loaded, "lsn": lsn})
 

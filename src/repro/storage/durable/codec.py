@@ -47,7 +47,7 @@ from typing import Any
 
 from repro.core.columnar import ColumnarDataPage, ColumnarIndexNode
 from repro.core.entry import Entry
-from repro.core.node import DataPage, IndexNode, diff_records
+from repro.core.node import DataPage, IndexNode
 from repro.errors import WalCorruptionError
 from repro.geometry.region import RegionKey
 
@@ -55,7 +55,6 @@ __all__ = [
     "apply_data_delta",
     "decode_content",
     "encode_content",
-    "encode_data_delta",
     "encode_delta_body",
 ]
 
@@ -89,25 +88,33 @@ def encode_content(content: Any) -> dict[str, Any]:
     """Encode one page's content as a JSON-ready dict."""
     if content is None:
         return {"k": "none"}
+    if isinstance(content, ColumnarDataPage):
+        # Straight from the columns, byte-identical to the records
+        # form below.  The layout tag plus the construction parameters
+        # ``d`` cannot carry (an empty page has no points to infer them
+        # from) let recovery rebuild the same subclass.
+        paths, values, coords = content.columns()
+        return {
+            "k": "data",
+            "d": content.ndim if paths else 0,
+            "p": paths,
+            "v": values,
+            "pts": coords.hex(),
+            "c": 1,
+            "nd": content.ndim,
+            "pb": content.path_bits,
+        }
     if isinstance(content, DataPage):
         records = content.records
         paths = list(records)
         dims, pts = _pack_points([records[p][0] for p in paths])
-        payload = {
+        return {
             "k": "data",
             "d": dims,
             "p": paths,
             "v": [records[p][1] for p in paths],
             "pts": pts,
         }
-        if isinstance(content, ColumnarDataPage):
-            # The layout tag plus the construction parameters ``d``
-            # cannot carry (an empty page has no points to infer them
-            # from) let recovery rebuild the same subclass.
-            payload["c"] = 1
-            payload["nd"] = content.ndim
-            payload["pb"] = content.path_bits
-        return payload
     if isinstance(content, IndexNode):
         payload = {
             "k": "index",
@@ -167,31 +174,6 @@ def decode_content(data: dict[str, Any]) -> Any:
     raise WalCorruptionError(f"unknown page content kind {kind!r}")
 
 
-def encode_data_delta(
-    base: dict[int, tuple[tuple[float, ...], Any]],
-    current: dict[int, tuple[tuple[float, ...], Any]],
-) -> dict[str, Any] | None:
-    """The change from ``base`` to ``current`` as a delta payload.
-
-    Returns ``None`` when the two record maps are equal (the store
-    skips the WAL record entirely).  The payload mirrors the ``data``
-    image shape for the added/replaced records and lists removed paths
-    under ``r``.
-    """
-    added, removed = diff_records(base, current)
-    if not added and not removed:
-        return None
-    dims, pts = _pack_points([record[0] for _, record in added])
-    return {
-        "dk": 1,
-        "d": dims,
-        "p": [path for path, _ in added],
-        "v": [record[1] for _, record in added],
-        "pts": pts,
-        "r": removed,
-    }
-
-
 def encode_delta_body(
     page_id: int,
     txn: int,
@@ -200,8 +182,9 @@ def encode_delta_body(
 ) -> bytes:
     """A complete delta-record payload as JSON bytes (the hot path).
 
-    Semantically ``dumps(encode_data_delta(...) + id/x)`` for an
-    already-computed diff, but the JSON is assembled by hand: one
+    The added/replaced records mirror the ``data`` image shape and the
+    removed paths are listed under ``r``.  Semantically this is
+    :func:`dumps` of that payload, but the JSON is assembled by hand: one
     insert logs one record with a couple of integers, a short hex
     string and one value, and going through the generic encoder costs
     more than the whole diff.  Only the value list — the one slot
@@ -226,7 +209,7 @@ def encode_delta_body(
 
 
 def apply_data_delta(content: Any, payload: dict[str, Any]) -> DataPage:
-    """Replay one :func:`encode_data_delta` payload onto ``content``."""
+    """Replay one :func:`encode_delta_body` payload onto ``content``."""
     if not isinstance(content, DataPage):
         raise WalCorruptionError(
             "delta record targets a page that is not a data page "

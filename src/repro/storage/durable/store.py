@@ -5,9 +5,9 @@
 accounting, I/O counters and trace emission are inherited unchanged, so a
 tree behaves *identically* over either backend (the equivalence tests
 assert byte-identical query results and equal ``OpCounters`` deltas) —
-and adds a durability shadow: every mutation is appended to a
-:class:`~repro.storage.durable.wal.WriteAheadLog` before the call
-returns, and a checkpoint compacts the log into a
+and adds a durability shadow: every transaction's pages are appended
+to a :class:`~repro.storage.durable.wal.WriteAheadLog` before it
+closes, and a checkpoint compacts the log into a
 :class:`~repro.storage.durable.pagefile` image.
 
 Transactions are explicit
@@ -15,34 +15,40 @@ Transactions are explicit
 One *tree operation* is one WAL transaction.  ``BVTree.insert``,
 ``delete`` and ``bulk_load`` open the ``Storage`` protocol's
 ``transaction(name)`` context around their work, traced or not; every
-mutation inside the outermost open one joins it.  The records are
-buffered and written to the log in one burst when it closes, the commit
-marker riding the last record's type byte (``REC_COMMIT_FLAG``, with
-the operation name in its payload), followed in ``sync="commit"`` mode
-by a single fsync.  A transaction closed by an exception writes nothing
-at all, so a failed operation is invisible after a crash, same as it is
-in memory.  Mutations outside any transaction (tree construction,
-direct store use) auto-commit individually.
+mutation inside the outermost open one joins it, but only notes *which*
+page it touched.  When the transaction closes, each touched page is
+logged once: an ``alloc`` with its final image if the transaction
+allocated it, a ``write`` if it already existed, a ``free`` if the
+transaction freed it (after an empty ``alloc`` if it also allocated it,
+so replay's allocation cursor passes it).  The records are encoded and
+appended one at a time, the commit marker riding the last one's type
+byte (``REC_COMMIT_FLAG``, with the operation name in its payload), and
+``sync="commit"`` adds one fsync.  A transaction closed by an exception
+writes nothing at all, so a failed operation is invisible after a
+crash, same as it is in memory.  Mutations outside any transaction
+(tree construction, direct store use) auto-commit individually.
 
 A data page's first write logs its full image; later writes log only
-the change since the page's last logged ``clone()``, which the store
-keeps as the delta base.  An aborted transaction that had buffered
-records forgets every base: a full image is always a valid next record.
+the change since the page's last committed ``clone()``, which the store
+keeps as the delta base.  Bases move only at commit, so an aborted
+transaction just forgets what it touched.
 
 Crash discipline
 ----------------
 A fault-plan crash point raises
 :class:`~repro.errors.SimulatedCrashError` and leaves the store *dead*:
 the files keep exactly the bytes the simulated crash left, and every
-further access raises :class:`~repro.errors.StorageError`.  Reopen the
-directory with :func:`repro.storage.durable.recovery.recover_store`.
+further access raises :class:`~repro.errors.StorageError`.  A commit
+that fails halfway (an unencodable value, an I/O error) kills it too.
+Reopen the directory with :func:`repro.storage.durable.recovery.recover_store`.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from types import TracebackType
-from typing import Any
+from typing import Any, Iterator
 
 from repro.core.node import DataPage
 from repro.errors import SimulatedCrashError, StorageError
@@ -73,6 +79,19 @@ TMP_PAGEFILE_NAME = "pages.dat.tmp"
 
 _SYNC_MODES = ("commit", "os")
 
+#: What a touched page's content reads as once the transaction freed it.
+_FREED = object()
+
+
+def _image(
+    txn: int, page_id: int, content: Any, size_class: int | None
+) -> bytes:
+    """A full-image ``alloc`` (``size_class`` given) or ``write`` body."""
+    payload = {"id": page_id, "c": codec.encode_content(content), "x": txn}
+    if size_class is not None:
+        payload["sc"] = size_class
+    return codec.dumps(payload)
+
 
 class _Transaction:
     """One :meth:`DurableStore.transaction`; leaving the outermost one
@@ -100,7 +119,8 @@ class _Transaction:
         if exc_type is None:
             store._commit(self._name)
         else:
-            store._abort()
+            # Abort: nothing reached the log and no delta base moved.
+            store._touched.clear()
 
 
 class _DeadPageTable(dict):
@@ -210,10 +230,10 @@ class DurableStore(PageStore):
         self._meta: dict[str, Any] = {}
         self._depth = 0
         self._txn = 1
-        self._txn_dirty = False
-        # A clone of each data page as last logged: the delta base.
+        # What the open transaction touched, in touch order (_touch).
+        self._touched: dict[Any, int | None] = {}
+        # A clone of each data page as last committed: the delta base.
         self._logged: dict[int, DataPage] = {}
-        self._txn_buf: list[tuple[int, bytes]] = []
         os.makedirs(self.directory, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -258,8 +278,8 @@ class DurableStore(PageStore):
         # costs no function call; this raiser only runs when one is set.
         if self._dead:
             raise StorageError(
-                f"durable store in {self.directory} died in a simulated "
-                f"crash; recover it with repro.storage.durable.recover_store"
+                f"durable store in {self.directory} died (crash or failed "
+                f"commit); recover it with repro.storage.durable.recover_store"
             )
         if self._closed:
             raise StorageError(
@@ -273,7 +293,7 @@ class DurableStore(PageStore):
 
     @property
     def dead(self) -> bool:
-        """True once a fault-plan crash point has fired."""
+        """True once a crash point fired or a commit failed."""
         return self._dead
 
     @property
@@ -290,69 +310,99 @@ class DurableStore(PageStore):
         named ``name`` (see the module docstring)."""
         return _Transaction(self, name)
 
-    def _log(self, rtype: int, payload: dict[str, Any]) -> None:
-        payload["x"] = self._txn
-        self._buffer(rtype, codec.dumps(payload))
-
-    def _buffer(self, rtype: int, body: bytes) -> None:
-        """Queue one encoded record on the open transaction.
-
-        Records stay in the transaction buffer until the commit writes
-        them to the WAL in one burst — so an *aborted* transaction
-        never reaches the log at all, and the commit marker can ride
-        the last record (``REC_COMMIT_FLAG``) instead of costing a
-        record of its own.
-        """
-        if self._wal is None:
-            return
-        self._txn_buf.append((rtype, body))
-        self._txn_dirty = True
+    def _touch(self, key: Any, size_class: int | None = None) -> None:
+        """Note what the open transaction touched: a page id (with its
+        size class if the transaction allocated it), or a
+        ``(REC_CLASS, size_class)`` / ``(REC_META, key)`` pair."""
+        touched = self._touched
+        if key not in touched:
+            touched[key] = size_class
         if not self._depth:
             self._commit("auto")
 
     def _commit(self, op_name: str) -> None:
-        if not self._txn_dirty:
+        # Each record is held back until the next is encoded, so the
+        # last carries the commit marker and the operation name (every
+        # payload is a JSON object, so splicing before the closing brace
+        # is safe; "op" collides with no mutation-payload key).
+        if not self._touched:
             return
-        wal = self._wal
-        buf = self._txn_buf
-        if wal is None or not buf:
-            raise StorageError("commit with no WAL or an empty burst")
-        # Piggyback the commit marker and the operation name on the
-        # final record of the burst (every payload is a JSON object, so
-        # splicing before the closing brace is safe; "op" collides with
-        # no mutation-payload key).
-        rtype, body = buf[-1]
-        buf[-1] = (
-            rtype | REC_COMMIT_FLAG,
-            body[:-1] + b',"op":"' + op_name.encode("ascii") + b'"}',
-        )
+        wal = self._live_wal()
+        held: tuple[int, bytes] | None = None
         try:
-            for rec_type, rec_body in buf:
-                wal.append_body(rec_type, rec_body)
+            for record in self._records():
+                if held is not None:
+                    wal.append_body(*held)
+                held = record
+            if held is None:
+                return  # every touched page was rewritten unchanged
+            rtype, body = held
+            wal.append_body(
+                rtype | REC_COMMIT_FLAG,
+                body[:-1] + b',"op":"' + op_name.encode("ascii") + b'"}',
+            )
             if self.sync == "commit":
                 wal.sync()
             # sync="os" leaves even the flush to the buffered writer:
             # records reach the OS in ~8 KiB batches (and immediately on
             # sync, close, checkpoint or a simulated crash, which flush
             # first — so the fault model never sees the buffering).
-        except SimulatedCrashError:
-            self._mark_dead()
-            buf.clear()
-            raise
-        buf.clear()
-        self._txn += 1
-        self._txn_dirty = False
-
-    def _abort(self) -> None:
-        # The buffered records are simply dropped — an aborted
-        # transaction leaves no trace in the log.  Delta bases advanced
-        # inside it are lies though; forget them all and the next write
-        # of each page logs a full image.
-        if self._txn_dirty:
-            self._txn_buf.clear()
-            self._logged.clear()
             self._txn += 1
-            self._txn_dirty = False
+        except BaseException:
+            # The log may now end in part of this transaction, which the
+            # store cannot take back: it dies, as in a crash, and
+            # recovery keeps the committed prefix.
+            self._mark_dead()
+            if not wal.closed:
+                with suppress(OSError):
+                    wal.close()
+            raise
+        finally:
+            self._touched.clear()
+
+    def _records(self) -> Iterator[tuple[int, bytes]]:
+        """The open transaction's records, advancing the delta bases."""
+        txn = self._txn
+        pages = self._pages
+        logged = self._logged
+        for page_id, size_class in self._touched.items():
+            if type(page_id) is tuple:
+                rtype, name = page_id
+                payload = (
+                    {"sc": name, "b": self._classes[name].page_bytes}
+                    if rtype == REC_CLASS
+                    else {"key": name, "v": self._meta[name]}
+                )
+                payload["x"] = txn
+                yield rtype, codec.dumps(payload)
+                continue
+            content = pages.get(page_id, _FREED)
+            if content is _FREED:
+                if size_class is not None:
+                    yield REC_ALLOC, _image(txn, page_id, None, size_class)
+                logged.pop(page_id, None)
+                yield REC_FREE, codec.dumps({"id": page_id, "x": txn})
+                continue
+            base = logged.get(page_id) if size_class is None else None
+            if base is None or not isinstance(content, DataPage):
+                yield (
+                    REC_WRITE if size_class is None else REC_ALLOC,
+                    _image(txn, page_id, content, size_class),
+                )
+            else:
+                # Log the change, not the page: O(records touched)
+                # instead of O(page).  An unchanged page logs nothing,
+                # which replay cannot distinguish anyway.
+                added, removed = content.changes_since(base)
+                if not (added or removed):
+                    continue
+                yield REC_WRITE, codec.encode_delta_body(
+                    page_id, txn, added, removed
+                )
+            if isinstance(content, DataPage):
+                logged[page_id] = content.clone()
+            else:
+                logged.pop(page_id, None)
 
     # ------------------------------------------------------------------
     # Storage protocol: mutations gain a WAL shadow
@@ -362,53 +412,20 @@ class DurableStore(PageStore):
         if self._dead or self._closed:
             self._ensure_alive()
         page_id = super().allocate(content, size_class)
-        if isinstance(content, DataPage):
-            self._logged[page_id] = content.clone()
-        self._log(
-            REC_ALLOC,
-            {"id": page_id, "sc": size_class, "c": codec.encode_content(content)},
-        )
+        self._touch(page_id, size_class)
         return page_id
 
     def write(self, page_id: int, content: Any) -> None:
         if self._dead or self._closed:
             self._ensure_alive()
         super().write(page_id, content)
-        if isinstance(content, DataPage):
-            # Log the change, not the page: O(records touched) instead
-            # of O(page).  The base is a clone of the page as last
-            # logged; an unchanged write (possible — the tree rewrites
-            # pages it may not have modified) logs nothing at all, which
-            # replay cannot distinguish anyway.
-            base = self._logged.get(page_id)
-            if base is None:
-                self._logged[page_id] = content.clone()
-                self._log(
-                    REC_WRITE,
-                    {"id": page_id, "c": codec.encode_content(content)},
-                )
-                return
-            added, removed = content.changes_since(base)
-            if added or removed:
-                self._buffer(
-                    REC_WRITE,
-                    codec.encode_delta_body(
-                        page_id, self._txn, added, removed
-                    ),
-                )
-                self._logged[page_id] = content.clone()
-            return
-        self._logged.pop(page_id, None)
-        self._log(
-            REC_WRITE, {"id": page_id, "c": codec.encode_content(content)}
-        )
+        self._touch(page_id)
 
     def free(self, page_id: int) -> None:
         if self._dead or self._closed:
             self._ensure_alive()
         super().free(page_id)
-        self._logged.pop(page_id, None)
-        self._log(REC_FREE, {"id": page_id})
+        self._touch(page_id)
 
     def register_size_class(self, size_class: int, page_bytes: int) -> None:
         self._ensure_alive()
@@ -416,7 +433,7 @@ class DurableStore(PageStore):
         changed = existing is None or existing.page_bytes != page_bytes
         super().register_size_class(size_class, page_bytes)
         if changed:
-            self._log(REC_CLASS, {"sc": size_class, "b": page_bytes})
+            self._touch((REC_CLASS, size_class))
 
     # ``read`` is deliberately *not* overridden: a dead or closed store
     # swaps ``self._pages`` for a :class:`_DeadPageTable`, so the
@@ -435,7 +452,7 @@ class DurableStore(PageStore):
         """Store one durable metadata entry (JSON-representable value)."""
         self._ensure_alive()
         self._meta[key] = value
-        self._log(REC_META, {"key": key, "v": value})
+        self._touch((REC_META, key))
 
     # ------------------------------------------------------------------
     # Checkpointing and shutdown

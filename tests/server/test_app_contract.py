@@ -8,6 +8,7 @@ batcher.
 """
 
 import json
+import re
 
 import pytest
 
@@ -335,6 +336,32 @@ class TestBulk:
     def test_malformed_records_are_400(self, payload):
         response = post(make_app(), "/v1/bulk", payload)
         assert response.status == 400
+
+    @pytest.mark.parametrize(
+        ("record", "message"),
+        [
+            ([[0.5, True], 1], r"records\[2\] point must be a non-empty array of numbers"),
+            ([[0.5, "0.5"], 1], r"records\[2\] point must be a non-empty array of numbers"),
+            ([[], 1], r"records\[2\] point must be a non-empty array of numbers"),
+            ("0.5", r"records\[2\] must be a \[point, value\] pair"),
+            ([[0.5, 0.5, 0.5], 1], r"records\[2\] point has 3 coordinates, the space has 2"),
+        ],
+        ids=["bool", "string", "empty", "not-a-pair", "wrong-dimension"],
+    )
+    def test_bad_record_is_named_and_leaves_the_tree_empty(
+        self, record, message
+    ):
+        app = make_app()
+        records = [[[0.25, 0.25], "a"], [[0.75, 0.75], "b"], record]
+        response = post(app, "/v1/bulk", {"records": records})
+        assert response.status == 400
+        assert re.fullmatch(message, response.payload["error"])
+        assert len(app.service.tree) == 0
+        assert not app.service.poisoned
+        # The rejected load left the tree loadable.
+        response = post(app, "/v1/bulk", {"records": records[:2]})
+        assert response.status == 201
+        assert response.payload["loaded"] == 2
 
 
 class TestHealthStatsMetrics:

@@ -15,8 +15,10 @@ oracle*:
   justification relaxed, as for any tree without operation history);
 - recovering a second time changes nothing (idempotence).
 
-The fast matrix (36 cells) runs in the default test lane; two oversized
-cells are marked ``slow`` for the CI cron lane.
+The fast matrix (42 cells) runs in the default test lane; two oversized
+cells are marked ``slow`` for the CI cron lane.  A bulk load commits as
+one burst of records, one per page, so three more cells crash at fixed
+points of that burst: inside it, on its commit record, and just after.
 """
 
 import itertools
@@ -67,6 +69,7 @@ def make_space():
 
 # ----------------------------------------------------------------------
 # Workloads: every cell drives a list of ("insert"|"delete", point, value)
+# ops; a ("bulk_load", records, None) op loads an empty tree
 # ----------------------------------------------------------------------
 
 
@@ -115,6 +118,18 @@ def workload_grow_shrink(space, n):
     return _ops_from_stream(grow_shrink(points, shrink_to=0.25, seed=15))
 
 
+def workload_bulk(space, n):
+    """A bulk load of half the points, then inserts and deletes."""
+    points = dedup_by_path(uniform(n, DIMS, seed=16), space)
+    half = len(points) // 2
+    ops = [("bulk_load", [(p, i) for i, p in enumerate(points[:half])], None)]
+    for i, point in enumerate(points[half:]):
+        ops.append(("insert", point, half + i))
+        if i % 3 == 0:
+            ops.append(("delete", points[i], None))
+    return ops
+
+
 WORKLOADS = {
     "uniform": workload_uniform,
     "clustered": workload_clustered,
@@ -122,6 +137,7 @@ WORKLOADS = {
     "sequential": workload_sequential,
     "churn": workload_churn,
     "grow_shrink": workload_grow_shrink,
+    "bulk": workload_bulk,
 }
 
 
@@ -196,6 +212,8 @@ def apply_op(tree, op):
     verb, point, value = op
     if verb == "insert":
         tree.insert(point, value, replace=True)
+    elif verb == "bulk_load":
+        tree.bulk_load(point)
     else:
         tree.delete(point)
 
@@ -256,11 +274,15 @@ def assert_trees_equal(recovered, expected):
 
 
 def run_cell(tmp_path, workload_name, scenario_name, n_points):
-    scenario = SCENARIOS[scenario_name]
     space = make_space()
     ops = WORKLOADS[workload_name](space, n_points)
     directory = tmp_path / f"{workload_name}-{scenario_name}"
+    return check_crash(directory, space, ops, SCENARIOS[scenario_name])
 
+
+def check_crash(directory, space, ops, scenario):
+    """Drive ``ops`` into ``scenario``'s crash, recover and check it
+    against the oracle; returns the recovered record count."""
     tree = create_durable_tree(
         directory,
         space,
@@ -309,6 +331,7 @@ def run_cell(tmp_path, workload_name, scenario_name, n_points):
     assert sorted(again.items()) == sorted(expected.items())
     assert report2.records_uncommitted == 0
     again.store.close(checkpoint=False)
+    return expected.count
 
 
 # ----------------------------------------------------------------------
@@ -334,3 +357,41 @@ def test_crash_cell_large(tmp_path, workload, scenario):
 
 def test_matrix_is_at_least_thirty_cells():
     assert len(MATRIX) >= 30
+
+
+def bulk_burst(tmp_path, space, bulk_op):
+    """The first and last append number of the bulk load's commit
+    burst, from a fault-free run of the same build."""
+    tree = create_durable_tree(
+        tmp_path / "dry-run",
+        space,
+        data_capacity=CAPACITY,
+        fanout=FANOUT,
+        sync="os",
+    )
+    first = tree.store.wal_stats.appends + 1
+    apply_op(tree, bulk_op)
+    last = tree.store.wal_stats.appends
+    tree.store.close(checkpoint=False)
+    assert last - first >= 20, "the burst is too short to crash inside"
+    return first, last
+
+
+@pytest.mark.parametrize("where", ["mid-burst", "commit-record", "after-burst"])
+def test_bulk_load_burst_crash(tmp_path, where):
+    space = make_space()
+    ops = workload_bulk(space, 230)
+    first, last = bulk_burst(tmp_path, space, ops[0])
+    crash_at = {
+        "mid-burst": (first + last) // 2,
+        "commit-record": last,
+        "after-burst": last + 1,
+    }[where]
+    scenario = Scenario(
+        f"bulk-{where}",
+        {"crash_after_appends": crash_at, "tail": "torn", "torn_fraction": 0.5},
+    )
+    recovered = check_crash(tmp_path / where, space, ops, scenario)
+    # A torn burst loses the whole load (the commit marker rides its
+    # last record); once the burst is down, every record survives.
+    assert recovered == (len(ops[0][1]) if where == "after-burst" else 0)

@@ -227,7 +227,7 @@ class TestTransactions:
         assert wal_records(store)[-1][2]["op"] == "bulk_load"
         store.close(checkpoint=False)
 
-    def test_dirty_abort_forgets_delta_bases(self, tmp_path):
+    def test_dirty_abort_keeps_committed_delta_bases(self, tmp_path):
         store = DurableStore(tmp_path, sync="os")
         page = data_page((1, (0.5,), "a"))
         page_id = store.allocate(page)
@@ -236,14 +236,90 @@ class TestTransactions:
                 page.insert(2, (0.25,), "b")
                 store.write(page_id, page)
                 raise RuntimeError("abort")
-        # The aborted delta never reached the log, so the next write of
-        # the page must log a full image, not a delta against the lie.
+        # The aborted change never reached the log and the delta base
+        # never moved: the next write logs everything since the last
+        # *committed* image, the aborted record included.
         page.insert(3, (0.75,), "c")
         store.write(page_id, page)
         last = wal_records(store)[-1][2]
-        assert "dk" not in last
-        assert sorted(last["c"]["p"]) == [1, 2, 3]
+        assert last["dk"] == 1
+        assert sorted(last["p"]) == [2, 3]
         store.close(checkpoint=False)
+        recovered, _ = recover_store(tmp_path, sync="os")
+        assert sorted(recovered.read(page_id).records) == [1, 2, 3]
+        recovered.close(checkpoint=False)
+
+    def test_page_written_many_times_logs_one_record(self, tmp_path):
+        store = DurableStore(tmp_path, sync="os")
+        page = data_page((1, (0.5,), "a"))
+        page_id = store.allocate(page)
+        node_id = store.allocate("v0")
+        before = store.wal_stats.appends
+        with store.transaction("insert"):
+            for path in (2, 3, 4):
+                page.insert(path, (path / 8,), path)
+                store.write(page_id, page)
+                store.write(node_id, f"v{path}")
+        assert store.wal_stats.appends == before + 2
+        (_, _, delta), (_, rtype, image) = wal_records(store)[-2:]
+        assert delta["id"] == page_id and sorted(delta["p"]) == [2, 3, 4]
+        assert image["id"] == node_id and image["c"]["v"] == "v4"
+        assert rtype & REC_COMMIT_FLAG
+        store.close(checkpoint=False)
+
+    def test_page_allocated_and_freed_in_one_transaction(self, tmp_path):
+        store = DurableStore(tmp_path, sync="os")
+        kept = store.allocate(data_page((1, (0.5,), "a")))
+        with store.transaction("insert"):
+            doomed = store.allocate(data_page((2, (0.25,), "b")))
+            store.write(kept, data_page((1, (0.5,), "a"), (3, (0.75,), "c")))
+            store.free(doomed)
+        live = sorted(store.page_ids())
+        next_id = store.allocate(None)
+        assert next_id == doomed + 1
+        store.close(checkpoint=False)
+        recovered, _ = recover_store(tmp_path, sync="os")
+        # The doomed page is gone, but the allocation cursor moved past
+        # it, as it did in the live store.
+        assert sorted(recovered.page_ids()) == live + [next_id]
+        assert recovered.allocate(None) == next_id + 1
+        recovered.close(checkpoint=False)
+
+    def test_bulk_load_logs_each_page_once(self, tmp_path):
+        store = DurableStore(tmp_path, sync="os")
+        tree = BVTree(DataSpace.unit(2), store=store)
+        rng = random.Random(5)
+        tree.bulk_load(
+            ((rng.random(), rng.random()), i) for i in range(50_000)
+        )
+        records = wal_records(store)
+        txn = records[-1][2]["x"]
+        page_ids = [
+            payload["id"]
+            for _, rtype, payload in records
+            if payload["x"] == txn and "id" in payload
+        ]
+        assert len(page_ids) == len(set(page_ids)) <= len(store)
+        assert set(page_ids) == set(store.page_ids())
+        store.close(checkpoint=False)
+
+    def test_failed_commit_kills_the_store(self, tmp_path):
+        store = DurableStore(tmp_path, sync="os")
+        kept = store.allocate(data_page((1, (0.5,), "a")))
+        with pytest.raises(TypeError):
+            with store.transaction("insert"):
+                for path in (2, 3):
+                    store.allocate(data_page((path, (path / 8,), path)))
+                store.allocate(data_page((4, (0.5,), object())))
+        # The first record reached the log before the third failed to
+        # encode; the store cannot take it back, so it dies.
+        assert store.dead
+        with pytest.raises(StorageError, match="failed commit"):
+            store.read(kept)
+        recovered, report = recover_store(tmp_path, sync="os")
+        assert report.records_uncommitted == 1
+        assert sorted(recovered.page_ids()) == [kept]
+        recovered.close(checkpoint=False)
 
     def test_clean_abort_keeps_delta_bases(self, tmp_path):
         store = DurableStore(tmp_path, sync="os")
@@ -502,7 +578,10 @@ class TestColumnarDurability:
         # Without the close-time flush, the tail of the log may still sit
         # in a userspace buffer — durability is a committed *prefix* of
         # the operation sequence, same contract the crash matrix checks.
+        # Close the raw file under the buffer, as a killed process
+        # would: the handle is released and the buffered tail dropped.
         tree.store._dead = True  # type: ignore[attr-defined]
+        tree.store._wal._file.raw.close()
 
         recovered, report = open_durable_tree(tmp_path / "col", sync="os")
         assert recovered.layout == "columnar"

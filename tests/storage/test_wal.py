@@ -5,7 +5,8 @@ import struct
 
 import pytest
 
-from repro.core.node import diff_records
+from repro.core.columnar import ColumnarDataPage
+from repro.core.node import DataPage, diff_records
 from repro.errors import SimulatedCrashError, StorageError, WalCorruptionError
 from repro.storage.durable import codec
 from repro.storage.durable.wal import (
@@ -223,6 +224,32 @@ class TestCrashTails:
 
 
 class TestCodecRoundTrips:
+    @pytest.mark.parametrize("path_bits", [40, 80])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_columnar_image_matches_records_encoding(self, path_bits, n):
+        # The columnar image is read off the columns; its bytes must be
+        # those of the records-based encoding the object layout uses,
+        # plus the three columnar construction keys.
+        columnar = ColumnarDataPage(3, path_bits)
+        records = DataPage()
+        values = [5, "s", None, {"k": [1]}, 2.5, -3, True]
+        points = [
+            (float("inf"), -0.0, 1e-300),
+            (0.25, 0.5, 0.75),
+            (float("nan"), 1.0, -2.5),
+        ]
+        for i in range(n):
+            path = (i * 2654435761) % (1 << path_bits)
+            columnar.insert(path, points[i % 3], values[i])
+            records.insert(path, points[i % 3], values[i])
+        want = codec.encode_content(records)
+        want.update(c=1, nd=3, pb=path_bits)
+        image = codec.encode_content(columnar)
+        assert codec.dumps(image) == codec.dumps(want)
+        again = codec.decode_content(codec.loads(codec.dumps(image)))
+        assert isinstance(again, ColumnarDataPage)
+        assert codec.dumps(codec.encode_content(again)) == codec.dumps(want)
+
     def test_delta_body_matches_generic_encoding(self):
         base = {3: ((0.25, 0.5), "a")}
         current = {
@@ -231,12 +258,16 @@ class TestCodecRoundTrips:
         }
         added, removed = diff_records(base, current)
         body = codec.encode_delta_body(9, 4, added, removed)
-        payload = codec.loads(body)
-        delta = codec.encode_data_delta(base, current)
-        for key, value in delta.items():
-            assert payload[key] == value
-        assert payload["id"] == 9
-        assert payload["x"] == 4
+        assert body == codec.dumps({
+            "d": 2,
+            "dk": 1,
+            "id": 9,
+            "p": [7],
+            "pts": struct.pack("<2d", 0.125, 0.75).hex(),
+            "r": [],
+            "v": [11],
+            "x": 4,
+        })
 
     def test_delta_encodes_non_finite_floats_exactly(self):
         inf = float("inf")
@@ -260,7 +291,9 @@ class TestCodecRoundTrips:
     def test_equal_maps_yield_no_delta(self):
         records = {1: ((0.5,), "v")}
         assert diff_records(records, dict(records)) == ([], [])
-        assert codec.encode_data_delta(records, dict(records)) is None
+        page = DataPage()
+        page.insert(1, (0.5,), "v")
+        assert page.changes_since(page.clone()) == ([], [])
 
     def test_diff_detects_removals(self):
         base = {1: ((0.1,), "a"), 2: ((0.2,), "b")}
