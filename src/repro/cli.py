@@ -647,11 +647,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args, space, durable=args.durable, layout=args.layout,
             sync=args.sync,
         )
-        for point, value in records:
-            tree.insert(point, value, replace=True)
     else:
         tree = _workload_tree(args, space, layout=args.layout)
-        tree.bulk_load(records, replace=True)
+    tree.bulk_load(records, replace=True)
     service = TreeService(tree)
     batcher = WriteBatcher(service)
     app = ServingApp(service, registry=MetricsRegistry(), batcher=batcher)
@@ -667,7 +665,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("\nshutting down", file=sys.stderr)
     finally:
         batcher.close()
-        service.detach()
         if args.durable:
             tree.store.close()
     return 0
@@ -974,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--durable", default=None, metavar="DIR",
         help="back the tree with a WAL-backed durable store in DIR "
-             "(insert-built; survives crashes, see repro recover)",
+             "(survives crashes, see repro recover)",
     )
     p.add_argument(
         "--sync", choices=["commit", "os"], default="os",

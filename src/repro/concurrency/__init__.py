@@ -2,7 +2,8 @@
 
 The layers above the core tree (WAL, profiler, doctor, server) all
 assume *someone* arbitrates concurrent access; this package is that
-someone.  :class:`TreeService` serializes writes and publishes immutable
+someone.  :class:`TreeService` serializes writes and, from the store's
+per-transaction record of touched pages, publishes immutable
 :class:`~repro.concurrency.snapshots.TreeVersion` objects; readers pin
 versions wait-free via :meth:`TreeService.snapshot` and run the ordinary
 core read paths against them.  ``tests/concurrency/lockstep.py`` is the
@@ -18,7 +19,6 @@ per the same discipline that keeps backends out of the core (R3).
 from repro.concurrency.clone import clone_page
 from repro.concurrency.service import (
     BatchAbortedError,
-    RecordingStore,
     TreeService,
     delete_op,
     insert_op,
@@ -33,7 +33,6 @@ from repro.concurrency.snapshots import (
 __all__ = [
     "BatchAbortedError",
     "PageTable",
-    "RecordingStore",
     "Snapshot",
     "TreeService",
     "TreeVersion",

@@ -6,14 +6,15 @@ Concurrency model (documented in full in ``docs/SERVING.md``):
   The tree and its store are only ever touched by whichever thread
   holds it, so the core algorithms stay single-threaded and free of
   concurrency primitives (lint rule R15 enforces that).
-- **Shadow-committed versions.**  The live store is wrapped in a
-  :class:`RecordingStore` that tracks which pages each operation
-  touches.  After a successful operation (or group), the service clones
-  exactly the dirty pages and publishes a fresh immutable
-  :class:`~repro.concurrency.snapshots.TreeVersion` — a *new*
-  :class:`~repro.concurrency.snapshots.PageTable` that copies only the
-  chunks holding dirty ids and shares every other chunk with the
-  previous version — by swapping one reference.
+- **Shadow-committed versions.**  The tree keeps its own store.  After
+  each operation the service adds the store's record of the pages that
+  operation's transaction touched (``store.touched``, the same record
+  the durable store logs) to a dirty set.  After a successful operation
+  (or group), the service clones exactly the dirty pages and publishes
+  a fresh immutable :class:`~repro.concurrency.snapshots.TreeVersion`
+  — a *new* :class:`~repro.concurrency.snapshots.PageTable` that copies
+  only the chunks holding dirty ids and shares every other chunk with
+  the previous version — by swapping one reference.
 - **Wait-free readers.**  Opening a snapshot grabs the current version
   reference; no lock, no copy, no registration.  A snapshot stays
   consistent forever (it is unreachable garbage once dropped), so a
@@ -31,7 +32,7 @@ published versions with WAL transactions.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, ContextManager, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.concurrency.clone import clone_page
 from repro.concurrency.snapshots import PageTable, Snapshot, TreeVersion
@@ -39,13 +40,9 @@ from repro.core.knn import KNNResult
 from repro.core.query import QueryResult
 from repro.core.tree import BVTree
 from repro.errors import KeyNotFoundError, ReproError, StorageError
-from repro.obs.tracer import Tracer
-from repro.storage.interface import Storage
-from repro.storage.stats import SizeClassStats
 
 __all__ = [
     "BatchAbortedError",
-    "RecordingStore",
     "TreeService",
     "WriteOp",
     "insert_op",
@@ -86,85 +83,6 @@ class BatchAbortedError(ReproError):
         self.cause = cause
 
 
-class RecordingStore:
-    """A ``Storage`` decorator that records which pages writes touch.
-
-    Pure passthrough for reads; ``allocate``/``write``/``free`` mark the
-    page id dirty.  The service drains the dirty set at publication time
-    to clone exactly the pages the committed operation changed.  Layered
-    *above* a durable store, so the WAL still sees every mutation.
-    """
-
-    __slots__ = ("inner", "dirty")
-
-    def __init__(self, inner: Storage):
-        self.inner = inner
-        self.dirty: set[int] = set()
-
-    def drain(self) -> set[int]:
-        """The dirty set since the last drain (and reset it)."""
-        dirty = self.dirty
-        self.dirty = set()
-        return dirty
-
-    # -- passthrough surface -------------------------------------------
-
-    @property
-    def tracer(self) -> Tracer:
-        return self.inner.tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Tracer) -> None:
-        self.inner.tracer = tracer
-
-    @property
-    def page_bytes(self) -> int:
-        return self.inner.page_bytes
-
-    def allocate(self, content: Any = None, size_class: int = 0) -> int:
-        page_id = self.inner.allocate(content, size_class=size_class)
-        self.dirty.add(page_id)
-        return page_id
-
-    def read(self, page_id: int) -> Any:
-        return self.inner.read(page_id)
-
-    def peek(self, page_id: int) -> Any:
-        return self.inner.peek(page_id)
-
-    def write(self, page_id: int, content: Any) -> None:
-        self.dirty.add(page_id)
-        self.inner.write(page_id, content)
-
-    def free(self, page_id: int) -> None:
-        self.dirty.add(page_id)
-        self.inner.free(page_id)
-
-    def register_size_class(self, size_class: int, page_bytes: int) -> None:
-        self.inner.register_size_class(size_class, page_bytes)
-
-    def size_class_of(self, page_id: int) -> int:
-        return self.inner.size_class_of(page_id)
-
-    def page_ids(self) -> Iterator[int]:
-        return self.inner.page_ids()
-
-    def live_pages(self, size_class: int | None = None) -> int:
-        return self.inner.live_pages(size_class)
-
-    def live_bytes(self) -> int:
-        return self.inner.live_bytes()
-
-    def class_stats(self) -> dict[int, SizeClassStats]:
-        return self.inner.class_stats()
-
-    def __contains__(self, page_id: int) -> bool:
-        return page_id in self.inner
-
-    def transaction(self, name: str) -> ContextManager[Any]:
-        return self.inner.transaction(name)
-
-
 class TreeService:
     """Concurrent serving facade: one writer, wait-free snapshot readers.
 
@@ -179,14 +97,14 @@ class TreeService:
 
     def __init__(self, tree: BVTree):
         self._tree = tree
-        self._recorder = RecordingStore(tree.store)
-        tree.store = self._recorder
+        self._store = store = tree.store
         self._lock = threading.RLock()
         self._poison: BaseException | None = None
         self._commits = 0
+        #: Pages the ops since the last publication touched.
+        self._dirty: set[Any] = set()
         pages = PageTable.from_items(
-            (pid, clone_page(self._recorder.peek(pid)))
-            for pid in self._recorder.page_ids()
+            (pid, clone_page(store.peek(pid))) for pid in store.page_ids()
         )
         self._version = TreeVersion(
             pages,
@@ -194,7 +112,7 @@ class TreeService:
             tree.height,
             tree.count,
             lsn=0,
-            wal_seq=getattr(self._recorder.inner, "wal_seq", None),
+            wal_seq=getattr(store, "wal_seq", None),
         )
 
     # -- introspection --------------------------------------------------
@@ -309,7 +227,7 @@ class TreeService:
             mutated = False
             for op in ops:
                 try:
-                    outcomes.append((True, self._apply_one(op)))
+                    outcomes.append((True, self._apply(op)))
                     mutated = True
                 except ReproError as exc:
                     if self._poison is not None:
@@ -333,30 +251,26 @@ class TreeService:
             undo: list[WriteOp] = []
             for index, op in enumerate(ops):
                 try:
-                    undo_op = self._apply_logged(op)
+                    self._apply(op, undo)
                 except ReproError as exc:
                     if self._poison is not None:
                         raise
                     self._rollback(undo)
                     raise BatchAbortedError(index, exc) from exc
-                undo.append(undo_op)
             return self._publish()
 
     def checkpoint(self) -> Any:
         """Checkpoint a WAL-backed store (no-op result for in-memory)."""
         with self._lock:
             self._check_writable()
-            inner = self._recorder.inner
-            checkpoint = getattr(inner, "checkpoint", None)
+            checkpoint = getattr(self._store, "checkpoint", None)
             if checkpoint is None:
                 return None
-            return self._run(checkpoint)
-
-    def detach(self) -> BVTree:
-        """Unwrap the recording store and hand the tree back (test aid)."""
-        with self._lock:
-            self._tree.store = self._recorder.inner
-            return self._tree
+            try:
+                return checkpoint()
+            except StorageError as exc:
+                self._poison = exc
+                raise
 
     # -- internals ------------------------------------------------------
 
@@ -367,81 +281,73 @@ class TreeService:
             )
 
     def _run(self, fn: Callable[[], Any]) -> Any:
-        """Run one mutation; poison the writer if it tore page state.
+        """Run one tree operation; poison the writer if it tore page state.
 
-        A validation error raised before any page was touched (duplicate
+        Each tree operation opens the store's outermost transaction as
+        its first step, so ``store.touched`` afterwards names exactly
+        the pages it touched; they join the dirty set either way.  A
+        validation error raised before any page was touched (duplicate
         key, missing key, bad geometry) leaves the tree intact and the
-        dirty set empty: it simply propagates and the writer stays live.
-        An exception *after* pages were dirtied (an injected crash, a
+        record empty: it simply propagates and the writer stays live.
+        An exception *after* pages were touched (an injected crash, a
         storage fault mid-cascade) means the live tree may be torn, so
         the writer is disabled — readers keep the last committed version
         and recovery takes over (see the crash-under-concurrency tests).
         """
-        before = len(self._recorder.dirty)
+        store = self._store
         try:
             return fn()
         except BaseException as exc:
-            if len(self._recorder.dirty) != before or isinstance(
-                exc, StorageError
-            ):
+            if store.touched or isinstance(exc, StorageError):
                 self._poison = exc
             raise
+        finally:
+            self._dirty.update(store.touched)
 
-    def _apply_one(self, op: WriteOp) -> Any:
+    def _apply(self, op: WriteOp, undo: list[WriteOp] | None = None) -> Any:
+        """Apply one op and return its result; with an ``undo`` log,
+        append the op's inverse to it once the op succeeded."""
+        tree = self._tree
         verb = op[0]
         if verb == "insert":
             _, point, value, replace = op
-            return self._run(
-                lambda: self._tree.insert(point, value, replace=replace)
-            )
-        if verb == "delete":
-            return self._run(lambda: self._tree.delete(op[1]))
-        raise ReproError(f"write op must be insert/delete, got {verb!r}")
-
-    def _apply_logged(self, op: WriteOp) -> WriteOp:
-        """Apply one op and return its inverse for the undo log."""
-        verb = op[0]
-        if verb == "insert":
-            _, point, value, replace = op
-            previous: tuple[Any, ...] | None = None
-            if replace:
+            inverse: WriteOp = ("delete", point)
+            if undo is not None and replace:
                 try:
-                    previous = (self.snapshot_free_get(point),)
+                    inverse = ("insert", point, tree.get(point), True)
                 except KeyNotFoundError:
-                    previous = None
-            self._run(
-                lambda: self._tree.insert(point, value, replace=replace)
+                    inverse = ("delete", point)  # the key was new
+            result = self._run(
+                lambda: tree.insert(point, value, replace=replace)
             )
-            if previous is None:
-                return ("delete", point)
-            return ("insert", point, previous[0], True)
-        if verb == "delete":
-            value = self._run(lambda: self._tree.delete(op[1]))
-            return ("insert", op[1], value, True)
-        raise ReproError(f"write op must be insert/delete, got {verb!r}")
-
-    def snapshot_free_get(self, point: Sequence[float]) -> Any:
-        """Writer-side read of the *live* tree (caller holds the lock)."""
-        return self._tree.get(point)
+        elif verb == "delete":
+            result = self._run(lambda: tree.delete(op[1]))
+            inverse = ("insert", op[1], result, True)
+        else:
+            raise ReproError(f"write op must be insert/delete, got {verb!r}")
+        if undo is not None:
+            undo.append(inverse)
+        return result
 
     def _rollback(self, undo: list[WriteOp]) -> None:
         try:
             for op in reversed(undo):
-                self._apply_one(op)
+                self._apply(op)
         except BaseException as exc:  # pragma: no cover - defensive
             self._poison = exc
             raise
 
     def _publish(self) -> int:
-        recorder = self._recorder
-        dirty = recorder.drain()
+        store = self._store
+        dirty = self._dirty
+        self._dirty = set()
         old = self._version
         puts: dict[int, Any] = {}
         drops: list[int] = []
         for pid in dirty:
-            if pid in recorder:
-                puts[pid] = clone_page(recorder.peek(pid))
-            else:
+            if pid in store:
+                puts[pid] = clone_page(store.peek(pid))
+            elif type(pid) is int:  # not a durable class/meta key
                 drops.append(pid)
         pages = old.pages.updated(puts, drops)
         tree = self._tree
@@ -452,7 +358,7 @@ class TreeService:
             tree.height,
             tree.count,
             lsn=old.lsn + 1,
-            wal_seq=getattr(recorder.inner, "wal_seq", None),
+            wal_seq=getattr(store, "wal_seq", None),
         )
         # Single reference assignment publishes atomically: readers grab
         # either the old or the new version, never a mix.

@@ -116,6 +116,11 @@ class BufferPool:
         """Pass through to the store."""
         return self.store.transaction(name)
 
+    @property
+    def touched(self) -> dict[Any, int | None]:
+        """Pass through to the store."""
+        return self.store.touched
+
     def read(self, page_id: int) -> Any:
         """Read a page, from cache if resident.
 

@@ -14,13 +14,15 @@ Transactions are explicit
 -------------------------
 One *tree operation* is one WAL transaction.  ``BVTree.insert``,
 ``delete`` and ``bulk_load`` open the ``Storage`` protocol's
-``transaction(name)`` context around their work, traced or not; every
-mutation inside the outermost open one joins it, but only notes *which*
-page it touched.  When the transaction closes, each touched page is
-logged once: an ``alloc`` with its final image if the transaction
-allocated it, a ``write`` if it already existed, a ``free`` if the
-transaction freed it (after an empty ``alloc`` if it also allocated it,
-so replay's allocation cursor passes it).  The records are encoded and
+``transaction(name)`` context around their work, traced or not.  The
+transaction is :class:`PageStore`'s: every mutation inside the
+outermost open one only notes in ``touched`` *which* page it touched
+(this store adds its size-class and metadata changes).  When the
+transaction closes, :meth:`_commit` logs each touched page once: an
+``alloc`` with its final image if the transaction allocated it, a
+``write`` if it already existed, a ``free`` if the transaction freed it
+(after an empty ``alloc`` if it also allocated it, so replay's
+allocation cursor passes it).  The records are encoded and
 appended one at a time, the commit marker riding the last one's type
 byte (``REC_COMMIT_FLAG``, with the operation name in its payload), and
 ``sync="commit"`` adds one fsync.  A transaction closed by an exception
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import os
 from contextlib import suppress
-from types import TracebackType
 from typing import Any, Iterator
 
 from repro.core.node import DataPage
@@ -91,36 +92,6 @@ def _image(
     if size_class is not None:
         payload["sc"] = size_class
     return codec.dumps(payload)
-
-
-class _Transaction:
-    """One :meth:`DurableStore.transaction`; leaving the outermost one
-    commits, or aborts if an exception is propagating."""
-
-    __slots__ = ("_store", "_name")
-
-    def __init__(self, store: "DurableStore", name: str):
-        self._store = store
-        self._name = name
-
-    def __enter__(self) -> None:
-        self._store._depth += 1
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        store = self._store
-        store._depth -= 1
-        if store._depth or store._dead or store._closed:
-            return
-        if exc_type is None:
-            store._commit(self._name)
-        else:
-            # Abort: nothing reached the log and no delta base moved.
-            store._touched.clear()
 
 
 class _DeadPageTable(dict):
@@ -228,10 +199,7 @@ class DurableStore(PageStore):
         self.faults = faults if faults is not None else FaultPlan()
         self.sync = sync
         self._meta: dict[str, Any] = {}
-        self._depth = 0
         self._txn = 1
-        # What the open transaction touched, in touch order (_touch).
-        self._touched: dict[Any, int | None] = {}
         # A clone of each data page as last committed: the delta base.
         self._logged: dict[int, DataPage] = {}
         os.makedirs(self.directory, exist_ok=True)
@@ -305,32 +273,18 @@ class DurableStore(PageStore):
     # WAL transactions
     # ------------------------------------------------------------------
 
-    def transaction(self, name: str) -> _Transaction:
-        """A context grouping its mutations into one WAL transaction
-        named ``name`` (see the module docstring)."""
-        return _Transaction(self, name)
-
-    def _touch(self, key: Any, size_class: int | None = None) -> None:
-        """Note what the open transaction touched: a page id (with its
-        size class if the transaction allocated it), or a
-        ``(REC_CLASS, size_class)`` / ``(REC_META, key)`` pair."""
-        touched = self._touched
-        if key not in touched:
-            touched[key] = size_class
-        if not self._depth:
-            self._commit("auto")
-
-    def _commit(self, op_name: str) -> None:
+    def _commit(self, op_name: str, touched: dict[Any, int | None]) -> None:
+        """Log a closed transaction's record as one WAL transaction."""
         # Each record is held back until the next is encoded, so the
         # last carries the commit marker and the operation name (every
         # payload is a JSON object, so splicing before the closing brace
         # is safe; "op" collides with no mutation-payload key).
-        if not self._touched:
+        if not touched or self._dead or self._closed:
             return
         wal = self._live_wal()
         held: tuple[int, bytes] | None = None
         try:
-            for record in self._records():
+            for record in self._records(touched):
                 if held is not None:
                     wal.append_body(*held)
                 held = record
@@ -357,15 +311,15 @@ class DurableStore(PageStore):
                 with suppress(OSError):
                     wal.close()
             raise
-        finally:
-            self._touched.clear()
 
-    def _records(self) -> Iterator[tuple[int, bytes]]:
-        """The open transaction's records, advancing the delta bases."""
+    def _records(
+        self, touched: dict[Any, int | None]
+    ) -> Iterator[tuple[int, bytes]]:
+        """A transaction's records, advancing the delta bases."""
         txn = self._txn
         pages = self._pages
         logged = self._logged
-        for page_id, size_class in self._touched.items():
+        for page_id, size_class in touched.items():
             if type(page_id) is tuple:
                 rtype, name = page_id
                 payload = (
@@ -411,21 +365,17 @@ class DurableStore(PageStore):
     def allocate(self, content: Any = None, size_class: int = 0) -> int:
         if self._dead or self._closed:
             self._ensure_alive()
-        page_id = super().allocate(content, size_class)
-        self._touch(page_id, size_class)
-        return page_id
+        return super().allocate(content, size_class)
 
     def write(self, page_id: int, content: Any) -> None:
         if self._dead or self._closed:
             self._ensure_alive()
         super().write(page_id, content)
-        self._touch(page_id)
 
     def free(self, page_id: int) -> None:
         if self._dead or self._closed:
             self._ensure_alive()
         super().free(page_id)
-        self._touch(page_id)
 
     def register_size_class(self, size_class: int, page_bytes: int) -> None:
         self._ensure_alive()

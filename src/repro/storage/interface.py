@@ -78,11 +78,28 @@ class Storage(Protocol):
         """A context spanning one tree operation's mutations.
 
         ``BVTree.insert``/``delete``/``bulk_load`` open one around their
-        work.  An in-memory store returns a shared no-op context and a
-        wrapping store forwards to the one it wraps.  The durable store
-        logs the mutations inside the outermost one as one WAL
-        transaction named ``name``: committed on a normal exit, dropped
-        when an exception propagates.
+        work; mutations inside the outermost one join it, and a mutation
+        outside any is a transaction of its own.  The page store keeps
+        the transaction (a wrapping store forwards it): it records the
+        touched pages in :attr:`touched` and, on a normal exit from the
+        outermost one, commits them under ``name``.  In memory the
+        commit does nothing; the durable store logs the record as one
+        WAL transaction.  A transaction left by an exception commits
+        nothing.
+        """
+
+    @property
+    def touched(self) -> dict[Any, int | None]:
+        """The page ids the open (or else the last) outermost
+        transaction allocated, wrote or freed, in first-touch order.
+
+        A page the transaction allocated maps to its size class, any
+        other to ``None``; the durable store adds its size-class and
+        metadata changes under tuple keys.  Cleared when the next
+        outermost transaction opens, so read it right after the
+        operation it describes; the serving layer
+        (:class:`~repro.concurrency.TreeService`) does, to clone exactly
+        those pages into the next published version.
         """
 
 

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Any, ContextManager, Iterator
+from types import TracebackType
+from typing import Any, Iterator
 
 from repro.errors import PageNotFoundError, StorageError
 from repro.obs.events import PAGE_ALLOC, PAGE_FREE, PAGE_READ, PAGE_WRITE
 from repro.obs.tracer import Tracer
 from repro.storage.stats import IOStats, SizeClassStats
-
-#: The one transaction context of in-memory stores: nothing to group.
-_NO_TRANSACTION: ContextManager[None] = nullcontext()
 
 
 class PageStore:
@@ -33,6 +30,16 @@ class PageStore:
     ``tracer.structural`` guard — an update-path subscriber (e.g. the
     guarantee monitor) sees every mutation, while reads stay silent
     unless a subscriber takes a read-path kind (``tracer.enabled``).
+
+    Transactions: ``with store.transaction(name):`` groups the mutations
+    of one tree operation.  The store is its own context, so opening one
+    allocates nothing.  :attr:`touched` records what the outermost open
+    transaction allocated, wrote or freed, in first-touch order; it
+    keeps the last closed transaction's record until the next outermost
+    one opens.  Leaving the outermost transaction normally hands that
+    record to :meth:`_commit` under the transaction's name (a no-op in
+    memory; the durable store logs it).  A mutation outside any
+    transaction is a transaction of its own, named ``"auto"``.
     """
 
     def __init__(self, page_bytes: int = 4096):
@@ -46,6 +53,13 @@ class PageStore:
         self._size_class: dict[int, int] = {}
         self._classes: dict[int, SizeClassStats] = {}
         self._next_id = 1
+        #: Touched key -> its size class if the transaction allocated
+        #: it, else ``None``.  Keys are page ids; a subclass may note
+        #: other changes under tuple keys (the durable store's size
+        #: classes and metadata).
+        self.touched: dict[Any, int | None] = {}
+        self._depth = 0
+        self._op = "auto"
 
     # ------------------------------------------------------------------
     # Size classes
@@ -95,6 +109,7 @@ class PageStore:
         tracer = self.tracer
         if tracer.structural:
             tracer.emit(PAGE_ALLOC, page=page_id, size_class=size_class)
+        self._touch(page_id, size_class)
         return page_id
 
     def read(self, page_id: int) -> Any:
@@ -125,6 +140,7 @@ class PageStore:
         tracer = self.tracer
         if tracer.structural:
             tracer.emit(PAGE_WRITE, page=page_id)
+        self._touch(page_id)
 
     def free(self, page_id: int) -> None:
         """Release a page."""
@@ -137,10 +153,49 @@ class PageStore:
         tracer = self.tracer
         if tracer.structural:
             tracer.emit(PAGE_FREE, page=page_id)
+        self._touch(page_id)
 
-    def transaction(self, name: str) -> ContextManager[Any]:
-        """No grouping in memory: one shared no-op context."""
-        return _NO_TRANSACTION
+    # ------------------------------------------------------------------
+    # Transactions
+    # ------------------------------------------------------------------
+
+    def transaction(self, name: str) -> "PageStore":
+        """A context grouping its mutations into one transaction named
+        ``name`` (see the class docstring); nested ones join it."""
+        if not self._depth:
+            self._op = name
+        return self
+
+    def __enter__(self) -> None:
+        if not self._depth:
+            self.touched.clear()
+        self._depth += 1
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        self._depth -= 1
+        if not self._depth and exc_type is None:
+            self._commit(self._op, self.touched)
+
+    def _touch(self, key: Any, size_class: int | None = None) -> None:
+        """Note that the open transaction touched ``key`` (with its size
+        class if it allocated the page); outside one, commit it alone."""
+        touched = self.touched
+        if self._depth:
+            if key not in touched:
+                touched[key] = size_class
+            return
+        touched.clear()
+        touched[key] = size_class
+        self._commit("auto", touched)
+
+    def _commit(self, op_name: str, touched: dict[Any, int | None]) -> None:
+        """Make a closed transaction's record durable: nothing to do in
+        memory.  An aborted transaction never reaches here."""
 
     # ------------------------------------------------------------------
     # Introspection

@@ -199,10 +199,10 @@ class TestPoisonSemantics:
         pinned = service.snapshot()
         committed = dict(pinned.items())
 
-        # Crash the inner store mid-mutation: the recorder marks the
-        # page dirty *before* delegating, so the failure lands after
-        # page state was torn — the poison case.
-        inner = service.tree.store.inner
+        # Crash the store mid-mutation: the write lands (and joins the
+        # transaction's record) before the failure, so page state was
+        # torn — the poison case.
+        inner = service.tree.store
         real_write = inner.write
 
         def torn_write(page_id, content):

@@ -68,5 +68,4 @@ def test_soak_durable(tmp_path):
     )
     service = TreeService(tree)
     _soak(service, seed=4000)
-    service.detach()
     tree.store.close()

@@ -377,9 +377,9 @@ class TestHealthStatsMetrics:
         app = make_app()
         post(app, "/v1/insert", {"point": [0.5, 0.5], "value": 1})
 
-        # Poison the writer: fail the inner store mid-write so the
-        # dirty delta is non-empty when the exception lands.
-        inner = app.service.tree.store.inner
+        # Poison the writer: fail the store mid-write so the
+        # transaction's record is non-empty when the exception lands.
+        inner = app.service.tree.store
         original = inner.write
 
         def torn_write(page_id, page):

@@ -38,7 +38,6 @@ def served():
     finally:
         handle.stop()
         batcher.close()
-        service.detach()
 
 
 def request(handle, method, path, payload=None):
@@ -154,7 +153,6 @@ class TestShutdown:
             handle.stop()
             for conn in conns:
                 conn.close()
-            service.detach()
         assert not handle._thread.is_alive()
         errors = [
             record
@@ -295,7 +293,6 @@ class TestDurableServedWrites:
             assert store.wal_stats.syncs >= len(points)
         finally:
             batcher.close()
-            service.detach()
             store.close(checkpoint=False)
         recovered, report = open_durable_tree(tmp_path, sync="os")
         try:

@@ -81,6 +81,14 @@ class TestWriteThrough:
             pool.read(page + 1)
         assert pool.stats.reads == pool.store.stats.reads == 0
 
+    def test_forwards_the_transaction_record(self, pool):
+        page = pool.store.allocate("x")
+        with pool.transaction("insert"):
+            pool.write(page, "y")
+            new = pool.allocate("z")
+        assert pool.touched is pool.store.touched
+        assert pool.touched == {page: None, new: 0}
+
     def test_invalidate(self, pool):
         page = pool.store.allocate("x")
         pool.read(page)

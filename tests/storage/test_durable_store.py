@@ -401,7 +401,6 @@ class TestTransactionForwarding:
         )
         assert [ok for ok, _ in outcomes] == [True, True]
         assert store.wal_stats.commits == before + 2
-        service.detach()
         store.close(checkpoint=False)
 
 

@@ -165,3 +165,69 @@ class TestSizeClasses:
             store.allocate("x", size_class=-1)
         with pytest.raises(StorageError):
             store.register_size_class(-1, 10)
+
+
+class _CommitLog(PageStore):
+    """A page store that keeps a copy of each record it commits."""
+
+    def __init__(self):
+        super().__init__()
+        self.commits = []
+
+    def _commit(self, op_name, touched):
+        self.commits.append((op_name, dict(touched)))
+
+
+class TestTransactions:
+    def test_store_is_its_own_context(self):
+        store = PageStore()
+        assert store.transaction("insert") is store
+
+    def test_record_names_each_touched_page_once(self):
+        store = PageStore()
+        kept = store.allocate("k")
+        gone = store.allocate("g")
+        with store.transaction("insert"):
+            new = store.allocate("n", size_class=2)
+            store.write(kept, "k2")
+            store.write(new, "n2")
+            store.write(kept, "k3")
+            store.free(gone)
+        assert store.touched == {new: 2, kept: None, gone: None}
+        assert list(store.touched) == [new, kept, gone]
+
+    def test_nested_transactions_join_the_outermost(self):
+        store = _CommitLog()
+        with store.transaction("bulk_load"):
+            a = store.allocate("a")
+            with store.transaction("insert"):
+                b = store.allocate("b")
+            assert store.commits == []
+        assert store.commits == [("bulk_load", {a: 0, b: 0})]
+
+    def test_record_lasts_until_the_next_transaction_opens(self):
+        store = PageStore()
+        with store.transaction("insert"):
+            a = store.allocate("a")
+        assert store.touched == {a: 0}
+        with store.transaction("get"):
+            assert store.touched == {}
+        assert store.touched == {}
+
+    def test_mutation_outside_a_transaction_commits_alone(self):
+        store = _CommitLog()
+        a = store.allocate("a")
+        store.write(a, "b")
+        assert store.commits == [("auto", {a: 0}), ("auto", {a: None})]
+        assert store.touched == {a: None}
+
+    def test_exception_keeps_the_record_and_commits_nothing(self):
+        store = _CommitLog()
+        with pytest.raises(RuntimeError):
+            with store.transaction("insert"):
+                a = store.allocate("a")
+                raise RuntimeError("boom")
+        assert store.commits == []
+        assert store.touched == {a: 0}
+        with store.transaction("insert"):
+            assert store.touched == {}
