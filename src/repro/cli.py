@@ -24,11 +24,10 @@ import sys
 from typing import Sequence
 
 from repro.analysis import capacity, figures
-from repro.bench.harness import INDEX_KINDS, build_index, index_occupancies
-from repro.bench.reporting import format_table
 from repro.core.columnar import DEFAULT_LAYOUT, LAYOUTS
 from repro.errors import ReproError
 from repro.geometry.space import DataSpace
+from repro.obs.report import format_table
 from repro.workloads import (
     churn,
     clustered,
@@ -50,6 +49,11 @@ WORKLOADS = {
     "hotspot": nested_hotspot,
     "storm": promotion_storm,
 }
+
+#: ``compare --structures`` choices: the names of
+#: :data:`repro.bench.harness.INDEX_KINDS`, spelled out so that building
+#: the parser does not import the baselines (a test keeps them equal).
+STRUCTURES = ["bang", "bv", "kdb", "lsd", "zorder"]
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -126,6 +130,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    # Imported lazily: the harness pulls in every baseline structure,
+    # which no other subcommand needs (``repro serve`` starts without it).
+    from repro.bench.harness import build_index, index_occupancies
+
     space, points = _workload_points(args)
     rows = []
     for kind in args.structures:
@@ -1019,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--structures",
                 nargs="+",
-                choices=sorted(INDEX_KINDS),
+                choices=STRUCTURES,
                 default=["bv", "kdb", "bang", "lsd", "zorder"],
             )
             p.set_defaults(func=_cmd_compare)

@@ -76,8 +76,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.errors import DuplicateKeyError, ReproError, TreeInvariantError
 from repro.core.descent import Descent, descend
@@ -325,18 +326,17 @@ class ColumnarDataPage(DataPage):
             self.insert(path, point, value, replace=True)
 
     def fill_sorted(
-        self, items: "Iterable[tuple[int, tuple[float, ...], Any]]"
+        self,
+        paths: Sequence[int],
+        coords: Sequence[float],
+        values: Sequence[Any],
     ) -> None:
-        """Bulk-append ``(path, point, value)`` records in ascending path
-        order onto an empty page — the bulk loader's plan emits exactly
-        that, so no per-record search is needed."""
-        paths = self._c_paths
-        coords = self._c_coords
-        values = self._c_values
-        for path, point, value in items:
-            paths.append(path)
-            coords.extend(point)
-            values.append(value)
+        """Append one sorted run of records, given as column slices: each
+        column is extended once, with no per-record search (the bulk
+        loader fills a page one planned range at a time)."""
+        self._c_paths.extend(paths)
+        self._c_coords.extend(coords)
+        self._c_values.extend(values)
 
     # ------------------------------------------------------------------
     # Query hot loops
@@ -420,8 +420,9 @@ class ColumnarIndexNode(IndexNode):
 
     The ``entries`` list (and the base class's linear algorithms over it)
     stays authoritative for identity and ordering; the columns are
-    derived state maintained by :meth:`add`/:meth:`remove` and consulted
-    by the overridden matching methods.
+    derived state, built in one pass by the constructor, copied by
+    :meth:`clone`, kept in step by :meth:`add`/:meth:`remove` and
+    consulted by the overridden matching methods.
     """
 
     __slots__ = (
@@ -452,19 +453,37 @@ class ColumnarIndexNode(IndexNode):
         self.ndim = ndim
         self.resolution = resolution
         self.path_bits = path_bits
+        super().__init__(index_level, entries)
+        # One pass over the entries, one sort of the natives: the order
+        # repeated add() produces is ascending (aligned, nbits), a total
+        # order since same-level keys are unique.  Guards keep entries
+        # order.
         self._c_org: list[int] = []
         self._c_end: list[int] = []
-        self._c_nat_aligned: list[int] = []
-        self._c_nat_end: list[int] = []
-        self._c_nat_nbits: list[int] = []
-        self._c_nat_entries: list[Entry] = []
         self._c_g_aligned: list[int] = []
         self._c_g_end: list[int] = []
         self._c_g_nbits: list[int] = []
         self._c_g_entries: list[Entry] = []
-        super().__init__(index_level, ())
-        for entry in entries:
-            self.add(entry)
+        native_level = index_level - 1
+        natives: list[tuple[int, int, Entry]] = []
+        for entry in self.entries:
+            key = entry.key
+            self._append_block(key)
+            aligned = key.value << (path_bits - key.nbits)
+            if entry.level == native_level:
+                natives.append((aligned, key.nbits, entry))
+            else:
+                self._c_g_aligned.append(aligned)
+                self._c_g_end.append(aligned + (1 << (path_bits - key.nbits)))
+                self._c_g_nbits.append(key.nbits)
+                self._c_g_entries.append(entry)
+        natives.sort(key=itemgetter(0, 1))
+        self._c_nat_aligned = [aligned for aligned, _, _ in natives]
+        self._c_nat_end = [
+            aligned + (1 << (path_bits - nbits)) for aligned, nbits, _ in natives
+        ]
+        self._c_nat_nbits = [nbits for _, nbits, _ in natives]
+        self._c_nat_entries = [entry for _, _, entry in natives]
 
     # ------------------------------------------------------------------
     # Column maintenance
@@ -535,14 +554,30 @@ class ColumnarIndexNode(IndexNode):
             del self._c_g_entries[j]
 
     def clone(self) -> "ColumnarIndexNode":
-        """A copy sharing no mutable state (fresh entries and columns)."""
-        return ColumnarIndexNode(
-            self.index_level,
-            [Entry(e.key, e.level, e.page) for e in self.entries],
-            ndim=self.ndim,
-            resolution=self.resolution,
-            path_bits=self.path_bits,
-        )
+        """A copy sharing no mutable state (fresh entries and columns).
+
+        The columns and the key set are copied, not rebuilt: a clone
+        holds the same keys, so only the entry handles change.
+        """
+        node = ColumnarIndexNode.__new__(ColumnarIndexNode)
+        node.index_level = self.index_level
+        node.ndim = self.ndim
+        node.resolution = self.resolution
+        node.path_bits = self.path_bits
+        fresh = {id(e): Entry(e.key, e.level, e.page) for e in self.entries}
+        node.entries = list(fresh.values())
+        node._keyset = set(self._keyset)
+        node._c_org = self._c_org[:]
+        node._c_end = self._c_end[:]
+        node._c_nat_aligned = self._c_nat_aligned[:]
+        node._c_nat_end = self._c_nat_end[:]
+        node._c_nat_nbits = self._c_nat_nbits[:]
+        node._c_nat_entries = [fresh[id(e)] for e in self._c_nat_entries]
+        node._c_g_aligned = self._c_g_aligned[:]
+        node._c_g_end = self._c_g_end[:]
+        node._c_g_nbits = self._c_g_nbits[:]
+        node._c_g_entries = [fresh[id(e)] for e in self._c_g_entries]
+        return node
 
     def native_count(self) -> int:
         return len(self._c_nat_entries)

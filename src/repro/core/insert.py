@@ -112,9 +112,10 @@ def split_index_node(tree: "BVTree", node_page: int, entry: Entry) -> None:
         tree.stats.deferred_splits += 1
         return
     items = [(e.key.value, e.key.nbits) for e in natives]
+    guards = node.guards()
 
     def promotion_cost(block: RegionKey) -> tuple[int, int]:
-        guard_cost = sum(1 for g in node.guards() if g.key.encloses(block))
+        guard_cost = sum(1 for g in guards if g.key.encloses(block))
         native_cost = 1 if any(e.key.encloses(block) for e in natives) else 0
         return native_cost, guard_cost
 

@@ -6,7 +6,7 @@ see that package's docstring for why no byte serialisation is simulated.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import DuplicateKeyError, TreeInvariantError
 from repro.core.entry import Entry
@@ -31,11 +31,10 @@ class IndexNode:
             )
         self.index_level = index_level
         self.entries: list[Entry] = list(entries)
-        self._keyset: set[tuple[int, RegionKey]] = {
-            (e.level, e.key) for e in self.entries
-        }
+        self._keyset: set[tuple[int, RegionKey]] = set()
         for entry in self.entries:
             self._check_level(entry)
+            self._add_token(entry)
 
     def _check_level(self, entry: Entry) -> None:
         if entry.level > self.index_level - 1:
@@ -52,18 +51,21 @@ class IndexNode:
         """Insert an entry (no capacity check — the tree enforces that).
 
         The duplicate check is set-backed: filling a node of ``n`` entries
-        is O(n), not the O(n²) a linear scan per add would cost (the
-        bulk-load replay and node splits both fill nodes entry by entry;
-        docs/PERFORMANCE.md has the micro-benchmark).
+        is O(n), not the O(n²) a linear scan per add would cost (nodes
+        grow one placed entry at a time; docs/PERFORMANCE.md has the
+        micro-benchmark).
         """
         self._check_level(entry)
+        self._add_token(entry)
+        self.entries.append(entry)
+
+    def _add_token(self, entry: Entry) -> None:
         token = (entry.level, entry.key)
         if token in self._keyset:
             raise TreeInvariantError(
                 f"duplicate level-{entry.level} key {entry.key!r} in node"
             )
         self._keyset.add(token)
-        self.entries.append(entry)
 
     def remove(self, entry: Entry) -> None:
         """Remove an entry object from the node."""
@@ -205,13 +207,23 @@ class DataPage:
         self.records.update(other.records)
 
     def fill_sorted(
-        self, items: Iterable[tuple[int, tuple[float, ...], Any]]
+        self,
+        paths: Sequence[int],
+        coords: Sequence[float],
+        values: Sequence[Any],
     ) -> None:
-        """Bulk-append ``(path, point, value)`` records in ascending path
-        order onto an empty page (the bulk loader's contract)."""
-        records = self.records
-        for path, point, value in items:
-            records[path] = (point, value)
+        """Append one run of records, given as column slices.
+
+        ``paths`` ascend and follow every path already on the page;
+        ``coords`` holds ``len(coords) // len(paths)`` coordinates per
+        record and ``values`` one value per record (the bulk loader's
+        contract: it fills a page one sorted range at a time).
+        """
+        if not paths:
+            return
+        nd = len(coords) // len(paths)
+        points = zip(*[iter(coords)] * nd)
+        self.records.update(zip(paths, zip(points, values)))
 
     def clone(self) -> "DataPage":
         """A copy sharing no mutable container with this page (the

@@ -60,6 +60,9 @@ def split_candidates(
         raise TreeInvariantError(
             f"{total - count} item(s) lie outside the base block {base!r}"
         )
+    # Each halving step counts only the items still inside the current
+    # block: the heavier child's items are the next step's population.
+    inside = items
     # Descend past the 2N/3 balance point down to pairs: the balanced
     # candidate is always collected on the way, and the deeper (less
     # balanced) candidates give callers with promotion costs a feasible
@@ -73,9 +76,21 @@ def split_candidates(
                     f"{current!r}; cannot split within resolution"
                 )
             break
+        depth = current.nbits + 1
+        lower_items: list[PathItem] = []
+        upper_items: list[PathItem] = []
+        for item in inside:
+            path, path_bits = item
+            if path_bits >= depth:
+                # Inside the current block, so the bit below its key
+                # picks the child.
+                if (path >> (path_bits - depth)) & 1:
+                    upper_items.append(item)
+                else:
+                    lower_items.append(item)
         lower, upper = current.child(0), current.child(1)
-        n_lower = _count_inside(lower, items)
-        n_upper = _count_inside(upper, items)
+        n_lower = len(lower_items)
+        n_upper = len(upper_items)
         for block, n in ((lower, n_lower), (upper, n_upper)):
             if 0 < n < total:
                 candidates.append((block, n))
@@ -88,9 +103,9 @@ def split_candidates(
                 )
             break
         if n_upper > n_lower:
-            current, count = upper, n_upper
+            current, count, inside = upper, n_upper, upper_items
         else:
-            current, count = lower, n_lower
+            current, count, inside = lower, n_lower, lower_items
     if not candidates:
         raise TreeInvariantError(
             f"no split candidate found for {total} items under {base!r}"

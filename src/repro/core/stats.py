@@ -107,11 +107,6 @@ class TreeStats:
     guards_by_node_level: dict[int, int] = field(default_factory=dict)
 
     @property
-    def data_fill_factor(self) -> float:
-        """Average data-page occupancy as a fraction of capacity."""
-        return self.avg_data_occupancy
-
-    @property
     def pages_total(self) -> int:
         """Data pages plus index nodes."""
         return self.data_pages + self.index_nodes
@@ -123,24 +118,6 @@ class TreeStats:
             level: len(occ)
             for level, occ in sorted(self.occupancies_by_level.items())
         }
-
-    def level_occupancy(self) -> dict[int, dict[str, float]]:
-        """Per-level occupancy summary: node count, min and mean.
-
-        Includes the root (the occupancy *guarantee* exempts it — that
-        exemption belongs to the health evaluator and the checker, not to
-        the descriptive statistics).  Levels are sorted ascending.
-        """
-        out: dict[int, dict[str, float]] = {}
-        for level, occ in sorted(self.occupancies_by_level.items()):
-            if not occ:
-                continue
-            out[level] = {
-                "nodes": len(occ),
-                "min": min(occ),
-                "mean": sum(occ) / len(occ),
-            }
-        return out
 
 
 def collect(tree: "BVTree") -> TreeStats:

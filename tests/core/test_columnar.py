@@ -9,6 +9,7 @@ plumbing on the tree and store.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.core.columnar import (
 )
 from repro.core.descent import descend, locate
 from repro.core.entry import Entry
-from repro.core.node import diff_records
+from repro.core.node import DataPage, diff_records
 from repro.core.tree import BVTree
 from repro.errors import DuplicateKeyError, ReproError, TreeInvariantError
 from repro.geometry.region import RegionKey
@@ -89,11 +90,16 @@ class TestColumnarDataPage:
 
     def test_fill_sorted_bulk_append(self):
         page = make_page()
-        page.fill_sorted(
-            (p, (p / 256, 0.5), p * 2) for p in (3, 40, 200)
-        )
+        page.fill_sorted([3, 40], array("d", [3 / 256, 0.5, 40 / 256, 0.5]), [6, 80])
+        page.fill_sorted([200], array("d", [200 / 256, 0.5]), [400])
         assert list(page.paths()) == [3, 40, 200]
         assert page.get(40) == ((40 / 256, 0.5), 80)
+        reference = DataPage()
+        reference.fill_sorted([3, 40], [3 / 256, 0.5, 40 / 256, 0.5], [6, 80])
+        reference.fill_sorted([200], [200 / 256, 0.5], [400])
+        reference.fill_sorted([], [], [])
+        assert dict(page.records) == reference.records
+        assert list(reference.records) == [3, 40, 200]
 
     def test_changes_since_a_clone(self):
         base = make_page([(p, (p / 256, 0.5), p) for p in (3, 40, 90, 200)])
@@ -180,6 +186,89 @@ class TestColumnarIndexNode:
         node = make_node()
         with pytest.raises(TreeInvariantError):
             node.remove(Entry(RegionKey(1, 0), 0, page=9))
+
+    COLUMNS = (
+        "_c_org",
+        "_c_end",
+        "_c_nat_aligned",
+        "_c_nat_end",
+        "_c_nat_nbits",
+        "_c_nat_entries",
+        "_c_g_aligned",
+        "_c_g_end",
+        "_c_g_nbits",
+        "_c_g_entries",
+    )
+
+    @staticmethod
+    def mixed_entries(seed):
+        """Natives (level 1) and guards (level 0) of a level-2 node, with
+        nested natives sharing aligned origins, in shuffled order."""
+        rng = random.Random(seed)
+        keys = {RegionKey(2, 0b10), RegionKey(4, 0b1000), RegionKey(6, 0b100000)}
+        while len(keys) < 9:
+            nbits = rng.randint(1, 8)
+            keys.add(RegionKey(nbits, rng.randrange(1 << nbits)))
+        entries = [Entry(k, 1, page=i) for i, k in enumerate(keys)]
+        guards = {RegionKey(1, 0), RegionKey(3, 0b100), RegionKey(5, 0b10001)}
+        entries += [Entry(k, 0, page=100 + i) for i, k in enumerate(guards)]
+        rng.shuffle(entries)
+        return entries
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_pass_build_equals_repeated_add(self, seed):
+        entries = self.mixed_entries(seed)
+        built = make_node(entries, index_level=2)
+        added = make_node(index_level=2)
+        for entry in entries:
+            added.add(entry)
+        assert built.entries == added.entries
+        assert built._keyset == added._keyset
+        for column in self.COLUMNS:
+            assert getattr(built, column) == getattr(added, column), column
+        for path in range(256):
+            for bits in (8, 6, 4, 2):
+                q = path >> (8 - bits)
+                assert built.best_native_match(q, bits) is added.best_native_match(
+                    q, bits
+                )
+                assert built.matching_guards(q, bits) == added.matching_guards(
+                    q, bits
+                )
+
+    def test_one_pass_build_rejects_duplicate_keys(self):
+        key = RegionKey(3, 0b101)
+        with pytest.raises(TreeInvariantError):
+            make_node([Entry(key, 0, page=1), Entry(key, 0, page=2)])
+
+    def test_clone_matches_and_is_independent(self):
+        node = make_node(self.mixed_entries(7), index_level=2)
+        snapshot = {c: list(getattr(node, c)) for c in self.COLUMNS}
+        keyset = set(node._keyset)
+        pages = [e.page for e in node.entries]
+        copy = node.clone()
+        assert [(e.key, e.level, e.page) for e in copy.entries] == [
+            (e.key, e.level, e.page) for e in node.entries
+        ]
+        assert not any(a is b for a, b in zip(copy.entries, node.entries))
+        # The clone's columns point at its own entries, in the same slots.
+        index = {id(e): i for i, e in enumerate(copy.entries)}
+        original = {id(e): i for i, e in enumerate(node.entries)}
+        for column in ("_c_nat_entries", "_c_g_entries"):
+            assert [index[id(e)] for e in getattr(copy, column)] == [
+                original[id(e)] for e in getattr(node, column)
+            ]
+        rebuilt = make_node(copy.entries, index_level=2)
+        for column in self.COLUMNS:
+            assert getattr(copy, column) == getattr(rebuilt, column), column
+        # Mutating the clone leaves the original unchanged.
+        for entry in list(copy.entries[:4]):
+            copy.remove(entry)
+        copy.add(Entry(RegionKey(8, 0b11111111), 1, page=999))
+        copy.entries[0].page = -1
+        assert {c: list(getattr(node, c)) for c in self.COLUMNS} == snapshot
+        assert node._keyset == keyset
+        assert [e.page for e in node.entries] == pages
 
 
 class TestLayoutSelection:

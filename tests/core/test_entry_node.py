@@ -69,6 +69,10 @@ class TestIndexNode:
         with pytest.raises(TreeInvariantError):
             node.add(Entry(key("0"), 1, 2))
 
+    def test_constructor_rejects_duplicate_key_same_level(self):
+        with pytest.raises(TreeInvariantError):
+            IndexNode(2, [Entry(key("0"), 1, 1), Entry(key("0"), 1, 2)])
+
     def test_same_key_different_levels_allowed(self):
         node = IndexNode(3)
         node.add(Entry(key("0"), 2, 1))

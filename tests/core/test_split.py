@@ -1,5 +1,7 @@
 """Unit tests for the balanced binary split ([LS89] argument)."""
 
+import random
+
 import pytest
 
 from repro.errors import ResolutionExhaustedError, TreeInvariantError
@@ -12,7 +14,48 @@ def items_from_bits(*bits: str, path_bits: int = 8):
     return [(int(b, 2) << (path_bits - len(b)), path_bits) for b in bits]
 
 
+def reference_candidates(base, items):
+    """The heavy-half descent counting every step over all items."""
+
+    def inside(block):
+        return sum(
+            1
+            for path, bits in items
+            if bits >= block.nbits and path >> (bits - block.nbits) == block.value
+        )
+
+    total = len(items)
+    max_depth = max(bits for _, bits in items)
+    out = []
+    current, count = base, inside(base)
+    while count >= 2 and current.nbits < max_depth:
+        lower, upper = current.child(0), current.child(1)
+        n_lower, n_upper = inside(lower), inside(upper)
+        out += [(b, n) for b, n in ((lower, n_lower), (upper, n_upper)) if 0 < n < total]
+        if n_lower == 0 and n_upper == 0:
+            break
+        current, count = (upper, n_upper) if n_upper > n_lower else (lower, n_lower)
+    return out
+
+
 class TestSplitCandidates:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_subset_counting_matches_full_scans(self, seed):
+        # Nested region keys of mixed lengths, as an index split sees them.
+        rng = random.Random(seed)
+        base = RegionKey(2, rng.randrange(4))
+        n = rng.randint(3, 40)
+        items = set()
+        while len(items) < n:
+            extra = rng.randint(0, 10)
+            value = (base.value << extra) | rng.randrange(1 << extra)
+            items.add((value, base.nbits + extra))
+        items = list(items)
+        rng.shuffle(items)
+        expected = reference_candidates(base, items)
+        got = split_candidates(base, items)
+        assert got == expected
+
     def test_even_population_splits_at_first_halving(self):
         items = items_from_bits("0001", "0010", "1001", "1010")
         candidates = split_candidates(ROOT_KEY, items)

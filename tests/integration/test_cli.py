@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 def write_snapshot(path, **blocks):
@@ -106,18 +112,73 @@ class TestCompare:
         assert "bv" in out and "kdb" in out
         assert "forced splits" in out
 
+    def test_structure_choices_are_the_harness_kinds(self):
+        from repro.bench.harness import INDEX_KINDS
+        from repro.cli import STRUCTURES
+
+        assert STRUCTURES == sorted(INDEX_KINDS)
+
+    def test_cli_import_leaves_the_baselines_out(self):
+        # ``repro serve`` imports repro.cli before it can answer; the
+        # comparison baselines are only for ``compare``.
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('repro.baselines', 'repro.bench'))))"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            check=True,
+            capture_output=True,
+            text=True,
+            env=env,
+        ).stdout
+        assert out.strip() == "[]"
+
+
+def run_main(args):
+    """``main(args)`` with its stdout captured: ``(exit code, stdout)``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(args)
+    return code, out.getvalue()
+
+
+# Each ``repro perf`` run executes the whole smoke suite and its probes,
+# so every invocation that more than one test asserts on runs once per
+# module.
+
+
+@pytest.fixture(scope="module")
+def perf_text_run():
+    """``repro perf`` tiny, text report, nothing written."""
+    return run_main(PERF_TINY + ["--no-write"])
+
+
+@pytest.fixture(scope="module")
+def perf_snapshot(tmp_path_factory):
+    """``repro perf`` tiny, snapshot written to a fresh path."""
+    target = tmp_path_factory.mktemp("perf") / "BENCH_core.json"
+    code, _ = run_main(PERF_TINY + ["--out", str(target)])
+    return code, target
+
 
 class TestPerf:
-    def test_text_report_without_writing(self, capsys):
-        assert main(PERF_TINY + ["--no-write"]) == 0
-        out = capsys.readouterr().out
+    def test_text_report_without_writing(self, perf_text_run):
+        code, out = perf_text_run
+        assert code == 0
         assert "bulk_load" in out
         assert "range" in out
         assert "bulk_load_speedup" in out
 
-    def test_writes_snapshot_to_out_path(self, capsys, tmp_path):
-        target = tmp_path / "BENCH_core.json"
-        assert main(PERF_TINY + ["--out", str(target)]) == 0
+    def test_writes_snapshot_to_out_path(self, perf_snapshot):
+        code, target = perf_snapshot
+        assert code == 0
         data = json.loads(target.read_text())
         assert data["suite"] == "core"
         assert data["scale"]["n_points"] == 300
@@ -148,17 +209,16 @@ class TestPerf:
         assert block["speedups"]["exact_match"] > 0
         assert set(block["lanes"]) == {"object", "columnar"}
 
-    def test_columnar_block_rendered_in_text(self, capsys):
-        assert main(PERF_TINY + ["--no-write"]) == 0
-        out = capsys.readouterr().out
+    def test_columnar_block_rendered_in_text(self, perf_text_run):
+        code, out = perf_text_run
+        assert code == 0
         assert "columnar" in out
         assert "layout oracle" in out
         assert "EQUAL" in out
 
-    def test_baseline_comparison(self, capsys, tmp_path):
-        snapshot = tmp_path / "base.json"
-        assert main(PERF_TINY + ["--out", str(snapshot)]) == 0
-        capsys.readouterr()
+    def test_baseline_comparison(self, capsys, perf_snapshot):
+        code, snapshot = perf_snapshot
+        assert code == 0
         assert main(
             PERF_TINY + ["--no-write", "--baseline", str(snapshot)]
         ) == 0

@@ -31,6 +31,14 @@ def suite_result():
     return run_suite(TINY, suite="test")
 
 
+@pytest.fixture(scope="module")
+def selected_run():
+    """A run of two selected cases, with its progress messages."""
+    seen = []
+    result = run_suite(TINY, only=["bulk_load", "exact_match"], progress=seen.append)
+    return result, seen
+
+
 class TestRunSuite:
     def test_runs_every_registered_case(self, suite_result):
         assert [r.name for r in suite_result.results] == list(REGISTRY)
@@ -56,8 +64,8 @@ class TestRunSuite:
         derived = suite_result.derived
         assert derived["bulk_load_speedup"] > 0
 
-    def test_only_selects_cases(self):
-        result = run_suite(TINY, only=["bulk_load", "exact_match"])
+    def test_only_selects_cases(self, selected_run):
+        result, _ = selected_run
         assert [r.name for r in result.results] == ["bulk_load", "exact_match"]
         assert "bulk_load_speedup" not in result.derived
 
@@ -65,10 +73,10 @@ class TestRunSuite:
         with pytest.raises(ReproError):
             run_suite(TINY, only=["nope"])
 
-    def test_progress_callback(self):
-        seen = []
-        run_suite(TINY, only=["exact_match"], progress=seen.append)
+    def test_progress_callback(self, selected_run):
+        _, seen = selected_run
         assert seen == [
+            "bulk_load",
             "exact_match",
             "observability probe",
             "health probe (guarantee doctor)",
