@@ -11,7 +11,7 @@ DESIGN.md's design-choice ablations:
 
 from repro.analysis import worstcase as wc
 from repro.bench.harness import build_index
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.geometry.space import DataSpace
 from repro.workloads import promotion_storm, uniform
 

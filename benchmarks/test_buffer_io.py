@@ -10,7 +10,7 @@ data page.
 
 import random
 
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.core.tree import BVTree
 from repro.geometry.space import DataSpace
 from repro.storage.buffer import BufferPool

@@ -7,7 +7,7 @@ mechanism entirely — there is no forced-split operation to count.
 """
 
 from repro.bench.harness import build_index
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.workloads import clustered
 
 SIZES = [2000, 8000, 20_000]

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.bench.harness import build_index
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.geometry.space import DataSpace
 from repro.workloads import (
     clustered,

@@ -9,7 +9,7 @@ equations (3) and (9).
 import pytest
 
 from repro.analysis import worstcase as wc
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 
 FANOUTS = [24, 60, 120, 400]
 HEIGHTS = range(1, 9)

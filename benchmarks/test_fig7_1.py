@@ -10,7 +10,7 @@ off the log-scale chart — see EXPERIMENTS.md).
 import math
 
 from repro.analysis import figures
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 
 FANOUT = 24
 

@@ -9,7 +9,7 @@ at most one level.
 import pytest
 
 from repro.analysis import capacity, figures
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 
 FANOUT = 120
 

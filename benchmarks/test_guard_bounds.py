@@ -10,7 +10,7 @@ search carries at most x-1 guards).
 import random
 
 from repro.bench.harness import build_index
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.workloads import nested_hotspot, promotion_storm
 
 

@@ -8,7 +8,7 @@ unpredictable.  The BV-tree's balanced splits keep a floor.
 """
 
 from repro.bench.harness import build_index, index_occupancies
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.workloads import skewed, uniform
 
 

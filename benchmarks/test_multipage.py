@@ -13,7 +13,7 @@ import pytest
 from repro.analysis import multipage as mp
 from repro.analysis import worstcase as wc
 from repro.bench.harness import build_index
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.geometry.space import DataSpace
 from repro.workloads import promotion_storm
 

@@ -9,7 +9,7 @@ search costs and occupancy floors must match B-tree behaviour.
 import random
 
 from repro.baselines.btree import BPlusTree
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.core.tree import BVTree
 from repro.geometry.space import DataSpace
 from repro.workloads import sequential_1d

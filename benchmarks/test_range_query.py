@@ -10,7 +10,7 @@ significant factor in the efficiency of range queries."
 import random
 
 from repro.bench.harness import build_index
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.workloads import clustered
 
 

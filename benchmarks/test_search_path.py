@@ -9,7 +9,7 @@ import math
 import random
 
 from repro.bench.harness import build_index, search_cost
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.geometry.space import DataSpace
 from repro.workloads import uniform
 

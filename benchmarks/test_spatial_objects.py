@@ -16,7 +16,7 @@ import random
 
 from repro.baselines.rplustree import RPlusTree
 from repro.baselines.rtree import RTree
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.core.spatial import SpatialIndex
 from repro.geometry.rect import Rect
 from repro.geometry.space import DataSpace

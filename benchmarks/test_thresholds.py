@@ -8,7 +8,7 @@ order 25 TBytes."
 """
 
 from repro.analysis import capacity
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 
 SIZES = [1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 25e12, 1e14]
 

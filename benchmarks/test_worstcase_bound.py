@@ -9,7 +9,7 @@ characteristics" of the abstract.
 
 from repro.analysis import worstcase as wc
 from repro.bench.harness import build_index
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.geometry.space import DataSpace
 from repro.workloads import (
     clustered,

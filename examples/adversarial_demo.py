@@ -11,7 +11,7 @@ Run:  python examples/adversarial_demo.py
 
 from repro import BVTree, DataSpace
 from repro.baselines import BangFile, KDBTree, LSDTree
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.workloads import clustered, nested_hotspot
 
 

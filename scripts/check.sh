@@ -138,19 +138,23 @@ python -X dev -W error -m pytest -q tests/storage
 python3 perfbench/selftest.py
 
 echo "== serve smoke =="
-# A short serve_write benchmark run: a real repro serve on a WAL store
-# with the write batcher, two writers over loopback sockets, and every
-# answer checked against the benchmark's own model.  Then boot a server
-# and require its /metrics exposition to pass the Prometheus lint.
+# A short run of each benchmark lane, every answer checked against the
+# benchmark's own model: serve_write is a real repro serve on a WAL
+# store with the write batcher and two writers over loopback sockets,
+# serve_read an in-memory one with one reader doing gets, ranges and
+# kNN.  Then boot a server and require its /metrics exposition to pass
+# the Prometheus lint.
 serve_json="${TMPDIR:-/tmp}/repro-serve-smoke.json"
-python3 perfbench/run.py --workload serve_write --seed 1 --seconds 2 \
-    > "$serve_json" 2>/dev/null
-python - "$serve_json" <<'PY'
+for workload in serve_write serve_read; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+        > "$serve_json" 2>/dev/null
+    python - "$serve_json" <<'PY'
 import json, sys
 summary = json.load(open(sys.argv[1]))
 assert summary["correct"] is True, f"serve smoke saw wrong answers: {summary}"
 assert summary["failed"] == 0, f"serve smoke saw failed ops: {summary}"
 PY
+done
 rm -f "$serve_json"
 # The traced pass must still hook every serving layer: a refactor that
 # unwraps the app, the batcher, the group commit or a snapshot read

@@ -1,17 +1,1 @@
-"""Shared benchmark support: index construction and table reporting."""
-
-from repro.bench.harness import (
-    INDEX_KINDS,
-    build_index,
-    occupancy_summary,
-    search_cost,
-)
-from repro.bench.reporting import format_table
-
-__all__ = [
-    "INDEX_KINDS",
-    "build_index",
-    "format_table",
-    "occupancy_summary",
-    "search_cost",
-]
+"""Shared benchmark support: index construction and measurement."""

@@ -16,7 +16,6 @@ primitives — lint rule R15 bans ``threading``/``asyncio`` from
 per the same discipline that keeps backends out of the core (R3).
 """
 
-from repro.concurrency.clone import clone_page
 from repro.concurrency.service import (
     BatchAbortedError,
     TreeService,
@@ -37,7 +36,6 @@ __all__ = [
     "TreeService",
     "TreeVersion",
     "VersionStore",
-    "clone_page",
     "delete_op",
     "insert_op",
 ]

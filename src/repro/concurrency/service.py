@@ -6,15 +6,16 @@ Concurrency model (documented in full in ``docs/SERVING.md``):
   The tree and its store are only ever touched by whichever thread
   holds it, so the core algorithms stay single-threaded and free of
   concurrency primitives (lint rule R15 enforces that).
-- **Shadow-committed versions.**  The tree keeps its own store.  After
-  each operation the service adds the store's record of the pages that
-  operation's transaction touched (``store.touched``, the same record
-  the durable store logs) to a dirty set.  After a successful operation
-  (or group), the service clones exactly the dirty pages and publishes
-  a fresh immutable :class:`~repro.concurrency.snapshots.TreeVersion`
-  — a *new* :class:`~repro.concurrency.snapshots.PageTable` that copies
-  only the chunks holding dirty ids and shares every other chunk with
-  the previous version — by swapping one reference.
+- **Shadow-committed versions.**  The tree keeps its own store, which
+  copies a page on its first write in a transaction, so the live store
+  and every version share each page object no write replaced since.
+  After each operation the service adds the pages its transaction
+  touched (``store.touched``) to a dirty set.  After a successful
+  operation (or group), it publishes a fresh immutable
+  :class:`~repro.concurrency.snapshots.TreeVersion` — a *new*
+  :class:`~repro.concurrency.snapshots.PageTable` holding the dirty
+  pages' last committed objects, which copies only the chunks holding
+  dirty ids — by swapping one reference.
 - **Wait-free readers.**  Opening a snapshot grabs the current version
   reference; no lock, no copy, no registration.  A snapshot stays
   consistent forever (it is unreachable garbage once dropped), so a
@@ -34,7 +35,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.concurrency.clone import clone_page
 from repro.concurrency.snapshots import PageTable, Snapshot, TreeVersion
 from repro.core.knn import KNNResult
 from repro.core.query import QueryResult
@@ -104,7 +104,7 @@ class TreeService:
         #: Pages the ops since the last publication touched.
         self._dirty: set[Any] = set()
         pages = PageTable.from_items(
-            (pid, clone_page(store.peek(pid))) for pid in store.page_ids()
+            (pid, self._committed(pid)) for pid in store.page_ids()
         )
         self._version = TreeVersion(
             pages,
@@ -337,6 +337,14 @@ class TreeService:
             self._poison = exc
             raise
 
+    def _committed(self, page_id: int) -> Any:
+        """``page_id``'s last committed object: the live one, unless a
+        failed op left a private copy (``store.preimages``)."""
+        preimages = self._store.preimages
+        if page_id in preimages:
+            return preimages[page_id]
+        return self._store.peek(page_id)
+
     def _publish(self) -> int:
         store = self._store
         dirty = self._dirty
@@ -346,7 +354,7 @@ class TreeService:
         drops: list[int] = []
         for pid in dirty:
             if pid in store:
-                puts[pid] = clone_page(store.peek(pid))
+                puts[pid] = self._committed(pid)
             elif type(pid) is int:  # not a durable class/meta key
                 drops.append(pid)
         pages = old.pages.updated(puts, drops)

@@ -1,7 +1,7 @@
 """Immutable point-in-time views of a served tree.
 
 A :class:`TreeVersion` is one published committed state: a frozen
-:class:`PageTable` (page id -> cloned payload) plus the tree metadata
+:class:`PageTable` (page id -> payload) plus the tree metadata
 that changes under writes (root page, height, record count) and the
 version's place in the committed write history (``lsn``).  Versions are
 never mutated after publication — the service derives a *new* table for
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.concurrency.clone import clone_page
 from repro.core.columnar import PageLayout
+from repro.core.entry import Entry
 from repro.core.node import IndexNode
 from repro.core.policy import CapacityPolicy
 from repro.core.tree import BVTree
@@ -133,7 +133,8 @@ class TreeVersion:
         lsn: int,
         wal_seq: int | None = None,
     ):
-        #: page id -> cloned payload.  Treated as immutable from here on.
+        #: page id -> payload, shared with the live store until a write
+        #: replaces it.  Treated as immutable from here on.
         self.pages = pages
         self.root_page = root_page
         self.height = height
@@ -214,7 +215,7 @@ class Snapshot:
     """A pinned, consistent, read-only view of a served tree.
 
     Obtained from :meth:`repro.concurrency.TreeService.snapshot`; cheap
-    (no copying — versions are published pre-cloned) and wait-free (no
+    (no copying — a published page is never changed) and wait-free (no
     lock is taken).  The snapshot stays valid for as long as the object
     is referenced, entirely independent of later writes, crashes or
     store poisoning.
@@ -282,7 +283,8 @@ class Snapshot:
     def materialize(self) -> BVTree:
         """Rebuild a standalone :class:`~repro.core.BVTree` of this version.
 
-        Clones every page into a fresh in-memory store (page ids are
+        Clones every data page and builds every index node afresh, with
+        new entries, into a fresh in-memory store (page ids are
         remapped; the logical structure — keys, levels, guards, record
         placement — is preserved exactly) and hands the root to
         :meth:`~repro.core.BVTree.adopt`, which rebuilds the per-level
@@ -295,12 +297,15 @@ class Snapshot:
         pages = self.version.pages
 
         def copy(page_id: int) -> int:
-            content = clone_page(pages[page_id])
+            content = pages[page_id]
             if isinstance(content, IndexNode):
-                for entry in content.entries:
-                    entry.page = copy(entry.page)
-                return tree.alloc_index_node(content)
-            return tree.alloc_data_page(content)
+                entries = [
+                    Entry(e.key, e.level, copy(e.page)) for e in content.entries
+                ]
+                return tree.alloc_index_node(
+                    tree.make_index_node(content.index_level, entries)
+                )
+            return tree.alloc_data_page(content.clone())
 
         tree.adopt(copy(self.root_page))
         return tree

@@ -241,18 +241,16 @@ class ColumnarDataPage(DataPage):
         Values are shared (they are opaque payloads the tree never
         mutates); the three columns themselves are fresh containers, so
         in-place edits to either page never show through the other.
-        The snapshot layer's commit-time cloning depends on exactly
-        this property.
+        Copy on first write (``store.writable``) depends on exactly
+        this property: the original stays intact for published
+        versions and the durable store's delta.
         """
-        page = ColumnarDataPage(self.ndim, self.path_bits)
-        paths = self._c_paths
-        page._c_paths = (
-            array(paths.typecode, paths)
-            if isinstance(paths, array)
-            else list(paths)
-        )
-        page._c_coords = array("d", self._c_coords)
-        page._c_values = list(self._c_values)
+        page = ColumnarDataPage.__new__(ColumnarDataPage)
+        page.ndim = self.ndim
+        page.path_bits = self.path_bits
+        page._c_paths = self._c_paths[:]
+        page._c_coords = self._c_coords[:]
+        page._c_values = self._c_values[:]
         return page
 
     def changes_since(self, base: DataPage) -> tuple[
@@ -554,29 +552,15 @@ class ColumnarIndexNode(IndexNode):
             del self._c_g_entries[j]
 
     def clone(self) -> "ColumnarIndexNode":
-        """A copy sharing no mutable state (fresh entries and columns).
-
-        The columns and the key set are copied, not rebuilt: a clone
-        holds the same keys, so only the entry handles change.
-        """
+        """A copy with columns of its own that shares the entries (see
+        :meth:`IndexNode.clone`); the columns are copied, not rebuilt."""
         node = ColumnarIndexNode.__new__(ColumnarIndexNode)
         node.index_level = self.index_level
-        node.ndim = self.ndim
-        node.resolution = self.resolution
-        node.path_bits = self.path_bits
-        fresh = {id(e): Entry(e.key, e.level, e.page) for e in self.entries}
-        node.entries = list(fresh.values())
+        node.entries = self.entries[:]
         node._keyset = set(self._keyset)
-        node._c_org = self._c_org[:]
-        node._c_end = self._c_end[:]
-        node._c_nat_aligned = self._c_nat_aligned[:]
-        node._c_nat_end = self._c_nat_end[:]
-        node._c_nat_nbits = self._c_nat_nbits[:]
-        node._c_nat_entries = [fresh[id(e)] for e in self._c_nat_entries]
-        node._c_g_aligned = self._c_g_aligned[:]
-        node._c_g_end = self._c_g_end[:]
-        node._c_g_nbits = self._c_g_nbits[:]
-        node._c_g_entries = [fresh[id(e)] for e in self._c_g_entries]
+        for name in ColumnarIndexNode.__slots__:
+            value = getattr(self, name)
+            setattr(node, name, value[:] if name.startswith("_c_") else value)
         return node
 
     def native_count(self) -> int:

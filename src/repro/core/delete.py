@@ -45,7 +45,7 @@ def delete_point(tree: "BVTree", point: Sequence[float]) -> Any:
     """Remove the record at ``point``; merge the page if it underflows."""
     path = tree.space.point_path(point)
     found = locate(tree, path)
-    page: DataPage = tree.store.read(found.entry.page)
+    page: DataPage = tree.store.writable(found.entry.page)
     record = page.get(path)
     if record is None:
         raise KeyNotFoundError(f"no record at {tuple(point)}")
@@ -177,7 +177,7 @@ def _try_absorb(
         return False
 
     if target_page != into_owner:
-        owner_node: IndexNode = tree.store.read(into_owner)
+        owner_node: IndexNode = tree.store.writable(into_owner)
         owner_node.remove(into)
         tree.store.write(into_owner, owner_node)
         _place_guard(tree, into)
@@ -205,7 +205,7 @@ def _try_absorb(
             into_key=into.key.bit_string(),
         )
     if victim.level == 0:
-        into_page: DataPage = tree.store.read(into.page)
+        into_page: DataPage = tree.store.writable(into.page)
         victim_page: DataPage = tree.store.read(victim.page)
         into_page.absorb(victim_page)
         tree.store.write(into.page, into_page)
@@ -222,7 +222,7 @@ def _try_absorb(
         ):
             _merge_region(tree, into, depth + 1)
     else:
-        into_node: IndexNode = tree.store.read(into.page)
+        into_node: IndexNode = tree.store.writable(into.page)
         victim_node: IndexNode = tree.store.read(victim.page)
         for moved in victim_node.entries:
             into_node.add(moved)
@@ -301,16 +301,16 @@ def _try_merge_buddies(tree: "BVTree", entry: Entry, depth: int) -> bool:
             into_key=parent_key.bit_string(),
         )
     for half, owner_page in ((entry, entry_owner), (buddy, buddy_owner)):
-        node = tree.store.read(owner_page)
+        node = tree.store.writable(owner_page)
         node.remove(half)
         tree.store.write(owner_page, node)
     if entry.level == 0:
-        page: DataPage = tree.store.read(entry.page)
+        page: DataPage = tree.store.writable(entry.page)
         buddy_page: DataPage = tree.store.read(buddy.page)
         page.absorb(buddy_page)
         tree.store.write(entry.page, page)
     else:
-        node = tree.store.read(entry.page)
+        node = tree.store.writable(entry.page)
         buddy_node: IndexNode = tree.store.read(buddy.page)
         for moved in buddy_node.entries:
             node.add(moved)
@@ -364,7 +364,7 @@ def _safe_to_detach(tree: "BVTree", entry: Entry, owner_page: int) -> bool:
 
 def _remove_entry(tree: "BVTree", victim: Entry, owner_page: int) -> None:
     """Remove an already-unregistered entry, free its page, handle underflow."""
-    owner: IndexNode = tree.store.read(owner_page)
+    owner: IndexNode = tree.store.writable(owner_page)
     owner.remove(victim)
     tree.store.free(victim.page)
     tree.store.write(owner_page, owner)

@@ -48,7 +48,7 @@ def insert_point(
     pt = tuple(float(x) for x in point)
     path = tree.space.point_path(pt)
     found = locate(tree, path)
-    page: DataPage = tree.store.read(found.entry.page)
+    page: DataPage = tree.store.writable(found.entry.page)
     had_record = path in page
     page.insert(path, pt, value, replace=replace)
     tree.store.write(found.entry.page, page)
@@ -66,7 +66,7 @@ def insert_point(
 
 def split_data_page(tree: "BVTree", entry: Entry) -> None:
     """Split an overflowing data page (paper §2, Figure 2-1b)."""
-    page: DataPage = tree.store.read(entry.page)
+    page: DataPage = tree.store.writable(entry.page)
     path_bits = tree.space.path_bits
     items = [(p, path_bits) for p in page.paths()]
     split_key = choose_split(entry.key, items)
@@ -103,7 +103,7 @@ def split_index_node(tree: "BVTree", node_page: int, entry: Entry) -> None:
     key, if any) plus every guard that is a proper prefix of the split key
     move up to the parent (paper §2 and its generalised promotion rule).
     """
-    node: IndexNode = tree.store.read(node_page)
+    node: IndexNode = tree.store.writable(node_page)
     natives = node.natives()
     if len(natives) < 2:
         # With very small fan-outs a node can be all guards; it cannot be
@@ -196,7 +196,7 @@ def _place_split_inner(tree: "BVTree", inner: Entry, outer: Entry) -> None:
     owner_page = find_owner(tree, outer)
     if owner_page is None:
         owner_page = _grow_root(tree)
-    owner: IndexNode = tree.store.read(owner_page)
+    owner: IndexNode = tree.store.writable(owner_page)
     if outer.level == owner.index_level - 1:
         owner.add(inner)
         tree.store.write(owner_page, owner)
@@ -207,7 +207,7 @@ def _place_split_inner(tree: "BVTree", inner: Entry, outer: Entry) -> None:
     # justification ("dx'' replaces dx' as the guard"), in which case the
     # outer is demoted by the same single descent.
     owner_page = find_owner(tree, outer)
-    owner = tree.store.read(owner_page)
+    owner = tree.store.writable(owner_page)
     if outer.level < owner.index_level - 1 and not justified(
         tree, outer, owner
     ):
@@ -243,7 +243,7 @@ def _demote_unjustified(tree: "BVTree", node_page: int) -> None:
     """
     if node_page not in tree.store:
         return
-    node = tree.store.read(node_page)
+    node = tree.store.writable(node_page)
     if not isinstance(node, IndexNode):
         return
     stale = [g for g in node.guards() if not justified(tree, g, node)]
@@ -315,7 +315,7 @@ def _place_guard(tree: "BVTree", entry: Entry) -> None:
     if as_guard:
         _lodge_guard(tree, entry, node_page)
         return
-    node: IndexNode = tree.store.read(node_page)
+    node: IndexNode = tree.store.writable(node_page)
     node.add(entry)
     tree.store.write(node_page, node)
     tree.stats.demotions += 1
@@ -332,7 +332,7 @@ def _place_guard(tree: "BVTree", entry: Entry) -> None:
 
 def _lodge_guard(tree: "BVTree", entry: Entry, node_page: int) -> None:
     """Add a guard to a node, displacing same-level guards it shadows."""
-    node: IndexNode = tree.store.read(node_page)
+    node: IndexNode = tree.store.writable(node_page)
     node.add(entry)
     displaced = [
         other

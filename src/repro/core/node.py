@@ -132,15 +132,10 @@ class IndexNode:
         ]
 
     def clone(self) -> "IndexNode":
-        """A copy sharing no mutable state with this node.
-
-        Entries are re-created (a split relinks ``entry.page`` in place);
-        their immutable ``RegionKey`` objects are shared.
-        """
-        return IndexNode(
-            self.index_level,
-            [Entry(e.key, e.level, e.page) for e in self.entries],
-        )
+        """A copy with containers of its own that shares the entries,
+        which never change: :meth:`remove`, the key registry and an op
+        holding a found entry across page accesses match by identity."""
+        return IndexNode(self.index_level, self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -236,8 +231,8 @@ class DataPage:
         list[tuple[int, tuple[tuple[float, ...], Any]]], list[int]
     ]:
         """``(added_or_replaced, removed_paths)`` from ``base`` to this
-        page; ``base`` is an earlier :meth:`clone` of it (the durable
-        store's delta base)."""
+        page; this page is a changed :meth:`clone` of ``base`` (the
+        durable store diffs a written page against its pre-image)."""
         return diff_records(base.records, self.records)
 
     def __contains__(self, path: int) -> bool:

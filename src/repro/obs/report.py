@@ -171,10 +171,10 @@ def format_table(
 ) -> str:
     """Render rows as an aligned fixed-width table (floats to 3 places).
 
-    The one table renderer: the doctor and ``repro top`` frames here,
-    ``repro perf`` and the analysis commands through
-    :mod:`repro.bench.reporting`.  It lives in ``repro.obs`` because obs
-    sits below core in the dependency order.
+    The one table renderer: the doctor and ``repro top`` frames,
+    ``repro perf``, the analysis commands and the benchmark modules.
+    It lives in ``repro.obs`` because obs sits below core in the
+    dependency order.
     """
     cells = [[_fmt(value) for value in row] for row in rows]
     widths = [

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from typing import Any, Callable
 
 from repro.errors import ReproError
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.perf import scenarios
 from repro.perf.registry import REGISTRY, Scale, probes
 from repro.perf.results import BenchResult, SuiteResult, compare

@@ -121,6 +121,11 @@ class BufferPool:
         """Pass through to the store."""
         return self.store.touched
 
+    @property
+    def preimages(self) -> dict[int, Any]:
+        """Pass through to the store."""
+        return self.store.preimages
+
     def read(self, page_id: int) -> Any:
         """Read a page, from cache if resident.
 
@@ -146,6 +151,13 @@ class BufferPool:
         content = self.store.read(page_id)
         stats.reads += 1
         self._install(page_id, content)
+        return content
+
+    def writable(self, page_id: int) -> Any:
+        """:meth:`PageStore.writable` through the cache: counted as
+        :meth:`read`, and the cache holds the private copy."""
+        content = self.store._own(page_id, self.read(page_id))
+        self._cache[page_id] = content
         return content
 
     def peek(self, page_id: int) -> Any:

@@ -20,7 +20,7 @@ Module map:
 - :mod:`~repro.storage.durable.pagefile` — the checkpoint image format
   and its strict loader;
 - :mod:`~repro.storage.durable.store` — :class:`DurableStore`, its
-  explicit per-operation transactions and page-clone delta bases;
+  explicit per-operation transactions and pre-image delta bases;
 - :mod:`~repro.storage.durable.recovery` — redo replay, tree rebuild,
   the :class:`RecoveryReport`.
 

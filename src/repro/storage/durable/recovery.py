@@ -21,11 +21,13 @@ Algorithm (:func:`recover_store`):
 4. **Redo.**  Replay committed records with sequence number above the
    floor, in log order, over the checkpoint image: page allocs, writes,
    frees, size-class registrations, metadata.  An ``alloc`` carries the
-   page's full image, and so does a page's first ``write``; a data
-   page's later writes carry only a delta (the records added or
-   replaced and the paths removed), applied onto the image built so
-   far.  A delta is not idempotent, so each record is applied exactly
-   once: the floor skips what the checkpoint already holds.
+   page's full image, and so does an index node's ``write``; a data
+   page's ``write`` carries only a delta against its last committed
+   image (the records added or replaced and the paths removed),
+   applied onto the image built so far — the checkpoint slot, for a
+   page's first write after a reopen.  A delta is not idempotent, so
+   each record is applied exactly once: the floor skips what the
+   checkpoint already holds.
 5. **Re-checkpoint.**  Write the recovered image as a fresh checkpoint,
    then open a fresh WAL whose sequence counter continues past
    everything ever logged.  Recovering an already-recovered directory

@@ -30,10 +30,11 @@ writes nothing at all, so a failed operation is invisible after a
 crash, same as it is in memory.  Mutations outside any transaction
 (tree construction, direct store use) auto-commit individually.
 
-A data page's first write logs its full image; later writes log only
-the change since the page's last committed ``clone()``, which the store
-keeps as the delta base.  Bases move only at commit, so an aborted
-transaction just forgets what it touched.
+A written data page logs only its change since its last committed
+object, the page store's pre-image (:attr:`PageStore.preimages`):
+``writable`` copied the page on first touch, so that object is intact.
+Pre-images move only at commit, so an aborted transaction just forgets
+what it touched.  A page with no pre-image logs its full image.
 
 Crash discipline
 ----------------
@@ -200,8 +201,6 @@ class DurableStore(PageStore):
         self.sync = sync
         self._meta: dict[str, Any] = {}
         self._txn = 1
-        # A clone of each data page as last committed: the delta base.
-        self._logged: dict[int, DataPage] = {}
         os.makedirs(self.directory, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -315,10 +314,11 @@ class DurableStore(PageStore):
     def _records(
         self, touched: dict[Any, int | None]
     ) -> Iterator[tuple[int, bytes]]:
-        """A transaction's records, advancing the delta bases."""
+        """A transaction's records, each data page diffed against its
+        pre-image."""
         txn = self._txn
         pages = self._pages
-        logged = self._logged
+        preimages = self.preimages
         for page_id, size_class in touched.items():
             if type(page_id) is tuple:
                 rtype, name = page_id
@@ -334,29 +334,23 @@ class DurableStore(PageStore):
             if content is _FREED:
                 if size_class is not None:
                     yield REC_ALLOC, _image(txn, page_id, None, size_class)
-                logged.pop(page_id, None)
                 yield REC_FREE, codec.dumps({"id": page_id, "x": txn})
                 continue
-            base = logged.get(page_id) if size_class is None else None
-            if base is None or not isinstance(content, DataPage):
-                yield (
-                    REC_WRITE if size_class is None else REC_ALLOC,
-                    _image(txn, page_id, content, size_class),
-                )
-            else:
+            base = preimages.get(page_id)
+            if isinstance(content, DataPage) and type(base) is type(content):
                 # Log the change, not the page: O(records touched)
                 # instead of O(page).  An unchanged page logs nothing,
                 # which replay cannot distinguish anyway.
                 added, removed = content.changes_since(base)
-                if not (added or removed):
-                    continue
-                yield REC_WRITE, codec.encode_delta_body(
-                    page_id, txn, added, removed
-                )
-            if isinstance(content, DataPage):
-                logged[page_id] = content.clone()
-            else:
-                logged.pop(page_id, None)
+                if added or removed:
+                    yield REC_WRITE, codec.encode_delta_body(
+                        page_id, txn, added, removed
+                    )
+                continue
+            yield (
+                REC_WRITE if size_class is None else REC_ALLOC,
+                _image(txn, page_id, content, size_class),
+            )
 
     # ------------------------------------------------------------------
     # Storage protocol: mutations gain a WAL shadow

@@ -39,6 +39,12 @@ class Storage(Protocol):
     def read(self, page_id: int) -> Any:
         """Read a page's content (accounted)."""
 
+    def writable(self, page_id: int) -> Any:
+        """Read a page's content to change it (accounted as a read): a
+        private ``clone()`` of a page the open transaction has not yet
+        made private or allocated, so committed page objects never
+        change and published versions may share them."""
+
     def peek(self, page_id: int) -> Any:
         """Read a page's content without touching any I/O counters.
 
@@ -48,7 +54,8 @@ class Storage(Protocol):
         """
 
     def write(self, page_id: int, content: Any) -> None:
-        """Overwrite a page's content (accounted)."""
+        """Overwrite a page's content (accounted); a page's recorded
+        pre-image is refused (:class:`~repro.errors.StorageError`)."""
 
     def free(self, page_id: int) -> None:
         """Release a page."""
@@ -98,9 +105,16 @@ class Storage(Protocol):
         metadata changes under tuple keys.  Cleared when the next
         outermost transaction opens, so read it right after the
         operation it describes; the serving layer
-        (:class:`~repro.concurrency.TreeService`) does, to clone exactly
+        (:class:`~repro.concurrency.TreeService`) does, to put exactly
         those pages into the next published version.
         """
+
+    @property
+    def preimages(self) -> dict[int, Any]:
+        """Page id -> its last committed object, for each existing page
+        touched since (an abort keeps the entries, a commit drops those
+        it touched): the durable store's delta base, and what the
+        serving layer publishes for a page a failed op left private."""
 
 
 def default_store(page_bytes: int = 4096) -> Storage:

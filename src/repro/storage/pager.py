@@ -40,6 +40,15 @@ class PageStore:
     record to :meth:`_commit` under the transaction's name (a no-op in
     memory; the durable store logs it).  A mutation outside any
     transaction is a transaction of its own, named ``"auto"``.
+
+    Copy on first write: a transaction changes an existing page through
+    :meth:`writable`, so a page object a committed transaction left in
+    the store never changes again and published versions can share it.
+    The first touch of an existing page (``writable``, ``write`` or
+    ``free``) records its object in :attr:`preimages` until a commit
+    touching it (an abort keeps it); :meth:`write` refuses a recorded
+    pre-image.  Outside a transaction only ``writable`` records one, so
+    a write may hand back the object it read (the baselines do).
     """
 
     def __init__(self, page_bytes: int = 4096):
@@ -58,6 +67,9 @@ class PageStore:
         #: other changes under tuple keys (the durable store's size
         #: classes and metadata).
         self.touched: dict[Any, int | None] = {}
+        #: Page id -> its last committed object, for each existing
+        #: page touched since.
+        self.preimages: dict[int, Any] = {}
         self._depth = 0
         self._op = "auto"
 
@@ -124,6 +136,27 @@ class PageStore:
             tracer.emit(PAGE_READ, page=page_id, physical=True)
         return content
 
+    def writable(self, page_id: int) -> Any:
+        """A page's content to change, counted exactly as :meth:`read`.
+
+        Installs and returns a ``clone()`` of a page that is not yet
+        private (see the class docstring); a page the open transaction
+        allocated or already made private comes back as it is.
+        """
+        return self._own(page_id, self.read(page_id))
+
+    def _own(self, page_id: int, content: Any) -> Any:
+        """``content``, the page's object, made private (:meth:`writable`)."""
+        preimages = self.preimages
+        if page_id in preimages or (
+            self._depth and self.touched.get(page_id) is not None
+        ):
+            return content
+        preimages[page_id] = content
+        private = content.clone()
+        self._pages[page_id] = private
+        return private
+
     def peek(self, page_id: int) -> Any:
         """Read a page's content without counting a page read."""
         try:
@@ -132,10 +165,19 @@ class PageStore:
             raise PageNotFoundError(f"page {page_id} is not allocated") from None
 
     def write(self, page_id: int, content: Any) -> None:
-        """Overwrite a page's content (counted as one page write)."""
-        if page_id not in self._pages:
+        """Overwrite a page's content (counted as one page write);
+        :class:`StorageError` if ``content`` is its pre-image."""
+        pages = self._pages
+        if page_id not in pages:
             raise PageNotFoundError(f"page {page_id} is not allocated")
-        self._pages[page_id] = content
+        preimages = self.preimages
+        if self._depth and self.touched.get(page_id) is None:
+            preimages.setdefault(page_id, pages[page_id])
+        if content is preimages.get(page_id):
+            raise StorageError(
+                f"page {page_id} changed in place, not through writable()"
+            )
+        pages[page_id] = content
         self.stats.writes += 1
         tracer = self.tracer
         if tracer.structural:
@@ -144,9 +186,12 @@ class PageStore:
 
     def free(self, page_id: int) -> None:
         """Release a page."""
-        if page_id not in self._pages:
+        pages = self._pages
+        if page_id not in pages:
             raise PageNotFoundError(f"page {page_id} is not allocated")
-        del self._pages[page_id]
+        if self._depth and self.touched.get(page_id) is None:
+            self.preimages.setdefault(page_id, pages[page_id])
+        del pages[page_id]
         size_class = self._size_class.pop(page_id)
         self._classes[size_class].live_pages -= 1
         self.stats.frees += 1
@@ -179,7 +224,11 @@ class PageStore:
     ) -> None:
         self._depth -= 1
         if not self._depth and exc_type is None:
-            self._commit(self._op, self.touched)
+            touched = self.touched
+            self._commit(self._op, touched)
+            preimages = self.preimages
+            for key in touched:
+                preimages.pop(key, None)
 
     def _touch(self, key: Any, size_class: int | None = None) -> None:
         """Note that the open transaction touched ``key`` (with its size
@@ -192,6 +241,7 @@ class PageStore:
         touched.clear()
         touched[key] = size_class
         self._commit("auto", touched)
+        self.preimages.pop(key, None)
 
     def _commit(self, op_name: str, touched: dict[Any, int | None]) -> None:
         """Make a closed transaction's record durable: nothing to do in

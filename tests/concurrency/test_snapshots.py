@@ -1,4 +1,4 @@
-"""Unit tests for the snapshot/version layer: isolation, cloning, poison.
+"""Unit tests for the snapshot/version layer: isolation, page copies, poison.
 
 The properties the serving layer leans on, each pinned in isolation:
 a pinned snapshot is frozen (split cascades invisible), version stores
@@ -13,7 +13,6 @@ from repro.concurrency import (
     Snapshot,
     TreeService,
     VersionStore,
-    clone_page,
     delete_op,
     insert_op,
 )
@@ -161,7 +160,7 @@ class TestClonePage:
             service.insert(point, i)
         tree = service.tree
         live = tree.store.read(tree.root_page)
-        copy = clone_page(live)
+        copy = live.clone()
         assert type(copy) is type(live)
         assert len(copy) == len(live)
         space = tree.space
@@ -169,11 +168,48 @@ class TestClonePage:
         live.insert(space.point_path(extra), tuple(extra), "x")
         assert len(copy) == len(live) - 1
 
-    def test_unknown_payload_rejected(self):
-        from repro.errors import ReproError
+    def test_index_node_clone_shares_entries(self, layout):
+        service, _ = build_service(layout)
+        for i, point in enumerate(distinct_points(40, service.tree.space)):
+            service.insert(point, i)
+        tree = service.tree
+        node = tree.store.read(tree.root_page)
+        copy = node.clone()
+        assert type(copy) is type(node)
+        assert all(a is b for a, b in zip(copy.entries, node.entries))
+        assert len(copy.entries) == len(node.entries)
+        # Containers are the copy's own: removing an entry from it (by
+        # identity, as the tree does) leaves the original whole.
+        victim = copy.entries[-1]
+        copy.remove(victim)
+        assert victim in node.entries and victim not in copy.entries
+        assert node.find(victim.key, victim.level) is victim
+        assert copy.find(victim.key, victim.level) is None
 
-        with pytest.raises(ReproError):
-            clone_page(object())
+    def test_materialize_leaves_the_live_entries_alone(self, layout):
+        service, _ = build_service(layout)
+        for i, point in enumerate(distinct_points(60, service.tree.space)):
+            service.insert(point, i)
+        tree = service.tree
+        store = tree.store
+        before = {
+            pid: [(e.key, e.level, e.page) for e in store.peek(pid).entries]
+            for pid in store.page_ids()
+            if hasattr(store.peek(pid), "entries")
+        }
+        copy = service.snapshot().materialize()
+        after = {
+            pid: [(e.key, e.level, e.page) for e in store.peek(pid).entries]
+            for pid in before
+        }
+        assert after == before
+        live_entries = {
+            id(e) for pid in before for e in store.peek(pid).entries
+        }
+        for pid in copy.store.page_ids():
+            for entry in getattr(copy.store.peek(pid), "entries", ()):
+                assert id(entry) not in live_entries
+        tree.check(check_owners=True)
 
 
 class TestPoisonSemantics:

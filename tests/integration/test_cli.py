@@ -119,10 +119,11 @@ class TestCompare:
         assert STRUCTURES == sorted(INDEX_KINDS)
 
     def test_cli_import_leaves_the_baselines_out(self):
-        # ``repro serve`` imports repro.cli before it can answer; the
-        # comparison baselines are only for ``compare``.
+        # ``repro serve`` imports repro.cli before it can answer, and
+        # ``repro perf`` the runner; the comparison baselines are only
+        # for ``compare``.
         probe = (
-            "import sys, repro.cli; "
+            "import sys, repro.cli, repro.perf.runner; "
             "print(sorted(m for m in sys.modules if m.startswith("
             "('repro.baselines', 'repro.bench'))))"
         )

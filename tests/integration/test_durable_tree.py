@@ -29,6 +29,7 @@ from repro.storage.durable.recovery import (
     recover_store,
 )
 from repro.storage.durable.store import DurableStore
+from repro.storage.durable.wal import REC_WRITE, base_type, scan_wal
 from repro.storage.faults import FaultPlan
 from repro.storage.pager import PageStore
 from repro.storage.snapshot import dumps_tree, loads_tree
@@ -239,3 +240,39 @@ class TestRebuildRejectsCorruptImages:
             match=f"recovered page {victim} holds str, not a tree node",
         ):
             self.rebuild(tree)
+
+
+class TestWritesAfterReopen:
+    @pytest.mark.parametrize("layout", ["object", "columnar"])
+    def test_first_write_after_reopen_logs_a_delta(self, tmp_path, layout):
+        space = DataSpace.unit(2, resolution=16)
+        points = make_points(202, 2, seed=12)
+        tree = create_durable_tree(
+            tmp_path, space, data_capacity=8, fanout=8, layout=layout, sync="os"
+        )
+        tree.bulk_load([(p, i) for i, p in enumerate(points[:200])])
+        tree.store.close()
+        tree, _ = open_durable_tree(tmp_path, sync="os")
+        store = tree.store
+        seq = store.wal_seq
+        tree.insert(points[200], "kept")
+        store._wal.flush()
+        logged = [
+            payload
+            for record_seq, rtype, payload in scan_wal(store.wal_path).records
+            if record_seq > seq and base_type(rtype) == REC_WRITE
+        ]
+        # The data page existed before the reopen: its pre-image is the
+        # checkpointed object, so even its first write is a delta.
+        assert [p["dk"] for p in logged if "dk" in p] == [1]
+        assert all(p["c"]["k"] == "index" for p in logged if "c" in p)
+        expected = sorted(tree.items())
+        # Crash on the next op's first append, tearing it: recovery
+        # keeps the insert and nothing of the torn op.
+        store.faults.crash_after_appends = store.faults.appends_seen + 1
+        store.faults.tail = "torn"
+        with pytest.raises(SimulatedCrashError):
+            tree.insert(points[201], "lost")
+        recovered, _ = open_durable_tree(tmp_path, sync="os")
+        assert sorted(recovered.items()) == expected
+        recovered.store.close(checkpoint=False)

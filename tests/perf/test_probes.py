@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.perf import SuiteResult, default_path, probes
 from repro.perf.registry import Scale
 from repro.perf.runner import probe_regressions, render_text

@@ -7,6 +7,11 @@ from repro.storage.buffer import BufferPool
 from repro.storage.pager import PageStore
 
 
+class _Page:
+    def clone(self):
+        return _Page()
+
+
 @pytest.fixture
 def pool():
     store = PageStore()
@@ -88,6 +93,19 @@ class TestWriteThrough:
             new = pool.allocate("z")
         assert pool.touched is pool.store.touched
         assert pool.touched == {page: None, new: 0}
+
+    def test_writable_counts_as_a_read_and_caches_the_copy(self, pool):
+        page = pool.store.allocate(_Page())
+        committed = pool.read(page)
+        with pool.transaction("insert"):
+            private = pool.writable(page)
+            assert private is not committed
+            assert pool.writable(page) is private
+            assert pool.read(page) is private
+            assert pool.store.peek(page) is private
+            pool.write(page, private)
+        assert (pool.stats.reads, pool.stats.hits) == (4, 3)
+        assert pool.store.stats.reads == 1
 
     def test_invalidate(self, pool):
         page = pool.store.allocate("x")

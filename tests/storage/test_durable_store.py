@@ -88,8 +88,8 @@ class TestLogging:
 
     def test_second_write_logs_a_delta(self, tmp_path):
         store = DurableStore(tmp_path, sync="os")
-        page = data_page((1, (0.5,), "a"))
-        page_id = store.allocate(page)
+        page_id = store.allocate(data_page((1, (0.5,), "a")))
+        page = store.writable(page_id)
         page.insert(2, (0.25,), "b")
         store.write(page_id, page)
         records = wal_records(store)
@@ -102,17 +102,16 @@ class TestLogging:
 
     def test_unchanged_write_logs_nothing(self, tmp_path):
         store = DurableStore(tmp_path, sync="os")
-        page = data_page((1, (0.5,), "a"))
-        page_id = store.allocate(page)
+        page_id = store.allocate(data_page((1, (0.5,), "a")))
         before = store.wal_stats.appends
-        store.write(page_id, page)
+        store.write(page_id, store.writable(page_id))
         assert store.wal_stats.appends == before
         store.close(checkpoint=False)
 
     def test_delta_records_removals(self, tmp_path):
         store = DurableStore(tmp_path, sync="os")
-        page = data_page((1, (0.5,), "a"), (2, (0.25,), "b"))
-        page_id = store.allocate(page)
+        page_id = store.allocate(data_page((1, (0.5,), "a"), (2, (0.25,), "b")))
+        page = store.writable(page_id)
         del page.records[1]
         store.write(page_id, page)
         assert wal_records(store)[-1][2]["r"] == [1]
@@ -229,16 +228,17 @@ class TestTransactions:
 
     def test_dirty_abort_keeps_committed_delta_bases(self, tmp_path):
         store = DurableStore(tmp_path, sync="os")
-        page = data_page((1, (0.5,), "a"))
-        page_id = store.allocate(page)
+        page_id = store.allocate(data_page((1, (0.5,), "a")))
         with pytest.raises(RuntimeError):
             with store.transaction("insert"):
+                page = store.writable(page_id)
                 page.insert(2, (0.25,), "b")
                 store.write(page_id, page)
                 raise RuntimeError("abort")
         # The aborted change never reached the log and the delta base
         # never moved: the next write logs everything since the last
         # *committed* image, the aborted record included.
+        page = store.writable(page_id)
         page.insert(3, (0.75,), "c")
         store.write(page_id, page)
         last = wal_records(store)[-1][2]
@@ -251,12 +251,12 @@ class TestTransactions:
 
     def test_page_written_many_times_logs_one_record(self, tmp_path):
         store = DurableStore(tmp_path, sync="os")
-        page = data_page((1, (0.5,), "a"))
-        page_id = store.allocate(page)
+        page_id = store.allocate(data_page((1, (0.5,), "a")))
         node_id = store.allocate("v0")
         before = store.wal_stats.appends
         with store.transaction("insert"):
             for path in (2, 3, 4):
+                page = store.writable(page_id)
                 page.insert(path, (path / 8,), path)
                 store.write(page_id, page)
                 store.write(node_id, f"v{path}")
@@ -323,11 +323,11 @@ class TestTransactions:
 
     def test_clean_abort_keeps_delta_bases(self, tmp_path):
         store = DurableStore(tmp_path, sync="os")
-        page = data_page((1, (0.5,), "a"))
-        page_id = store.allocate(page)
+        page_id = store.allocate(data_page((1, (0.5,), "a")))
         with pytest.raises(RuntimeError):
             with store.transaction("insert"):
                 raise RuntimeError("validation failed before any write")
+        page = store.writable(page_id)
         page.insert(2, (0.25,), "b")
         store.write(page_id, page)
         assert wal_records(store)[-1][2]["dk"] == 1

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import PageNotFoundError, StorageError
+from repro.obs.sinks import RingSink
+from repro.obs.tracer import Tracer
 from repro.storage.pager import PageStore
 
 
@@ -231,3 +233,108 @@ class TestTransactions:
         assert store.touched == {a: 0}
         with store.transaction("insert"):
             assert store.touched == {}
+
+
+class _Page:
+    """A page payload with the one method copy on first write needs."""
+
+    def __init__(self, items=()):
+        self.items = list(items)
+
+    def clone(self):
+        return _Page(self.items)
+
+
+class TestWritable:
+    def test_counts_and_traces_exactly_as_read(self):
+        ring = RingSink(capacity=64)
+        store = PageStore()
+        store.tracer = Tracer(ring)
+        page = store.allocate(_Page())
+        store.read(page)
+        with store.transaction("insert"):
+            store.writable(page)
+            store.writable(page)
+        assert store.stats.reads == 3
+        reads = [e for e in ring.events() if e.kind == "page_read"]
+        assert [e.fields for e in reads] == [{"page": page, "physical": True}] * 3
+
+    def test_first_touch_copies_and_records_the_pre_image(self):
+        store = PageStore()
+        page = store.allocate(_Page([1]))
+        committed = store.peek(page)
+        with store.transaction("insert"):
+            private = store.writable(page)
+            assert private is not committed
+            assert store.peek(page) is private
+            assert store.writable(page) is private
+            assert store.preimages == {page: committed}
+            private.items.append(2)
+            store.write(page, private)
+            # A write of a fresh object keeps the first pre-image.
+            store.write(page, _Page([1, 2, 3]))
+            assert store.preimages == {page: committed}
+        assert committed.items == [1]
+        assert store.preimages == {}
+
+    def test_page_the_transaction_allocated_comes_back_as_it_is(self):
+        store = PageStore()
+        with store.transaction("insert"):
+            page = store.allocate(_Page())
+            content = store.peek(page)
+            assert store.writable(page) is content
+            store.write(page, content)
+        assert store.preimages == {}
+
+    def test_write_and_free_record_the_pre_image_on_first_touch(self):
+        store = PageStore()
+        kept = store.allocate(_Page([1]))
+        gone = store.allocate(_Page([2]))
+        old_kept, old_gone = store.peek(kept), store.peek(gone)
+        with store.transaction("delete"):
+            store.write(kept, _Page([3]))
+            store.free(gone)
+            assert store.preimages == {kept: old_kept, gone: old_gone}
+
+    def test_write_refuses_a_page_changed_in_place(self):
+        store = PageStore()
+        page = store.allocate(_Page([1]))
+        with pytest.raises(StorageError, match="changed in place"):
+            with store.transaction("insert"):
+                content = store.read(page)
+                content.items.append(2)
+                store.write(page, content)
+        # Writing back a pre-image after privatising it is refused too.
+        with pytest.raises(StorageError, match="changed in place"):
+            with store.transaction("insert"):
+                committed = store.peek(page)
+                store.writable(page)
+                store.write(page, committed)
+
+    def test_abort_keeps_the_pre_image_until_a_commit(self):
+        store = PageStore()
+        page = store.allocate(_Page([1]))
+        committed = store.peek(page)
+        with pytest.raises(RuntimeError):
+            with store.transaction("insert"):
+                store.writable(page).items.append(2)
+                raise RuntimeError("abort")
+        with store.transaction("insert"):
+            private = store.writable(page)
+            assert private.items == [1, 2]  # the aborted copy, not a new one
+            assert store.preimages == {page: committed}
+            store.write(page, private)
+        assert store.preimages == {}
+
+    def test_outside_a_transaction(self):
+        store = PageStore()
+        page = store.allocate(_Page([1]))
+        # A write may hand back the object it read (no pre-image).
+        content = store.read(page)
+        content.items.append(2)
+        store.write(page, content)
+        # writable still copies; the auto commit settles its pre-image.
+        private = store.writable(page)
+        assert private is not content and store.preimages == {page: content}
+        store.write(page, private)
+        assert store.preimages == {}

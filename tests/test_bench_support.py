@@ -10,7 +10,7 @@ from repro.bench.harness import (
     occupancy_summary,
     search_cost,
 )
-from repro.bench.reporting import format_table
+from repro.obs.report import format_table
 from repro.geometry.space import DataSpace
 from repro.workloads import uniform
 
