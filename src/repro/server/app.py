@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Awaitable, Callable, Union
+from typing import Any, Awaitable, Callable, Iterator, Union
 
 from repro.concurrency.service import BatchAbortedError, TreeService, WriteOp
 from repro.errors import (
@@ -238,6 +238,16 @@ class ServingApp:
             )
         return tuple(float(c) for c in value)
 
+    @staticmethod
+    def _replace(request: dict[str, Any], name: str = "field 'replace'") -> bool:
+        """The ``replace`` flag: false when absent, else a JSON boolean."""
+        replace = request.get("replace", False)
+        if replace is not True and replace is not False:
+            raise ReproError(
+                f"{name} must be true or false, got {json.dumps(replace)}"
+            )
+        return replace
+
     def _write(self, op: WriteOp, respond: Callable[[Any, int], Response]) -> Reply:
         """Apply one op, through the batcher when one is attached.
 
@@ -280,7 +290,7 @@ class ServingApp:
 
     def _insert(self, request: dict[str, Any]) -> Reply:
         point = self._point(request)
-        replace = bool(request.get("replace", False))
+        replace = self._replace(request)
         op: WriteOp = ("insert", point, request.get("value"), replace)
         return self._write(
             op, lambda _, lsn: Response(201, {"point": list(point), "lsn": lsn})
@@ -353,7 +363,7 @@ class ServingApp:
                         "insert",
                         self._point(item),
                         item.get("value"),
-                        bool(item.get("replace", False)),
+                        self._replace(item, f"ops[{i}].replace"),
                     )
                 )
             elif verb == "delete":
@@ -366,33 +376,13 @@ class ServingApp:
         return Response(200, {"applied": len(ops), "lsn": lsn})
 
     def _bulk(self, request: dict[str, Any]) -> Response:
-        raw = request.get("records")
+        raw = request.pop("records", None)
         if not isinstance(raw, list) or not raw:
             raise ReproError("field 'records' must be a non-empty array")
-        # One validation pass before the tree is touched; the loader
-        # then converts each coordinate once, off an iterator.
-        ndim = self.service.tree.space.ndim
-        numeric = _NUMERIC.__contains__
-        for i, item in enumerate(raw):
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ReproError(f"records[{i}] must be a [point, value] pair")
-            point = item[0]
-            if (
-                not isinstance(point, (list, tuple))
-                or not point
-                or not all(map(numeric, map(type, point)))
-            ):
-                raise ReproError(
-                    f"records[{i}] point must be a non-empty array of numbers"
-                )
-            if len(point) != ndim:
-                raise DimensionMismatchError(
-                    f"records[{i}] point has {len(point)} coordinates, "
-                    f"the space has {ndim}"
-                )
+        replace = self._replace(request)
         loaded, lsn = self.service.bulk_load(
-            ((item[0], item[1]) for item in raw),
-            replace=bool(request.get("replace", False)),
+            _checked_records(raw, self.service.tree.space.ndim),
+            replace=replace,
         )
         return Response(201, {"loaded": loaded, "lsn": lsn})
 
@@ -422,6 +412,42 @@ class ServingApp:
             to_prometheus(self.registry),
             content_type="text/plain; version=0.0.4",
         )
+
+
+def _checked_records(
+    records: list[Any], ndim: int
+) -> Iterator[tuple[Any, Any]]:
+    """Check each ``[point, value]`` record of a bulk body and let it go.
+
+    ``records`` is consumed: reversed once and popped from its end, so
+    each record is released once the loader has copied it into its
+    columns, and the load never holds the parsed body beside them.  A
+    bad record raises mid-ingest, but the loader writes no page before
+    its ingest pass is done, so the tree and ``store.touched`` stay
+    empty, the writer stays live and the WAL is as it was.
+    """
+    numeric = _NUMERIC.__contains__
+    records.reverse()
+    pop = records.pop
+    for i in range(len(records)):
+        item = pop()
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ReproError(f"records[{i}] must be a [point, value] pair")
+        point = item[0]
+        if (
+            not isinstance(point, (list, tuple))
+            or not point
+            or not all(map(numeric, map(type, point)))
+        ):
+            raise ReproError(
+                f"records[{i}] point must be a non-empty array of numbers"
+            )
+        if len(point) != ndim:
+            raise DimensionMismatchError(
+                f"records[{i}] point has {len(point)} coordinates, "
+                f"the space has {ndim}"
+            )
+        yield point, item[1]
 
 
 def _written(done: Outcome, respond: Callable[[Any, int], Response]) -> Response:

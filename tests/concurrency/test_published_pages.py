@@ -13,8 +13,11 @@ import random
 
 import pytest
 
-from repro.concurrency import BatchAbortedError, delete_op, insert_op
+from repro.concurrency import BatchAbortedError, TreeService, delete_op, insert_op
+from repro.core.entry import Entry
 from repro.core.tree import BVTree
+from repro.geometry.region import RegionKey
+from repro.geometry.space import DataSpace
 from repro.storage.durable import codec
 from repro.storage.durable.store import DurableStore
 
@@ -128,3 +131,103 @@ def test_published_pages_never_change(layout, durable, tmp_path):
     service.tree.check(check_owners=True)
     if durable:
         service.tree.store.close(checkpoint=False)
+
+
+def key(bits):
+    return RegionKey(len(bits), int(bits, 2) if bits else 0)
+
+
+def buddy_tree(layout, store=None, deferred=None):
+    """A hand-built 1-D tree of height 3 in which a delete merges buddies.
+
+    Blocks are bit prefixes of x: ``00`` is [0, 1/4), ``000`` is
+    [0, 1/8), ``01`` is [1/4, 1/2).  The level-1 regions ``00`` and
+    ``01`` straddle the level-2 regions ``000`` and ``010``, so they sit
+    as guards in the root, and the whole-space level-1 region is the
+    only native of its level-2 node.  Merging into that region would
+    move it out of its node and leave the node empty, and each hole
+    (``0000``, ``0100``) is its own node's only native, so an underflow
+    in ``00`` at level 0 or level 1 falls through to the buddy merge of
+    ``00`` with ``01``.
+
+    With ``deferred`` set to a level, the tree is as a merge deferred by
+    an earlier delete leaves it: the level's region ``00`` underflows
+    (an empty data page, or a fanout whose floor is above the node's
+    two natives) and waits in the retry set, so the next delete
+    anywhere merges it without having touched its page first.
+    """
+    space = DataSpace.unit(1, resolution=8)
+    tree = BVTree(
+        space,
+        data_capacity=4,
+        fanout=14 if deferred == 1 else 4,
+        store=store,
+        layout=layout,
+    )
+
+    def data(*xs):
+        page = tree.make_data_page()
+        for x in xs:
+            page.insert(space.point_path((x,)), (x,), x)
+        return tree.alloc_data_page(page)
+
+    def node(level, *entries):
+        return tree.alloc_index_node(
+            tree.make_index_node(
+                level, [Entry(key(bits), lv, page) for bits, lv, page in entries]
+            )
+        )
+
+    whole = node(2, ("", 1, node(1, ("", 0, data(0.75, 0.875)))))
+    low = node(2, ("0000", 1, node(1, ("0000", 0, data(0.01, 0.03)))))
+    high = node(2, ("0100", 1, node(1, ("0100", 0, data(0.26, 0.28)))))
+    left = node(
+        1,
+        ("00", 0, data() if deferred == 0 else data(0.2)),
+        ("000", 0, data(0.1)),
+    )
+    right = node(1, ("01", 0, data(0.4, 0.45)), ("010", 0, data(0.33, 0.35)))
+    tree.adopt(
+        node(
+            3,
+            ("", 2, whole),
+            ("000", 2, low),
+            ("010", 2, high),
+            ("00", 1, left),
+            ("01", 1, right),
+        )
+    )
+    if deferred is not None:
+        tree.merge_retry.add((deferred, key("00")))
+        tree.stats.deferred_merges += 1
+    tree.check(check_owners=True)
+    return tree
+
+
+@pytest.mark.parametrize(
+    ("deferred", "point", "level"),
+    [(None, 0.2, 0), (None, 0.1, 1), (0, 0.875, 0), (1, 0.875, 1)],
+    ids=["data-level", "index-level", "data-deferred", "index-deferred"],
+)
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+def test_buddy_merge_leaves_published_pages_alone(
+    layout, durable, deferred, point, level, tmp_path
+):
+    store = DurableStore(tmp_path, sync="os") if durable else None
+    tree = buddy_tree(layout, store, deferred)
+    items = sorted(p for (p,), _ in tree.items())
+    assert {key("00"), key("01")} <= tree.keys[level].keys()
+    service = TreeService(tree)
+    pins = PinnedPages()
+    pins.pin(service)
+    service.delete((point,))
+    pins.pin(service)
+    pins.recheck()
+    # The halves became their parent block.
+    assert key("0") in tree.keys[level]
+    assert not {key("00"), key("01")} & tree.keys[level].keys()
+    tree.check(check_owners=True)
+    items.remove(point)
+    assert sorted(p for (p,), _ in service.snapshot().items()) == items
+    if durable:
+        store.close(checkpoint=False)

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from repro.concurrency.service import BatchAbortedError
+from repro.concurrency.service import BatchAbortedError, TreeService
 from repro.errors import (
     DuplicateKeyError,
     GeometryError,
@@ -21,8 +21,10 @@ from repro.errors import (
     StorageError,
     TreeInvariantError,
 )
+from repro.geometry.space import DataSpace
 from repro.obs.metrics import lint_prometheus
 from repro.server.app import Response, ServingApp, status_for
+from repro.storage.durable import create_durable_tree
 from tests.concurrency.lockstep import build_service
 
 
@@ -33,6 +35,24 @@ def make_app(**kwargs):
 
 def post(app, path, payload):
     return app.handle("POST", path, json.dumps(payload).encode())
+
+
+#: ``replace`` values that are not JSON booleans; each is a 400.
+NOT_BOOLEAN = pytest.mark.parametrize(
+    "flag", ["false", 0, 1, None], ids=["string", "zero", "one", "null"]
+)
+
+#: Two good bulk records.
+TWO = [[[0.25, 0.25], "a"], [[0.75, 0.75], "b"]]
+
+#: 1,000 distinct grid points as bulk records.
+GRID = [
+    [[(i % 32 + 0.5) / 32, (i // 32 + 0.5) / 32], i] for i in range(1000)
+]
+
+
+def not_boolean(name, flag):
+    return f"{name} must be true or false, got {json.dumps(flag)}"
 
 
 def seeded_app():
@@ -191,6 +211,21 @@ class TestInsertDelete:
             "value"
         ] == 2
 
+    @NOT_BOOLEAN
+    def test_non_boolean_replace_is_400(self, flag):
+        app = make_app()
+        post(app, "/v1/insert", {"point": [0.5, 0.5], "value": 1})
+        response = post(
+            app,
+            "/v1/insert",
+            {"point": [0.5, 0.5], "value": 2, "replace": flag},
+        )
+        assert response.status == 400
+        assert response.payload["error"] == not_boolean("field 'replace'", flag)
+        assert post(app, "/v1/get", {"point": [0.5, 0.5]}).payload[
+            "value"
+        ] == 1
+
     def test_delete_returns_the_removed_value(self):
         app, records = seeded_app()
         point, value = records[0]
@@ -304,6 +339,30 @@ class TestBatch:
         assert response.status == 409
         assert response.payload["index"] == 1
 
+    @NOT_BOOLEAN
+    def test_non_boolean_replace_is_400(self, flag):
+        app = make_app()
+        post(app, "/v1/insert", {"point": [0.5, 0.5], "value": 1})
+        response = post(
+            app,
+            "/v1/batch",
+            {
+                "ops": [
+                    {"op": "insert", "point": [0.25, 0.25], "value": 1},
+                    {
+                        "op": "insert",
+                        "point": [0.5, 0.5],
+                        "value": 2,
+                        "replace": flag,
+                    },
+                ]
+            },
+        )
+        assert response.status == 400
+        assert response.payload["error"] == not_boolean("ops[1].replace", flag)
+        assert post(app, "/v1/get", {"point": [0.25, 0.25]}).status == 404
+        assert app.service.stats()["lsn"] == 1
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -337,31 +396,79 @@ class TestBulk:
         response = post(make_app(), "/v1/bulk", payload)
         assert response.status == 400
 
+    @pytest.mark.parametrize(("replace", "status"), [(True, 201), (False, 409)])
+    def test_replace_is_taken_as_given(self, replace, status):
+        app = make_app()
+        records = [[[0.25, 0.25], "a"], [[0.25, 0.25], "b"]]
+        response = post(
+            app, "/v1/bulk", {"records": records, "replace": replace}
+        )
+        assert response.status == status
+        if replace:
+            assert response.payload["loaded"] == 1
+            assert post(app, "/v1/get", {"point": [0.25, 0.25]}).payload[
+                "value"
+            ] == "b"
+
+    @NOT_BOOLEAN
+    def test_non_boolean_replace_is_400(self, flag):
+        app = make_app()
+        records = [[[0.25, 0.25], "a"], [[0.25, 0.25], "b"]]
+        response = post(app, "/v1/bulk", {"records": records, "replace": flag})
+        assert response.status == 400
+        assert response.payload["error"] == not_boolean("field 'replace'", flag)
+        assert len(app.service.tree) == 0
+
     @pytest.mark.parametrize(
-        ("record", "message"),
+        ("good", "record", "message"),
         [
-            ([[0.5, True], 1], r"records\[2\] point must be a non-empty array of numbers"),
-            ([[0.5, "0.5"], 1], r"records\[2\] point must be a non-empty array of numbers"),
-            ([[], 1], r"records\[2\] point must be a non-empty array of numbers"),
-            ("0.5", r"records\[2\] must be a \[point, value\] pair"),
-            ([[0.5, 0.5, 0.5], 1], r"records\[2\] point has 3 coordinates, the space has 2"),
+            (TWO, [[0.5, True], 1], r"records\[2\] point must be a non-empty array of numbers"),
+            (TWO, [[0.5, "0.5"], 1], r"records\[2\] point must be a non-empty array of numbers"),
+            (TWO, [[], 1], r"records\[2\] point must be a non-empty array of numbers"),
+            (TWO, "0.5", r"records\[2\] must be a \[point, value\] pair"),
+            (TWO, [[0.5, 0.5, 0.5], 1], r"records\[2\] point has 3 coordinates, the space has 2"),
+            (GRID, [[0.5, 0.5, 0.5], 1], r"records\[1000\] point has 3 coordinates, the space has 2"),
         ],
-        ids=["bool", "string", "empty", "not-a-pair", "wrong-dimension"],
+        ids=["bool", "string", "empty", "not-a-pair", "wrong-dimension", "late"],
     )
     def test_bad_record_is_named_and_leaves_the_tree_empty(
-        self, record, message
+        self, good, record, message
     ):
         app = make_app()
-        records = [[[0.25, 0.25], "a"], [[0.75, 0.75], "b"], record]
-        response = post(app, "/v1/bulk", {"records": records})
+        response = post(app, "/v1/bulk", {"records": good + [record]})
         assert response.status == 400
         assert re.fullmatch(message, response.payload["error"])
         assert len(app.service.tree) == 0
+        # The service poisons itself if a failed op touched a page.
         assert not app.service.poisoned
         # The rejected load left the tree loadable.
-        response = post(app, "/v1/bulk", {"records": records[:2]})
+        response = post(app, "/v1/bulk", {"records": good})
         assert response.status == 201
-        assert response.payload["loaded"] == 2
+        assert response.payload["loaded"] == len(good)
+
+    def test_rejected_load_leaves_the_wal_as_it_was(self, tmp_path):
+        tree = create_durable_tree(
+            tmp_path, DataSpace.unit(2, resolution=8), data_capacity=4,
+            fanout=4, sync="os",
+        )
+        app = ServingApp(TreeService(tree))
+        wal = tmp_path / "wal.log"
+        try:
+            size, seq = wal.stat().st_size, app.service.stats()["wal_seq"]
+            response = post(
+                app, "/v1/bulk", {"records": GRID + [[[0.5, 0.5, 0.5], 1]]}
+            )
+            assert response.status == 400
+            assert response.payload["error"].startswith("records[1000] ")
+            assert wal.stat().st_size == size
+            assert app.service.stats()["wal_seq"] == seq
+            assert not app.service.poisoned
+            response = post(app, "/v1/bulk", {"records": GRID})
+            assert response.status == 201
+            assert response.payload == {"loaded": 1000, "lsn": 1}
+            assert wal.stat().st_size > size
+        finally:
+            tree.store.close(checkpoint=False)
 
 
 class TestHealthStatsMetrics:
