@@ -39,6 +39,14 @@ echo "== columnar equivalence =="
 # own lane so a layout divergence is named, not buried).
 python -m pytest -x -q tests/properties/test_columnar_equivalence.py
 
+echo "== abort =="
+# A failed tree op aborts: a fault at every store call of the inserts
+# and deletes of a splitting and merging workload, on both layouts, in
+# memory and on a durable store, must leave the tree, its store and
+# the WAL as they were (tier-1 runs this too; kept as its own lane so
+# an abort divergence is named, not buried).
+python -m pytest -x -q tests/core/test_abort_faults.py
+
 echo "== perf smoke =="
 # Both layout lanes; each run also executes the object-vs-columnar
 # oracle probe and exits non-zero on divergence.  The snapshot written

@@ -9,13 +9,14 @@ Concurrency model (documented in full in ``docs/SERVING.md``):
 - **Shadow-committed versions.**  The tree keeps its own store, which
   copies a page on its first write in a transaction, so the live store
   and every version share each page object no write replaced since.
-  After each operation the service adds the pages its transaction
-  touched (``store.touched``) to a dirty set.  After a successful
-  operation (or group), it publishes a fresh immutable
+  A failed operation aborts its transaction, which puts back every
+  page it touched.  After a successful operation (or group), the
+  service publishes a fresh immutable
   :class:`~repro.concurrency.snapshots.TreeVersion` — a *new*
-  :class:`~repro.concurrency.snapshots.PageTable` holding the dirty
-  pages' last committed objects, which copies only the chunks holding
-  dirty ids — by swapping one reference.
+  :class:`~repro.concurrency.snapshots.PageTable` holding the live
+  objects of the pages the operations' transactions touched
+  (``store.touched``), which copies only the chunks holding those ids
+  — by swapping one reference.
 - **Wait-free readers.**  Opening a snapshot grabs the current version
   reference; no lock, no copy, no registration.  A snapshot stays
   consistent forever (it is unreachable garbage once dropped), so a
@@ -33,13 +34,13 @@ published versions with WAL transactions.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.concurrency.snapshots import PageTable, Snapshot, TreeVersion
 from repro.core.knn import KNNResult
 from repro.core.query import QueryResult
 from repro.core.tree import BVTree
-from repro.errors import KeyNotFoundError, ReproError, StorageError
+from repro.errors import ReproError
 
 __all__ = [
     "BatchAbortedError",
@@ -68,11 +69,11 @@ def delete_op(point: Sequence[float]) -> WriteOp:
 
 
 class BatchAbortedError(ReproError):
-    """An all-or-nothing batch failed and was rolled back.
+    """An all-or-nothing batch failed and was aborted.
 
     ``index`` is the position of the failing operation; ``cause`` the
-    underlying error.  Nothing was published: readers never saw any of
-    the batch's effects, and the live tree was restored.
+    underlying error.  Nothing was published or logged: the batch's
+    tree transaction put back every page and header field it touched.
     """
 
     def __init__(self, index: int, cause: BaseException):
@@ -99,12 +100,9 @@ class TreeService:
         self._tree = tree
         self._store = store = tree.store
         self._lock = threading.RLock()
-        self._poison: BaseException | None = None
         self._commits = 0
-        #: Pages the ops since the last publication touched.
-        self._dirty: set[Any] = set()
         pages = PageTable.from_items(
-            (pid, self._committed(pid)) for pid in store.page_ids()
+            (pid, store.peek(pid)) for pid in store.page_ids()
         )
         self._version = TreeVersion(
             pages,
@@ -129,8 +127,9 @@ class TreeService:
 
     @property
     def poisoned(self) -> bool:
-        """True once a torn write or storage failure disabled the writer."""
-        return self._poison is not None
+        """True once the store died (a crash or a failed commit); a
+        failed op aborts instead."""
+        return bool(getattr(self._store, "dead", False))
 
     def stats(self) -> dict[str, Any]:
         """A JSON-friendly summary of the service's state."""
@@ -185,16 +184,14 @@ class TreeService:
     ) -> int:
         """Insert one record; returns the LSN that made it visible."""
         with self._lock:
-            self._check_writable()
-            self._run(lambda: self._tree.insert(point, value, replace=replace))
-            return self._publish()
+            self._tree.insert(point, value, replace=replace)
+            return self._publish(self._store.touched)
 
     def delete(self, point: Sequence[float]) -> tuple[Any, int]:
         """Delete one record; returns ``(old value, publishing LSN)``."""
         with self._lock:
-            self._check_writable()
-            value = self._run(lambda: self._tree.delete(point))
-            return value, self._publish()
+            value = self._tree.delete(point)
+            return value, self._publish(self._store.touched)
 
     def bulk_load(
         self,
@@ -203,158 +200,89 @@ class TreeService:
     ) -> tuple[int, int]:
         """Bulk-build the (empty) tree; returns ``(loaded, LSN)``."""
         with self._lock:
-            self._check_writable()
-            loaded = self._run(
-                lambda: self._tree.bulk_load(records, replace=replace)
-            )
-            return loaded, self._publish()
+            loaded = self._tree.bulk_load(records, replace=replace)
+            return loaded, self._publish(self._store.touched)
 
     def apply_ops(
         self, ops: Sequence[WriteOp]
     ) -> tuple[list[tuple[bool, Any]], int]:
         """Group commit: independent ops, one lock hold, one publication.
 
-        Each op succeeds or fails on its own (a failed op reports its
-        exception in the outcome list; the others proceed) — these are
-        *independent requests* coalesced for throughput, not a
-        transaction.  All successful effects become visible atomically
+        Each op is its own transaction and succeeds or fails (aborts)
+        on its own — these are *independent requests* coalesced for
+        throughput.  All successful effects become visible atomically
         at the returned LSN.  Per-op outcome: ``(True, result)`` or
-        ``(False, exception)``.
+        ``(False, exception)`` of any type; only a dead store raises.
         """
         with self._lock:
-            self._check_writable()
+            store = self._store
             outcomes: list[tuple[bool, Any]] = []
-            mutated = False
+            dirty: set[Any] = set()
             for op in ops:
                 try:
-                    outcomes.append((True, self._apply(op)))
-                    mutated = True
-                except ReproError as exc:
-                    if self._poison is not None:
+                    result = self._apply(op)
+                except Exception as exc:
+                    if self.poisoned:
                         raise
                     outcomes.append((False, exc))
-            lsn = self._publish() if mutated else self._version.lsn
+                    continue
+                dirty.update(store.touched)
+                outcomes.append((True, result))
+            lsn = self._publish(dirty) if dirty else self._version.lsn
             return outcomes, lsn
 
     def apply_batch(self, ops: Sequence[WriteOp]) -> int:
         """All-or-nothing batch: apply every op or none of them.
 
-        On failure the already-applied prefix is rolled back through an
-        undo log (deletes re-insert the old value, inserts are deleted
-        or restore the value they replaced), nothing is published, and
-        :class:`BatchAbortedError` carries the failing index.  Readers
-        can never observe a partially applied batch either way: effects
-        only become visible at the single publication on success.
+        The ops run in one tree transaction, so the batch is one WAL
+        transaction.  On failure the transaction aborts, nothing is
+        published or logged, and :class:`BatchAbortedError` carries the
+        failing index.  Readers can never observe a partially applied
+        batch either way: effects only become visible at the single
+        publication on success.
         """
         with self._lock:
-            self._check_writable()
-            undo: list[WriteOp] = []
-            for index, op in enumerate(ops):
-                try:
-                    self._apply(op, undo)
-                except ReproError as exc:
-                    if self._poison is not None:
-                        raise
-                    self._rollback(undo)
-                    raise BatchAbortedError(index, exc) from exc
-            return self._publish()
+            index = 0
+            try:
+                with self._tree.transaction("batch"):
+                    for index, op in enumerate(ops):
+                        self._apply(op)
+            except ReproError as exc:
+                if self.poisoned:
+                    raise
+                raise BatchAbortedError(index, exc) from exc
+            return self._publish(self._store.touched)
 
     def checkpoint(self) -> Any:
         """Checkpoint a WAL-backed store (no-op result for in-memory)."""
         with self._lock:
-            self._check_writable()
             checkpoint = getattr(self._store, "checkpoint", None)
             if checkpoint is None:
                 return None
-            try:
-                return checkpoint()
-            except StorageError as exc:
-                self._poison = exc
-                raise
+            return checkpoint()
 
     # -- internals ------------------------------------------------------
 
-    def _check_writable(self) -> None:
-        if self._poison is not None:
-            raise StorageError(
-                f"service writer disabled by earlier failure: {self._poison!r}"
-            )
-
-    def _run(self, fn: Callable[[], Any]) -> Any:
-        """Run one tree operation; poison the writer if it tore page state.
-
-        Each tree operation opens the store's outermost transaction as
-        its first step, so ``store.touched`` afterwards names exactly
-        the pages it touched; they join the dirty set either way.  A
-        validation error raised before any page was touched (duplicate
-        key, missing key, bad geometry) leaves the tree intact and the
-        record empty: it simply propagates and the writer stays live.
-        An exception *after* pages were touched (an injected crash, a
-        storage fault mid-cascade) means the live tree may be torn, so
-        the writer is disabled — readers keep the last committed version
-        and recovery takes over (see the crash-under-concurrency tests).
-        """
-        store = self._store
-        try:
-            return fn()
-        except BaseException as exc:
-            if store.touched or isinstance(exc, StorageError):
-                self._poison = exc
-            raise
-        finally:
-            self._dirty.update(store.touched)
-
-    def _apply(self, op: WriteOp, undo: list[WriteOp] | None = None) -> Any:
-        """Apply one op and return its result; with an ``undo`` log,
-        append the op's inverse to it once the op succeeded."""
+    def _apply(self, op: WriteOp) -> Any:
+        """Apply one op and return its result."""
         tree = self._tree
         verb = op[0]
         if verb == "insert":
             _, point, value, replace = op
-            inverse: WriteOp = ("delete", point)
-            if undo is not None and replace:
-                try:
-                    inverse = ("insert", point, tree.get(point), True)
-                except KeyNotFoundError:
-                    inverse = ("delete", point)  # the key was new
-            result = self._run(
-                lambda: tree.insert(point, value, replace=replace)
-            )
-        elif verb == "delete":
-            result = self._run(lambda: tree.delete(op[1]))
-            inverse = ("insert", op[1], result, True)
-        else:
-            raise ReproError(f"write op must be insert/delete, got {verb!r}")
-        if undo is not None:
-            undo.append(inverse)
-        return result
+            return tree.insert(point, value, replace=replace)
+        if verb == "delete":
+            return tree.delete(op[1])
+        raise ReproError(f"write op must be insert/delete, got {verb!r}")
 
-    def _rollback(self, undo: list[WriteOp]) -> None:
-        try:
-            for op in reversed(undo):
-                self._apply(op)
-        except BaseException as exc:  # pragma: no cover - defensive
-            self._poison = exc
-            raise
-
-    def _committed(self, page_id: int) -> Any:
-        """``page_id``'s last committed object: the live one, unless a
-        failed op left a private copy (``store.preimages``)."""
-        preimages = self._store.preimages
-        if page_id in preimages:
-            return preimages[page_id]
-        return self._store.peek(page_id)
-
-    def _publish(self) -> int:
+    def _publish(self, dirty: Iterable[Any]) -> int:
+        """Publish the last version with the ``dirty`` pages' objects."""
         store = self._store
-        dirty = self._dirty
-        self._dirty = set()
         old = self._version
         puts: dict[int, Any] = {}
         drops: list[int] = []
         for pid in dirty:
             if pid in store:
-                puts[pid] = self._committed(pid)
+                puts[pid] = store.peek(pid)
             elif type(pid) is int:  # not a durable class/meta key
                 drops.append(pid)
         pages = old.pages.updated(puts, drops)

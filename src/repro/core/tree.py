@@ -142,6 +142,14 @@ class BVTree:
         #: Regions whose merge was deferred; retried on later deletions
         #: (see :mod:`repro.core.delete`).
         self.merge_retry: set[tuple[int, RegionKey]] = set()
+        # The open transaction (see transaction()): depth, the store's
+        # context, the header it found, its registry changes in order
+        # and each level's key order before its first unregistration.
+        self._depth = 0
+        self._store_txn: Any = None
+        self._saved: tuple[Any, ...] = ()
+        self._journal: list[tuple[bool, Entry]] = []
+        self._orders: dict[int, list[RegionKey]] = {}
 
     @classmethod
     def from_config(
@@ -239,6 +247,8 @@ class BVTree:
                 f"level-{entry.level} key {entry.key!r} registered twice"
             )
         level_keys[entry.key] = entry
+        if self._depth:
+            self._journal.append((True, entry))
 
     def unregister_entry(self, entry: Entry) -> None:
         """Remove a region key from the registry (must be present)."""
@@ -247,6 +257,10 @@ class BVTree:
             raise TreeInvariantError(
                 f"level-{entry.level} key {entry.key!r} not registered"
             )
+        if self._depth:
+            self._journal.append((False, entry))
+            if entry.level not in self._orders:
+                self._orders[entry.level] = list(level_keys)
         del level_keys[entry.key]
 
     def registered(self, level: int, key: RegionKey) -> Entry | None:
@@ -266,6 +280,49 @@ class BVTree:
         return self.store.allocate(page, size_class=0)
 
     # ------------------------------------------------------------------
+    # Transactions
+    # ------------------------------------------------------------------
+
+    def transaction(self, name: str) -> "BVTree":
+        """The tree ops inside, as one store ``transaction(name)``
+        (nested ones join it).  An exception aborts it: the store puts
+        back its pages, the tree its header, deferred merges and key
+        registry in iteration order, so a retry takes the same path."""
+        if not self._depth:
+            self._store_txn = self.store.transaction(name)
+        return self
+
+    def __enter__(self) -> None:
+        if not self._depth:
+            self._store_txn.__enter__()
+            retry = self.merge_retry
+            self._saved = (self.root_page, self.height, self.count, retry)
+            self.merge_retry = retry.copy()  # what the op pops from
+        self._depth += 1
+
+    def __exit__(self, *exc: Any) -> None:
+        self._depth -= 1
+        if self._depth:
+            return
+        if exc[0] is not None:
+            (self.root_page, self.height, self.count,
+             self.merge_retry) = self._saved
+            keys = self.keys
+            for registered, entry in reversed(self._journal):
+                if registered:
+                    del keys[entry.level][entry.key]
+                else:
+                    keys[entry.level][entry.key] = entry
+            for level, order in self._orders.items():
+                level_keys = keys[level]
+                ordered = {k: level_keys[k] for k in order if k in level_keys}
+                level_keys.clear()
+                level_keys.update(ordered)
+        self._journal.clear()
+        self._orders.clear()
+        self._store_txn.__exit__(*exc)
+
+    # ------------------------------------------------------------------
     # Point operations
     # ------------------------------------------------------------------
 
@@ -281,7 +338,7 @@ class BVTree:
         # guarantee monitor (update-path kinds only) can group split work
         # per operation; read ops stay on ``enabled``.
         tracer = self.tracer
-        with self.store.transaction("insert"):
+        with self.transaction("insert"):
             if not tracer.structural:
                 _insert.insert_point(self, point, value, replace=replace)
                 return
@@ -390,7 +447,7 @@ class BVTree:
         ``insert(..., replace=True)`` would).
         """
         tracer = self.tracer
-        with self.store.transaction("bulk_load"):
+        with self.transaction("bulk_load"):
             if not tracer.structural:
                 return _bulk.bulk_load(self, records, replace=replace)
             with tracer.operation("bulk_load"):
@@ -450,7 +507,7 @@ class BVTree:
     def delete(self, point: Sequence[float]) -> Any:
         """Remove and return the record at ``point`` (KeyNotFoundError if absent)."""
         tracer = self.tracer
-        with self.store.transaction("delete"):
+        with self.transaction("delete"):
             if not tracer.structural:
                 return _delete.delete_point(self, point)
             with tracer.operation("delete", point=list(point)):

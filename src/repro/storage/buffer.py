@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, ContextManager, Iterator
+from typing import Any, Iterator
 
 from repro.errors import StorageError
 from repro.obs.events import PAGE_READ
@@ -112,9 +112,20 @@ class BufferPool:
     def __contains__(self, page_id: int) -> bool:
         return page_id in self.store
 
-    def transaction(self, name: str) -> ContextManager[Any]:
-        """Pass through to the store."""
-        return self.store.transaction(name)
+    def transaction(self, name: str) -> "BufferPool":
+        """The store's; an abort also drops the pages it put back."""
+        self.store.transaction(name)
+        return self
+
+    def __enter__(self) -> None:
+        self.store.__enter__()
+
+    def __exit__(self, *exc: Any) -> None:
+        if exc[0] is not None:
+            store, cache = self.store, self._cache
+            for page_id in (*store.touched, *store.preimages):
+                cache.pop(page_id, None)
+        self.store.__exit__(*exc)
 
     @property
     def touched(self) -> dict[Any, int | None]:

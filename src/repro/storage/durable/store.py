@@ -26,15 +26,15 @@ allocation cursor passes it).  The records are encoded and
 appended one at a time, the commit marker riding the last one's type
 byte (``REC_COMMIT_FLAG``, with the operation name in its payload), and
 ``sync="commit"`` adds one fsync.  A transaction closed by an exception
-writes nothing at all, so a failed operation is invisible after a
-crash, same as it is in memory.  Mutations outside any transaction
-(tree construction, direct store use) auto-commit individually.
+aborts (this store also puts back the size classes it registered) and
+writes nothing at all, so a failed operation leaves no trace in memory,
+in the log or after a crash.  Mutations outside any transaction (tree
+construction, direct store use) auto-commit individually.
 
 A written data page logs only its change since its last committed
 object, the page store's pre-image (:attr:`PageStore.preimages`):
-``writable`` copied the page on first touch, so that object is intact.
-Pre-images move only at commit, so an aborted transaction just forgets
-what it touched.  A page with no pre-image logs its full image.
+``writable`` copied the page on first touch, so that object is intact
+(an abort reinstalls it).  A page with no pre-image logs its full image.
 
 Crash discipline
 ----------------
@@ -374,10 +374,21 @@ class DurableStore(PageStore):
     def register_size_class(self, size_class: int, page_bytes: int) -> None:
         self._ensure_alive()
         existing = self._classes.get(size_class)
-        changed = existing is None or existing.page_bytes != page_bytes
+        prior = None if existing is None else existing.page_bytes
         super().register_size_class(size_class, page_bytes)
-        if changed:
-            self._touch((REC_CLASS, size_class))
+        if prior != page_bytes:
+            self._touch((REC_CLASS, size_class), prior)  # kept for _abort
+
+    def _abort(self, touched: dict[Any, int | None]) -> None:
+        """Also put back the size classes the transaction registered."""
+        super()._abort(touched)
+        classes = self._classes
+        for key, prior in touched.items():
+            if type(key) is tuple and key[0] == REC_CLASS:
+                if prior is None:
+                    del classes[key[1]]
+                else:
+                    classes[key[1]].page_bytes = prior
 
     # ``read`` is deliberately *not* overridden: a dead or closed store
     # swaps ``self._pages`` for a :class:`_DeadPageTable`, so the

@@ -85,14 +85,15 @@ class Storage(Protocol):
         """A context spanning one tree operation's mutations.
 
         ``BVTree.insert``/``delete``/``bulk_load`` open one around their
-        work; mutations inside the outermost one join it, and a mutation
-        outside any is a transaction of its own.  The page store keeps
-        the transaction (a wrapping store forwards it): it records the
-        touched pages in :attr:`touched` and, on a normal exit from the
-        outermost one, commits them under ``name``.  In memory the
-        commit does nothing; the durable store logs the record as one
-        WAL transaction.  A transaction left by an exception commits
-        nothing.
+        work (through ``BVTree.transaction``); mutations inside the
+        outermost one join it, and a mutation outside any is a
+        transaction of its own.  The page store keeps the transaction
+        (a wrapping store forwards it): it records the touched pages in
+        :attr:`touched` and, on a normal exit from the outermost one,
+        commits them under ``name``.  In memory the commit does
+        nothing; the durable store logs the record as one WAL
+        transaction.  A transaction left by an exception aborts: it
+        commits nothing and puts every page back as it found it.
         """
 
     @property
@@ -112,9 +113,8 @@ class Storage(Protocol):
     @property
     def preimages(self) -> dict[int, Any]:
         """Page id -> its last committed object, for each existing page
-        touched since (an abort keeps the entries, a commit drops those
-        it touched): the durable store's delta base, and what the
-        serving layer publishes for a page a failed op left private."""
+        the open transaction touched (emptied when it closes): the
+        durable store's delta base, and what an abort reinstalls."""
 
 
 def default_store(page_bytes: int = 4096) -> Storage:

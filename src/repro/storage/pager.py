@@ -38,17 +38,18 @@ class PageStore:
     keeps the last closed transaction's record until the next outermost
     one opens.  Leaving the outermost transaction normally hands that
     record to :meth:`_commit` under the transaction's name (a no-op in
-    memory; the durable store logs it).  A mutation outside any
-    transaction is a transaction of its own, named ``"auto"``.
+    memory; the durable store logs it); leaving it by an exception
+    aborts it (:meth:`_abort`).  A mutation outside any transaction is
+    a transaction of its own, named ``"auto"``.
 
     Copy on first write: a transaction changes an existing page through
     :meth:`writable`, so a page object a committed transaction left in
     the store never changes again and published versions can share it.
     The first touch of an existing page (``writable``, ``write`` or
-    ``free``) records its object in :attr:`preimages` until a commit
-    touching it (an abort keeps it); :meth:`write` refuses a recorded
-    pre-image.  Outside a transaction only ``writable`` records one, so
-    a write may hand back the object it read (the baselines do).
+    ``free``) records its object in :attr:`preimages` until the
+    transaction closes; :meth:`write` refuses a recorded pre-image.
+    Outside a transaction only ``writable`` records one, so a write may
+    hand back the object it read (the baselines do).
     """
 
     def __init__(self, page_bytes: int = 4096):
@@ -65,13 +66,16 @@ class PageStore:
         #: Touched key -> its size class if the transaction allocated
         #: it, else ``None``.  Keys are page ids; a subclass may note
         #: other changes under tuple keys (the durable store's size
-        #: classes and metadata).
+        #: classes, mapped to their prior bytes, and metadata).
         self.touched: dict[Any, int | None] = {}
         #: Page id -> its last committed object, for each existing
-        #: page touched since.
+        #: page the open transaction touched.
         self.preimages: dict[int, Any] = {}
+        #: Page id -> size class, for each existing page it freed.
+        self._freed: dict[int, int] = {}
         self._depth = 0
         self._op = "auto"
+        self._mark = 1  # _next_id when the transaction opened
 
     # ------------------------------------------------------------------
     # Size classes
@@ -189,10 +193,11 @@ class PageStore:
         pages = self._pages
         if page_id not in pages:
             raise PageNotFoundError(f"page {page_id} is not allocated")
+        size_class = self._size_class.pop(page_id)
         if self._depth and self.touched.get(page_id) is None:
             self.preimages.setdefault(page_id, pages[page_id])
+            self._freed[page_id] = size_class
         del pages[page_id]
-        size_class = self._size_class.pop(page_id)
         self._classes[size_class].live_pages -= 1
         self.stats.frees += 1
         tracer = self.tracer
@@ -214,6 +219,7 @@ class PageStore:
     def __enter__(self) -> None:
         if not self._depth:
             self.touched.clear()
+            self._mark = self._next_id
         self._depth += 1
 
     def __exit__(
@@ -223,12 +229,14 @@ class PageStore:
         tb: TracebackType | None,
     ) -> None:
         self._depth -= 1
-        if not self._depth and exc_type is None:
-            touched = self.touched
-            self._commit(self._op, touched)
-            preimages = self.preimages
-            for key in touched:
-                preimages.pop(key, None)
+        if self._depth:
+            return
+        if exc_type is None:
+            self._commit(self._op, self.touched)
+        else:
+            self._abort(self.touched)
+        self.preimages.clear()
+        self._freed.clear()
 
     def _touch(self, key: Any, size_class: int | None = None) -> None:
         """Note that the open transaction touched ``key`` (with its size
@@ -246,6 +254,21 @@ class PageStore:
     def _commit(self, op_name: str, touched: dict[Any, int | None]) -> None:
         """Make a closed transaction's record durable: nothing to do in
         memory.  An aborted transaction never reaches here."""
+
+    def _abort(self, touched: dict[Any, int | None]) -> None:
+        """Put the store back as the transaction found it (the I/O
+        counters keep its work): drop the pages it allocated, reinstall
+        every pre-image and rewind the allocation cursor."""
+        pages, size_of, classes = self._pages, self._size_class, self._classes
+        for page_id, size_class in touched.items():
+            if size_class is not None and page_id in size_of:
+                del pages[page_id], size_of[page_id]
+                classes[size_class].live_pages -= 1
+        for page_id, size_class in self._freed.items():
+            size_of[page_id] = size_class
+            classes[size_class].live_pages += 1
+        pages.update(self.preimages)
+        self._next_id = self._mark
 
     # ------------------------------------------------------------------
     # Introspection

@@ -37,3 +37,17 @@ def distinct_points(n: int, space: DataSpace, seed: int = 0):
             seen.add(path)
             out.append(point)
     return out
+
+
+def fail_inserts_of(tree, monkeypatch, value):
+    """Make ``tree.insert`` of ``value`` raise :class:`RuntimeError`
+    after the insert changed pages, inside the op's own transaction."""
+    insert = tree.insert
+
+    def failing(point, v=None, replace=False):
+        with tree.transaction("insert"):
+            insert(point, v, replace=replace)
+            if v == value:
+                raise RuntimeError(f"injected failure inserting {value!r}")
+
+    monkeypatch.setattr(tree, "insert", failing)

@@ -13,12 +13,11 @@ contracts at once:
 - **the writer poisons, not corrupts** — further writes raise
   ``StorageError``; the last published version keeps serving;
 - **recovery + doctor pass** — reopening the directory yields a tree
-  equal to some prefix of the driven op history (WAL commit granularity
-  is per-op, so a crash inside an all-or-nothing batch may legitimately
-  recover a partial batch: durability and snapshot isolation draw their
-  atomicity boundaries differently, and this suite pins that exact
-  distinction), and the recovered tree passes the structural checker
-  and the guarantee doctor.
+  equal to some prefix of the driven op history (an all-or-nothing
+  batch is one WAL transaction, so a crash inside one recovers none or
+  all of it: durability and snapshot isolation draw the same atomicity
+  boundary), and the recovered tree passes the structural checker and
+  the guarantee doctor.
 """
 
 import threading
@@ -156,19 +155,18 @@ class TestCrashCellsWithReaders:
         _assert_recovers_to_a_prefix(tmp_path, fine_ops)
 
     def test_crash_inside_all_or_nothing_batch(self, tmp_path):
-        """Cell 2: the process dies *inside* apply_batch.  Snapshot
-        atomicity held (nothing was published), but the WAL commits
-        per op — recovery may resurrect a partial batch."""
+        """Cell 2: the process dies *inside* apply_batch.  A batch is
+        one WAL transaction, so recovery holds none or all of it: the
+        last published version, or that version plus the whole batch."""
         service, space = _build(
             tmp_path, FaultPlan(crash_after_appends=70, tail="keep")
         )
         points = distinct_points(60, space, seed=32)
-        fine_ops = []
         published = [(0, frozenset())]
         stop = threading.Event()
         observations, failures = [], []
         readers = _start_readers(service, stop, observations, failures)
-        crashed = False
+        crashed_batch = None
         try:
             for start in range(0, len(points), 5):
                 chunk = points[start : start + 5]
@@ -179,13 +177,10 @@ class TestCrashCellsWithReaders:
                 try:
                     lsn = service.apply_batch(batch)
                 except SimulatedCrashError:
-                    crashed = True
-                    # The WAL may hold a prefix of this batch's ops.
-                    for j, p in enumerate(chunk):
-                        fine_ops.append(("insert", p, start + j))
+                    crashed_batch = {
+                        (tuple(p), start + j) for j, p in enumerate(chunk)
+                    }
                     break
-                for j, p in enumerate(chunk):
-                    fine_ops.append(("insert", p, start + j))
                 published.append(
                     (lsn, frozenset(service.snapshot().items()))
                 )
@@ -193,12 +188,18 @@ class TestCrashCellsWithReaders:
             stop.set()
             for thread in readers:
                 thread.join()
-        assert crashed, "fault plan never fired"
+        assert crashed_batch is not None, "fault plan never fired"
         assert service.poisoned
         # No torn batch was ever published to readers.
         assert frozenset(service.snapshot().items()) == published[-1][1]
         _check_readers(observations, published, failures)
-        _assert_recovers_to_a_prefix(tmp_path, fine_ops)
+        recovered, _ = open_durable_tree(tmp_path)
+        got = frozenset((tuple(p), v) for p, v in recovered.items())
+        assert got in {published[-1][1], published[-1][1] | crashed_batch}
+        recovered.check(check_occupancy=False, check_justification=False)
+        doctor = run_doctor(recovered, workload="recovered")
+        assert doctor.exit_code == 0, doctor.health.to_dict()
+        recovered.store.close()
 
     def test_crash_inside_checkpoint_with_pinned_readers(self, tmp_path):
         """Cell 3: checkpoint dies mid-write; the old image + WAL replay

@@ -6,7 +6,16 @@ tool that takes the tree's store — a profiler, ``close``, ``checkpoint``
 — works the same on a served tree as on a bare one.
 """
 
-from repro.concurrency import TreeService
+import random
+
+import pytest
+
+from repro.concurrency import (
+    BatchAbortedError,
+    TreeService,
+    delete_op,
+    insert_op,
+)
 from repro.core.tree import BVTree
 from repro.obs.profile import OpProfiler
 from repro.storage.buffer import BufferPool
@@ -65,3 +74,49 @@ def test_durable_store_closes_without_unwrapping(tmp_path):
         assert recovered.get(points[1]) == 1
     finally:
         recovered.store.close()
+
+
+def _served_wal(directory, layout, aborts):
+    """The WAL of a seeded durable service workload: a bulk load, then
+    groups that hold missing-key deletes and duplicate inserts, then
+    (with ``aborts``) batches that change pages and fail at their end."""
+    tree = create_durable_tree(
+        directory, make_space(), data_capacity=4, fanout=4, layout=layout,
+        sync="os",
+    )
+    service = TreeService(tree)
+    rng = random.Random(17)
+    points = distinct_points(500, tree.space, seed=13)
+    live, fresh = points[:300], points[300:]
+    service.bulk_load([(p, i) for i, p in enumerate(live)])
+    missing = fresh.pop()
+    for group in range(12):
+        ops = [delete_op(missing), insert_op(rng.choice(live), "dup")]
+        for _ in range(6):
+            if rng.random() < 0.5:
+                point = fresh.pop()
+                ops.append(insert_op(point, group))
+                live.append(point)
+            else:
+                ops.append(delete_op(live.pop(rng.randrange(len(live)))))
+        outcomes, _ = service.apply_ops(ops)
+        assert [ok for ok, _ in outcomes] == [False, False] + [True] * 6
+    if aborts:
+        for size in (3, 8, 20):
+            batch = [insert_op(p, "aborted") for p in fresh[-size:]]
+            batch += [delete_op(p) for p in rng.sample(live, size)]
+            batch.append(delete_op(missing))
+            with pytest.raises(BatchAbortedError):
+                service.apply_batch(batch)
+    items = dict(tree.items())
+    tree.check(check_owners=True)
+    tree.store.close(checkpoint=False)
+    return (directory / "wal.log").read_bytes(), items
+
+
+def test_aborted_batches_leave_the_wal_as_it_was(tmp_path, layout):
+    wal, items = _served_wal(tmp_path / "plain", layout, aborts=False)
+    assert _served_wal(tmp_path / "aborted", layout, aborts=True) == (
+        wal,
+        items,
+    )

@@ -2,8 +2,9 @@
 
 The properties the serving layer leans on, each pinned in isolation:
 a pinned snapshot is frozen (split cascades invisible), version stores
-are read-only, validation errors don't kill the writer but torn writes
-do, and a failed all-or-nothing batch rolls back completely.
+are read-only, a failed op aborts and leaves the writer live while a
+dead store disables it, and a failed all-or-nothing batch aborts
+completely.
 """
 
 import pytest
@@ -21,10 +22,17 @@ from repro.errors import (
     DuplicateKeyError,
     KeyNotFoundError,
     PageNotFoundError,
+    SimulatedCrashError,
     StorageError,
 )
+from repro.storage.durable import create_durable_tree
+from repro.storage.faults import FaultPlan
 
-from tests.concurrency.conftest import distinct_points, make_space
+from tests.concurrency.conftest import (
+    distinct_points,
+    fail_inserts_of,
+    make_space,
+)
 from tests.concurrency.lockstep import build_service
 
 
@@ -226,7 +234,7 @@ class TestPoisonSemantics:
         assert service.lsn == 2
 
     def test_torn_write_poisons_and_readers_keep_last_version(
-        self, layout, monkeypatch
+        self, layout, monkeypatch, tmp_path
     ):
         service, _ = build_service(layout)
         points = distinct_points(10, service.tree.space, seed=2)
@@ -235,15 +243,15 @@ class TestPoisonSemantics:
         pinned = service.snapshot()
         committed = dict(pinned.items())
 
-        # Crash the store mid-mutation: the write lands (and joins the
-        # transaction's record) before the failure, so page state was
-        # torn — the poison case.
+        # Fail the store mid-mutation: the write lands before the
+        # failure, so the op had changed pages.  Its transaction aborts
+        # and puts them back; the writer stays live.
         inner = service.tree.store
         real_write = inner.write
 
         def torn_write(page_id, content):
             real_write(page_id, content)
-            raise RuntimeError("injected crash after a page write")
+            raise RuntimeError("injected failure after a page write")
 
         monkeypatch.setattr(inner, "write", torn_write)
         extra = distinct_points(1, service.tree.space, seed=55)[0]
@@ -251,13 +259,28 @@ class TestPoisonSemantics:
             service.insert(extra, "boom")
         monkeypatch.undo()
 
+        assert not service.poisoned
+        assert dict(service.tree.items()) == committed
+        service.tree.check(check_owners=True)
+        assert dict(service.snapshot().items()) == committed
+        assert service.insert(extra, "retried") == pinned.lsn + 1
+
+        # Only a store death poisons: a torn WAL tail kills the durable
+        # store, and readers keep the last version it published.
+        tree = create_durable_tree(
+            tmp_path, make_space(), data_capacity=4, fanout=4,
+            layout=layout, sync="os",
+            faults=FaultPlan(crash_after_appends=40, tail="torn"),
+        )
+        service = TreeService(tree)
+        with pytest.raises(SimulatedCrashError):
+            for i, point in enumerate(points * 10):
+                service.insert(point, i, replace=True)
+                pinned = service.snapshot()
         assert service.poisoned
         with pytest.raises(StorageError):
             service.insert((0.9, 0.9), "after")
-        # Readers are unaffected: old pins and new snapshots both serve
-        # the last published version.
-        assert dict(pinned.items()) == committed
-        assert dict(service.snapshot().items()) == committed
+        assert dict(service.snapshot().items()) == dict(pinned.items())
         assert service.snapshot().lsn == pinned.lsn
 
 
@@ -308,3 +331,21 @@ class TestBatchSemantics:
         snapshot = service.snapshot()
         assert snapshot.contains(b)
         assert not snapshot.contains(a)
+
+    def test_apply_ops_keeps_any_failure_to_its_own_op(
+        self, layout, monkeypatch
+    ):
+        service, _ = build_service(layout)
+        a, b, c = distinct_points(3, service.tree.space, seed=8)
+        service.insert(a, "a")
+        fail_inserts_of(service.tree, monkeypatch, "boom")
+        outcomes, lsn = service.apply_ops(
+            [insert_op(b, "b"), insert_op(c, "boom"), delete_op(a)]
+        )
+        assert [ok for ok, _ in outcomes] == [True, False, True]
+        assert isinstance(outcomes[1][1], RuntimeError)
+        assert lsn == 2  # one publication for the whole group
+        assert not service.poisoned
+        assert dict(service.snapshot().items()) == {b: "b"}
+        assert dict(service.tree.items()) == {b: "b"}
+        service.tree.check(check_owners=True)

@@ -25,6 +25,7 @@ from repro.geometry.space import DataSpace
 from repro.obs.metrics import lint_prometheus
 from repro.server.app import Response, ServingApp, status_for
 from repro.storage.durable import create_durable_tree
+from repro.storage.faults import FaultPlan
 from tests.concurrency.lockstep import build_service
 
 
@@ -480,27 +481,26 @@ class TestHealthStatsMetrics:
         assert response.payload["records"] == len(records)
         assert response.payload["lsn"] == 1
 
-    def test_health_poisoned_is_503(self, monkeypatch):
-        app = make_app()
-        post(app, "/v1/insert", {"point": [0.5, 0.5], "value": 1})
+    def test_health_poisoned_is_503(self, tmp_path):
+        # Only a dead store poisons the writer: a WAL that crashes
+        # mid-commit kills this durable one.
+        tree = create_durable_tree(
+            tmp_path, DataSpace.unit(2, resolution=8), data_capacity=4,
+            fanout=4, sync="os",
+            faults=FaultPlan(crash_after_appends=9, tail="torn"),
+        )
+        app = ServingApp(TreeService(tree))
+        assert post(app, "/v1/insert", {"point": [0.5, 0.5], "value": 1}).status == 201
 
-        # Poison the writer: fail the store mid-write so the
-        # transaction's record is non-empty when the exception lands.
-        inner = app.service.tree.store
-        original = inner.write
+        # The crashing commit itself surfaces as a storage failure...
+        statuses = [
+            post(app, "/v1/insert", {"point": [i / 8, 0.25]}).status
+            for i in range(4)
+        ]
+        assert 503 in statuses
+        assert app.service.poisoned
 
-        def torn_write(page_id, page):
-            original(page_id, page)
-            raise OSError("disk went away")
-
-        monkeypatch.setattr(inner, "write", torn_write)
-        # The torn write itself surfaces as the raw failure (500)...
-        response = post(app, "/v1/insert", {"point": [0.25, 0.25]})
-        assert response.status == 500
-        assert response.payload["kind"] == "OSError"
-        monkeypatch.undo()
-
-        # ...and every write after it hits the poison guard: 503.
+        # ...and every write after it fails on the dead store: 503.
         response = post(app, "/v1/insert", {"point": [0.75, 0.75]})
         assert response.status == 503
         assert response.payload["kind"] == "StorageError"

@@ -20,6 +20,7 @@ from repro.errors import DuplicateKeyError, KeyNotFoundError, ReproError
 from repro.server.app import ServingApp
 from repro.server.batch import WriteBatcher
 from repro.server.http import ServerHandle
+from tests.concurrency.conftest import fail_inserts_of
 from tests.concurrency.lockstep import build_service
 
 
@@ -123,6 +124,35 @@ class TestGrouping:
         assert not ok and isinstance(exc, KeyNotFoundError)
         assert [len(g) for g in service.groups] == [1, 3]
         assert service.inner.get(point(1)) == "v"
+
+    def test_a_failing_op_leaves_the_group_to_commit(self, monkeypatch):
+        service, _ = build_service()
+        batcher = WriteBatcher(service)
+        app = ServingApp(service, batcher=batcher)
+        service.insert(point(0), 0)
+        fail_inserts_of(service.tree, monkeypatch, "boom")
+
+        async def scenario():
+            replies = [
+                app.handle("POST", path, json.dumps(body).encode())
+                for path, body in (
+                    ("/v1/insert", {"point": point(1), "value": "v"}),
+                    ("/v1/insert", {"point": point(2), "value": "boom"}),
+                    ("/v1/delete", {"point": point(0)}),
+                )
+            ]
+            return await asyncio.gather(*replies)
+
+        try:
+            inserted, failed, deleted = asyncio.run(scenario())
+        finally:
+            batcher.close()
+        assert (inserted.status, deleted.status) == (201, 200)
+        assert failed.status == 500
+        assert failed.payload["kind"] == "RuntimeError"
+        assert batcher.stats.batches == 1
+        assert service.lsn == 2
+        assert dict(service.snapshot().items()) == {point(1): "v"}
 
     def test_a_service_failure_rejects_its_group_only(self, recorded):
         service, batcher = recorded

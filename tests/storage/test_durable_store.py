@@ -235,18 +235,19 @@ class TestTransactions:
                 page.insert(2, (0.25,), "b")
                 store.write(page_id, page)
                 raise RuntimeError("abort")
-        # The aborted change never reached the log and the delta base
-        # never moved: the next write logs everything since the last
-        # *committed* image, the aborted record included.
+        # The aborted change never reached the log, and the abort put
+        # the committed image back as the page and the delta base: the
+        # next write logs its own change only.
+        assert sorted(store.peek(page_id).records) == [1]
         page = store.writable(page_id)
         page.insert(3, (0.75,), "c")
         store.write(page_id, page)
         last = wal_records(store)[-1][2]
         assert last["dk"] == 1
-        assert sorted(last["p"]) == [2, 3]
+        assert sorted(last["p"]) == [3]
         store.close(checkpoint=False)
         recovered, _ = recover_store(tmp_path, sync="os")
-        assert sorted(recovered.read(page_id).records) == [1, 2, 3]
+        assert sorted(recovered.read(page_id).records) == [1, 3]
         recovered.close(checkpoint=False)
 
     def test_page_written_many_times_logs_one_record(self, tmp_path):

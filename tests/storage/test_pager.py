@@ -230,9 +230,13 @@ class TestTransactions:
                 a = store.allocate("a")
                 raise RuntimeError("boom")
         assert store.commits == []
+        # The record stays readable; what it allocated is gone, and the
+        # next allocation takes its id again.
         assert store.touched == {a: 0}
+        assert a not in store and len(store) == 0
         with store.transaction("insert"):
             assert store.touched == {}
+            assert store.allocate("b") == a
 
 
 class _Page:
@@ -319,11 +323,16 @@ class TestWritable:
             with store.transaction("insert"):
                 store.writable(page).items.append(2)
                 raise RuntimeError("abort")
+        # The abort put the pre-image back, though the copy was never
+        # written, and forgot it: the page stays the committed object.
+        assert store.peek(page) is committed and committed.items == [1]
+        assert store.preimages == {}
         with store.transaction("insert"):
             private = store.writable(page)
-            assert private.items == [1, 2]  # the aborted copy, not a new one
+            assert private is not committed and private.items == [1]
             assert store.preimages == {page: committed}
             store.write(page, private)
+        assert store.peek(page) is private
         assert store.preimages == {}
 
     def test_outside_a_transaction(self):
