@@ -137,8 +137,9 @@ echo "== concurrency =="
 # benchmark's self-tests ride along: their write-count test drives two
 # clients through the real batcher and requires that they coalesce.
 python -m pytest -x -q tests/concurrency tests/server
-# The server under asyncio's debug mode with warnings as errors: an
-# unclosed transport or a stray shutdown traceback fails the lane.
+# The server under dev mode with warnings as errors: a connection, the
+# listener or the loop's wake socket pair left unclosed after shutdown
+# is a ResourceWarning, and fails the lane.
 python -X dev -W error -m pytest -q tests/server
 # The same for the storage layer: a leaked WAL or page-file handle is a
 # ResourceWarning, and fails the lane.

@@ -640,10 +640,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # Imported lazily: the serving stack pulls in asyncio and the
-    # concurrency layer, which no other subcommand needs.
-    import asyncio
-
+    # Imported lazily: the serving stack pulls in the concurrency layer,
+    # which no other subcommand needs.
     from repro.concurrency import TreeService
     from repro.obs.metrics import MetricsRegistry
     from repro.server import ServingApp, WriteBatcher, serve_app
@@ -668,7 +666,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     try:
-        asyncio.run(serve_app(app, args.host, args.port))
+        serve_app(app, args.host, args.port)
     except KeyboardInterrupt:
         print("\nshutting down", file=sys.stderr)
     finally:
@@ -963,9 +961,9 @@ def build_parser() -> argparse.ArgumentParser:
             "the single-writer/many-readers TreeService and serves the "
             "HTTP/JSON API (get/insert/delete/range/knn/batch/bulk plus "
             "/health, /stats and Prometheus /metrics) until Ctrl-C. "
-            "One event loop serves every request: writes parsed in the "
-            "same loop iteration coalesce into one group commit; reads "
-            "run against immutable snapshots. "
+            "One loop serves every request: writes parsed in one pass "
+            "over the ready sockets coalesce into one group commit; "
+            "reads run against immutable snapshots. "
             "See docs/SERVING.md."
         ),
     )

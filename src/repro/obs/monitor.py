@@ -24,6 +24,14 @@ imports core types.  It duck-types page content — an object with an
 else with ``len()`` is a data page — and reads pages through the store's
 uncounted ``peek`` so monitoring never perturbs the I/O accounting it
 observes.
+
+An aborted transaction puts its pages back without emitting events, and
+it can abort after its ops' ``op_end`` (an exception raised later in an
+enclosing ``tree.transaction``).  So the monitor remembers the page
+object it folded for every page a page event named, and re-derives any
+whose store content is no longer that object (or is gone): at the first
+``op_begin`` of the next transaction, when it also forgets them, and in
+:meth:`GuaranteeMonitor.audit`.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
+from repro.errors import PageNotFoundError
 from repro.obs.events import (
     DATA_SPLIT,
     DEMOTION,
@@ -130,6 +139,9 @@ class GuaranteeMonitor:
         self._op_splits: dict[int, int] = {}
         #: Open bulk-load spans (exempt from the split-chain gauge).
         self._bulk_ops: set[int] = set()
+        #: page id -> the content folded for it (``None``: freed) for
+        #: every page named since the last transaction closed.
+        self._named: dict[int, Any] = {}
         self.ops_seen = 0
 
     # ------------------------------------------------------------------
@@ -163,6 +175,7 @@ class GuaranteeMonitor:
         self._occ.clear()
         self._page_guards.clear()
         self.guards_by_level.clear()
+        self._named.clear()
         store = self.tree.store
         for page_id in store.page_ids():
             self._track(page_id, store.peek(page_id))
@@ -177,13 +190,17 @@ class GuaranteeMonitor:
         kind = event.kind
         if kind == PAGE_WRITE:
             page = event.fields["page"]
+            content = self._named[page] = self.tree.store.peek(page)
             self._untrack(page)
-            self._track(page, self.tree.store.peek(page))
+            self._track(page, content)
         elif kind == PAGE_ALLOC:
             page = event.fields["page"]
-            self._track(page, self.tree.store.peek(page))
+            content = self._named[page] = self.tree.store.peek(page)
+            self._track(page, content)
         elif kind == PAGE_FREE:
-            self._untrack(event.fields["page"])
+            page = event.fields["page"]
+            self._named[page] = None
+            self._untrack(page)
         elif kind in (DATA_SPLIT, INDEX_SPLIT):
             self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
             if event.op and event.op not in self._bulk_ops:
@@ -192,6 +209,11 @@ class GuaranteeMonitor:
                 if chain > self.max_splits_per_op:
                     self.max_splits_per_op = chain
         elif kind == OP_BEGIN:
+            # A store opening a transaction clears its record of touched
+            # pages: every page named so far belongs to a closed one.
+            if self._named and not self.tree.store.touched:
+                self._settle()
+                self._named.clear()
             if event.fields.get("name") == "bulk_load":
                 # A bulk load is one span performing O(n / capacity)
                 # planned splits; the no-cascade guarantee is about
@@ -238,6 +260,19 @@ class GuaranteeMonitor:
         self._pages[page_id] = (level, size)
         bucket = self._occ.setdefault(level, {})
         bucket[size] = bucket.get(size, 0) + 1
+
+    def _settle(self) -> None:
+        """Re-derive each named page an abort put back or dropped."""
+        peek = self.tree.store.peek
+        for page_id, folded in self._named.items():
+            try:
+                content = peek(page_id)
+            except PageNotFoundError:
+                content = None
+            if content is not folded:
+                self._untrack(page_id)
+                self._track(page_id, content)
+                self._named[page_id] = content
 
     def _untrack(self, page_id: int) -> None:
         tracked = self._pages.pop(page_id, None)
@@ -378,6 +413,7 @@ class GuaranteeMonitor:
         assert ``clean`` across random workloads.
         """
         drift: list[str] = []
+        self._settle()
         stats = self.tree.tree_stats()
 
         swept: dict[int, dict[int, int]] = {}

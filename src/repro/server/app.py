@@ -2,11 +2,11 @@
 
 The app is transport-free: :meth:`ServingApp.handle` maps ``(method,
 path, body bytes)`` to a :class:`Response`, so the contract tests drive
-it directly — no socket, no event loop — and the asyncio HTTP layer
+it directly — no socket, no serving loop — and the HTTP layer
 (:mod:`repro.server.http`) is a thin shell around the same method.
 With a :class:`~repro.server.batch.WriteBatcher` attached, a single-op
-write is the one exception: ``handle`` queues it and returns an
-awaitable of its response, which the loop awaits.
+write is the one exception: ``handle`` queues it and returns a
+:class:`Pending` reply, which settles when the batcher commits it.
 
 Error mapping (asserted by the contract tests)::
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Awaitable, Callable, Iterator, Union
+from typing import Any, Callable, Iterator, Union
 
 from repro.concurrency.service import BatchAbortedError, TreeService, WriteOp
 from repro.errors import (
@@ -45,9 +45,9 @@ from repro.errors import (
 )
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, to_prometheus
 from repro.obs.profile import LATENCY_BUCKETS_US, PAGES_BUCKETS
-from repro.server.batch import Outcome, WriteBatcher
+from repro.server.batch import Settled, WriteBatcher
 
-__all__ = ["Response", "ServingApp", "status_for"]
+__all__ = ["Pending", "Response", "ServingApp", "status_for"]
 
 #: The coordinate types a JSON body may carry (``bool`` is not one).
 _NUMERIC = frozenset((int, float))
@@ -67,9 +67,22 @@ class Response:
         return str(self.payload).encode()
 
 
-#: What a handler returns: a response, or (a batched write) an
-#: awaitable of one.
-Reply = Union[Response, Awaitable[Response]]
+class Pending:
+    """A batched write's reply: the batcher's next ``drain()`` passes
+    its :class:`Response` to :attr:`callback`, which the caller sets."""
+
+    __slots__ = ("callback",)
+
+    def __init__(self) -> None:
+        self.callback: Callable[[Response], None] = lambda response: None
+
+
+#: What :meth:`ServingApp.handle` returns.
+Reply = Union[Response, Pending]
+#: Builds a write's success response from its result and LSN.
+_Respond = Callable[[Any, int], Response]
+#: A route's answer: a response, or a write and its ``_Respond``.
+_Answer = Union[Response, tuple[WriteOp, _Respond]]
 
 
 def status_for(exc: BaseException) -> int:
@@ -116,7 +129,7 @@ class _EndpointInstruments:
 @dataclass
 class _Route:
     endpoint: str
-    handler: Callable[["ServingApp", dict[str, Any]], Reply]
+    handler: Callable[["ServingApp", dict[str, Any]], _Answer]
     needs_body: bool = True
 
 
@@ -134,8 +147,8 @@ class ServingApp:
     batcher:
         Optionally a :class:`WriteBatcher`.  When present, single-op
         writes (``insert``/``delete``) go through it — group commits of
-        the writes parsed in one loop iteration — and :meth:`handle`
-        returns an awaitable of their response.  Without one, writes
+        the writes parsed in one loop pass — and :meth:`handle`
+        returns a :class:`Pending` reply for them.  Without one, writes
         apply directly (the contract tests run this way).  ``/v1/batch``
         and ``/v1/bulk`` always bypass the batcher: the former needs the
         all-or-nothing path, the latter is a rare whole-tree build.
@@ -158,9 +171,9 @@ class ServingApp:
     def handle(self, method: str, path: str, body: bytes | None) -> Reply:
         """Serve one request; never raises (errors become responses).
 
-        A batched write returns an awaitable of its response instead,
-        for the calling event loop to await; its latency is observed
-        when the write's outcome resolves.
+        A batched write returns a :class:`Pending` reply instead, which
+        settles when the batcher commits it; its latency is observed
+        then.
         """
         route = _ROUTES.get((method.upper(), path))
         if route is None:
@@ -174,25 +187,43 @@ class ServingApp:
         t0 = perf_counter()
         try:
             request = self._parse_body(body) if route.needs_body else {}
-            response = route.handler(self, request)
+            answer = route.handler(self, request)
+            if isinstance(answer, Response):
+                response = answer
+            elif self.batcher is not None:
+                return self._submit(*answer, instruments, t0)
+            else:
+                # A write: ``respond(result, lsn)`` builds its success
+                # response; a failed op raises its error, mapped below.
+                op, respond = answer
+                response = _written(self.service.apply_ops([op]), respond)
         except BaseException as exc:
             instruments.errors.inc()
             response = self._error_response(exc)
-        if not isinstance(response, Response):
-            return self._settle(response, instruments, t0)
         instruments.latency_us.observe((perf_counter() - t0) * 1e6)
         return response
 
-    async def _settle(
-        self, pending: Awaitable[Response], instruments: _EndpointInstruments, t0: float
-    ) -> Response:
-        try:
-            response = await pending
-        except Exception as exc:
-            instruments.errors.inc()
-            response = self._error_response(exc)
-        instruments.latency_us.observe((perf_counter() - t0) * 1e6)
-        return response
+    def _submit(
+        self,
+        op: WriteOp,
+        respond: _Respond,
+        instruments: _EndpointInstruments,
+        t0: float,
+    ) -> Pending:
+        """Queue one write with the batcher and return its reply."""
+        pending = Pending()
+
+        def settle(outcome: Settled) -> None:
+            try:
+                response = _written(outcome, respond)
+            except Exception as exc:
+                instruments.errors.inc()
+                response = self._error_response(exc)
+            instruments.latency_us.observe((perf_counter() - t0) * 1e6)
+            pending.callback(response)
+
+        self.batcher.submit([op], settle)  # type: ignore[union-attr]
+        return pending
 
     def _instrument(self, endpoint: str) -> _EndpointInstruments:
         instruments = self._instruments.get(endpoint)
@@ -248,21 +279,6 @@ class ServingApp:
             )
         return replace
 
-    def _write(self, op: WriteOp, respond: Callable[[Any, int], Response]) -> Reply:
-        """Apply one op, through the batcher when one is attached.
-
-        ``respond(result, lsn)`` builds the success response; a failed
-        op raises its error for :meth:`handle` to map.
-        """
-        if self.batcher is None:
-            return _written(self.service.apply_ops([op]), respond)
-        future = self.batcher.submit([op])
-
-        async def settled() -> Response:
-            return _written(await future, respond)
-
-        return settled()
-
     # -- endpoints -------------------------------------------------------
 
     def _get(self, request: dict[str, Any]) -> Response:
@@ -288,21 +304,16 @@ class ServingApp:
             {"point": list(point), "value": value, "lsn": snapshot.lsn},
         )
 
-    def _insert(self, request: dict[str, Any]) -> Reply:
+    def _insert(self, request: dict[str, Any]) -> _Answer:
         point = self._point(request)
         replace = self._replace(request)
         op: WriteOp = ("insert", point, request.get("value"), replace)
-        return self._write(
-            op, lambda _, lsn: Response(201, {"point": list(point), "lsn": lsn})
-        )
+        return op, lambda _, lsn: Response(201, {"point": list(point), "lsn": lsn})
 
-    def _delete(self, request: dict[str, Any]) -> Reply:
+    def _delete(self, request: dict[str, Any]) -> _Answer:
         point = self._point(request)
-        return self._write(
-            ("delete", point),
-            lambda value, lsn: Response(
-                200, {"point": list(point), "value": value, "lsn": lsn}
-            ),
+        return ("delete", point), lambda value, lsn: Response(
+            200, {"point": list(point), "value": value, "lsn": lsn}
         )
 
     def _range(self, request: dict[str, Any]) -> Response:
@@ -450,7 +461,9 @@ def _checked_records(
         yield point, item[1]
 
 
-def _written(done: Outcome, respond: Callable[[Any, int], Response]) -> Response:
+def _written(done: Settled, respond: _Respond) -> Response:
+    if isinstance(done, BaseException):
+        raise done
     (ok, result), lsn = done[0][0], done[1]
     if not ok:
         raise result

@@ -1,15 +1,15 @@
-"""Group-commit write batching on the serving event loop.
+"""Group-commit write batching on the serving loop.
 
 HTTP write requests land one at a time, but the service pays fixed
 costs per commit — the writer lock handoff and the version publication.
-The batcher amortises them without a thread of its own.  :meth:`submit`
-runs on the event loop: it parks the request with an ``asyncio`` future
-and, for the first request of a group, schedules one ``call_soon``
-drain, so a group is every write parsed in the same loop iteration.
-The drain commits it in chunks of at most ``max_batch`` requests, each
-under **one** lock hold and **one** publication via
-:meth:`TreeService.apply_ops`, and resolves each request's future with
-its own outcome.  There is no timer, so a lone write never waits for
+The batcher amortises them without a thread of its own.  The serving
+loop (:mod:`repro.server.http`) calls :meth:`submit` for every write it
+parses in one pass over its ready sockets, then :meth:`drain` once, so a
+group is every write parsed in the same loop pass.  The drain commits
+it in chunks of at most ``max_batch`` requests, each under **one** lock
+hold and **one** publication via :meth:`TreeService.apply_ops`, and
+hands each request its own outcome through the callback it was
+submitted with.  There is no timer, so a lone write never waits for
 stragglers.  A connection has at most one request in flight, so pending
 writes are bounded by open connections.
 
@@ -25,8 +25,7 @@ which goes through :meth:`TreeService.apply_batch` directly.
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, Union
 
 from repro.concurrency.service import TreeService, WriteOp
 from repro.errors import ReproError
@@ -35,8 +34,11 @@ __all__ = ["BatchStats", "WriteBatcher"]
 
 #: One request's result: its own per-op outcomes and the commit's LSN.
 Outcome = tuple[list[tuple[bool, Any]], int]
-#: One queued request: its ops and the future its caller awaits.
-_Request = tuple[list[WriteOp], "asyncio.Future[Outcome]"]
+#: What a request's callback receives: its outcome, or the exception
+#: that rejected its whole group.
+Settled = Union[Outcome, BaseException]
+#: One queued request: its ops and the callback that settles it.
+_Request = tuple[Sequence[WriteOp], Callable[[Settled], None]]
 
 
 class BatchStats:
@@ -63,7 +65,7 @@ class BatchStats:
 
 
 class WriteBatcher:
-    """Coalesces the writes of one loop iteration into group commits."""
+    """Coalesces the writes submitted between drains into group commits."""
 
     def __init__(self, service: TreeService, *, max_batch: int = 64):
         if max_batch <= 0:
@@ -74,49 +76,41 @@ class WriteBatcher:
         self._pending: list[_Request] = []
         self._closed = False
 
-    def submit(self, ops: Sequence[WriteOp]) -> "asyncio.Future[Outcome]":
-        """Queue one request's ops; call on the loop thread.
+    def submit(
+        self, ops: Sequence[WriteOp], done: Callable[[Settled], None]
+    ) -> None:
+        """Queue one request's ops until the next :meth:`drain`.
 
-        The future resolves to ``(outcomes, lsn)``: the request's own
-        per-op outcomes plus the LSN at which its successful effects
-        became visible.  A service-level failure (poisoned writer)
-        rejects it with the underlying exception.
+        ``done`` is called once, on the draining thread, with
+        ``(outcomes, lsn)``: the request's own per-op outcomes plus the
+        LSN at which its successful effects became visible.  A
+        service-level failure (poisoned writer) passes the exception
+        instead.
         """
         if self._closed:
             raise ReproError("write batcher is closed")
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Outcome]" = loop.create_future()
-        if not self._pending:
-            loop.call_soon(self._drain)
-        self._pending.append((list(ops), future))
-        return future
+        self._pending.append((ops, done))
+
+    def drain(self) -> None:
+        """Commit every request submitted since the last drain."""
+        pending, self._pending = self._pending, []
+        for start in range(0, len(pending), self.max_batch):
+            self._commit(pending[start : start + self.max_batch])
 
     def close(self) -> None:
-        """Refuse new writes and fail any still pending.
-
-        Safe after the loop has stopped: the failed futures' callbacks
-        run if the loop runs again.
-        """
+        """Refuse new writes and fail any still pending."""
         self._closed = True
         pending, self._pending = self._pending, []
-        for _, future in pending:
-            if not future.done():
-                future.set_exception(ReproError("write batcher is closed"))
-
-    def _drain(self) -> None:
-        # A request cancelled at shutdown is not applied.
-        live = [(ops, f) for ops, f in self._pending if not f.done()]
-        self._pending = []
-        for start in range(0, len(live), self.max_batch):
-            self._commit(live[start : start + self.max_batch])
+        for _, done in pending:
+            done(ReproError("write batcher is closed"))
 
     def _commit(self, group: list[_Request]) -> None:
         flat = [op for ops, _ in group for op in ops]
         try:
             outcomes, lsn = self.service.apply_ops(flat)
         except Exception as exc:
-            for _, future in group:
-                future.set_exception(exc)
+            for _, done in group:
+                done(exc)
             return
         stats = self.stats
         stats.batches += 1
@@ -124,6 +118,6 @@ class WriteBatcher:
         stats.ops += len(flat)
         stats.max_batch_seen = max(stats.max_batch_seen, len(group))
         start = 0
-        for ops, future in group:
-            future.set_result((outcomes[start : start + len(ops)], lsn))
+        for ops, done in group:
+            done((outcomes[start : start + len(ops)], lsn))
             start += len(ops)

@@ -1,31 +1,31 @@
-"""A stdlib-asyncio HTTP/1.1 shell around :class:`ServingApp`.
+"""A stdlib ``selectors`` HTTP/1.1 shell around :class:`ServingApp`.
 
 Minimal by design: request line + headers + ``Content-Length`` body,
-keep-alive connections, JSON in and out.  No dependency beyond the
-standard library (the container the repo targets has no web framework).
+keep-alive connections, JSON in and out, standard library only.
 
-Threading model: one event loop serves every request.  Reads run
-inline — a snapshot read is sub-millisecond CPU work, and under the GIL
-a thread pool would add handoffs without adding parallelism.  A
-single-op write is queued with the :class:`~repro.server.batch.WriteBatcher`
-and its connection awaits the response; the batcher commits every write
-parsed in the same loop iteration as one group, on the loop thread.
-Each connection has at most one request in flight, so pending writes
-are bounded by the open connections.
-
-:class:`ServerHandle` hosts the loop in a daemon thread for in-process
-callers (the tests); ``repro serve`` runs :func:`serve_app` in the
-foreground.
+One loop on one thread serves every request (under the GIL more
+threads would add handoffs, not parallelism).  Each pass (1) reads
+every ready socket and serves the requests in its buffer: reads answer
+inline, a single-op write goes to the
+:class:`~repro.server.batch.WriteBatcher` and parks its connection;
+(2) drains the batcher, so the writes parsed in one pass commit as one
+group, and answers them; (3) resumes parsing on the connections those
+writes had parked.  Output the socket does not take waits for
+``EVENT_WRITE``, and the connection is not read until it is sent.  A
+header block over :data:`MAX_HEADER_BYTES`, a body over
+:data:`MAX_BODY_BYTES` or a malformed request is answered 400 and the
+connection closed.
 """
 
 from __future__ import annotations
 
-import asyncio
+import selectors
+import socket
 import threading
+from http import HTTPStatus
 from typing import Any
 
-from repro.errors import ReproError
-from repro.server.app import Response, ServingApp
+from repro.server.app import Pending, Response, ServingApp
 
 __all__ = ["ServerHandle", "serve_app"]
 
@@ -33,18 +33,16 @@ __all__ = ["ServerHandle", "serve_app"]
 #: any legitimate endpoint approaches — bulk loads of millions of
 #: records belong in the CLI, not a single HTTP request).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+#: Refuse a request whose line and headers exceed this many bytes.
+MAX_HEADER_BYTES = 64 * 1024
 
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+_RECV_BYTES = 256 * 1024
+_READ = selectors.EVENT_READ
+_WRITE = selectors.EVENT_WRITE
+
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+_MALFORMED = Response(400, {"error": "malformed request"})
 
 
 def _encode(response: Response, keep_alive: bool) -> bytes:
@@ -60,180 +58,88 @@ def _encode(response: Response, keep_alive: bool) -> bytes:
     return head.encode() + body
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, dict[str, str], bytes] | None:
-    """Parse one request; ``None`` on clean EOF."""
-    try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.IncompleteReadError):
-        return None
-    if not line:
-        return None
-    parts = line.decode("latin-1").strip().split()
-    if len(parts) != 3:
-        raise ReproError(f"malformed request line: {line!r}")
-    method, target, _version = parts
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if length > MAX_BODY_BYTES:
-        raise ReproError(f"request body of {length} bytes exceeds the cap")
-    body = await reader.readexactly(length) if length else b""
+def _parse_head(head: bytearray) -> tuple[str, str, int, bool]:
+    """``(method, path, content length, keep-alive)`` of one header
+    block; raises ``ValueError`` when it is malformed."""
+    lines = head.split(b"\r\n")
+    method, target, _version = lines[0].decode("latin-1").split()
+    length, keep_alive = 0, True
+    for line in lines[1:]:
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name == b"content-length":
+            length = int(value)
+            if not 0 <= length <= MAX_BODY_BYTES:
+                raise ValueError(f"request body of {length} bytes")
+        elif name == b"connection":
+            keep_alive = value.strip().lower() != b"close"
     # Strip any query string; the API carries arguments in JSON bodies.
-    path = target.split("?", 1)[0]
-    return method, path, headers, body
+    return method, target.split("?", 1)[0], length, keep_alive
 
 
-async def _handle_connection(
-    app: ServingApp,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    try:
-        while True:
-            try:
-                request = await _read_request(reader)
-            except (ReproError, ValueError, asyncio.IncompleteReadError):
-                writer.write(
-                    _encode(
-                        Response(400, {"error": "malformed request"}), False
-                    )
-                )
-                await writer.drain()
-                return
-            if request is None:
-                return
-            method, path, headers, body = request
-            keep_alive = headers.get("connection", "").lower() != "close"
-            response = app.handle(method, path, body)
-            if not isinstance(response, Response):
-                response = await response
-            writer.write(_encode(response, keep_alive))
-            await writer.drain()
-            if not keep_alive:
-                return
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown
-            pass
+class _Connection:
+    """One client socket: unparsed input, unsent output, its state."""
 
+    __slots__ = ("sock", "inbuf", "outbuf", "events", "parked", "closing", "closed")
 
-async def serve_app(
-    app: ServingApp,
-    host: str = "127.0.0.1",
-    port: int = 8077,
-    *,
-    ready: "threading.Event | None" = None,
-    bound: "list[int] | None" = None,
-    stop: "asyncio.Event | None" = None,
-) -> None:
-    """Serve ``app`` until ``stop`` is set (or forever)."""
-
-    connections: dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
-
-    async def client(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            connections[task] = writer
-        try:
-            await _handle_connection(app, reader, writer)
-        except ConnectionError:
-            pass  # the peer (or shutdown) closed the connection
-        finally:
-            if task is not None:
-                connections.pop(task, None)
-
-    server = await asyncio.start_server(client, host, port)
-    try:
-        if bound is not None:
-            bound.append(server.sockets[0].getsockname()[1])
-        if ready is not None:
-            ready.set()
-        if stop is None:
-            await server.serve_forever()
-        else:
-            await stop.wait()
-    finally:
-        server.close()
-        # Idle keep-alive connections are parked in readline().  Closing
-        # their transports ends each one on EOF, so every connection
-        # task finishes normally; a cancelled task would make asyncio
-        # log a CancelledError traceback per connection.
-        for writer in connections.values():
-            writer.close()
-        await server.wait_closed()
-        if connections:
-            await asyncio.gather(*connections, return_exceptions=True)
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        #: The selector events the socket is registered for.
+        self.events = _READ
+        #: A write of this connection waits for the batcher's drain.
+        self.parked = False
+        #: Close once the output is sent (``Connection: close``, a 400).
+        self.closing = False
+        self.closed = False
 
 
 class ServerHandle:
-    """Run a serving app's event loop in a background thread.
+    """The listener, its connections and the loop that serves them.
 
-    Used by the HTTP tests and the benchmark's self-tests: bind port 0,
-    read :attr:`port`, talk over a real socket.
+    :meth:`start` binds and runs the loop in a daemon thread for
+    in-process callers (the HTTP tests and the benchmark's self-tests:
+    bind port 0, read :attr:`port`, talk over a real socket);
+    :func:`serve_app` runs it in the calling thread.
     """
 
     def __init__(self, app: ServingApp, host: str = "127.0.0.1", port: int = 0):
         self.app = app
         self.host = host
         self.port = port
-        self._ready = threading.Event()
-        self._bound: list[int] = []
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._failure: list[BaseException] = []
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
+        self._stopping = False
+        self._thread: threading.Thread | None = None
+        #: Connections whose write waits for this pass's drain.
+        self._parked: list[_Connection] = []
+
+    def _bind(self) -> None:
+        self._listener = socket.create_server((self.host, self.port))
+        self.port = self._listener.getsockname()[1]
+        self._wake, self._waker = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        for sock in (self._listener, self._wake, self._waker):
+            sock.setblocking(False)
+        self._selector.register(self._listener, _READ, None)
+        self._selector.register(self._wake, _READ, None)
 
     def start(self) -> "ServerHandle":
+        self._bind()
+        self._thread = threading.Thread(
+            target=self._serve, name="repro-serve", daemon=True
+        )
         self._thread.start()
-        self._ready.wait(timeout=10.0)
-        if self._failure:
-            raise self._failure[0]
-        if not self._ready.is_set():
-            raise ReproError("server failed to start within 10s")
-        self.port = self._bound[0]
         return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        self._stop = asyncio.Event()
-        try:
-            loop.run_until_complete(
-                serve_app(
-                    self.app,
-                    self.host,
-                    self.port,
-                    ready=self._ready,
-                    bound=self._bound,
-                    stop=self._stop,
-                )
-            )
-        except BaseException as exc:
-            self._failure.append(exc)
-            self._ready.set()
-        finally:
-            loop.close()
 
     def stop(self) -> None:
         """Shut the server down and join its thread."""
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop.set)
-        self._thread.join(timeout=10.0)
+        self._stopping = True
+        if self._thread is not None:
+            try:
+                self._waker.send(b"\0")
+            except OSError:  # closed already, or a wake-up is queued
+                pass
+            self._thread.join(timeout=10.0)
 
     @property
     def url(self) -> str:
@@ -244,3 +150,139 @@ class ServerHandle:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
+
+    def _serve(self) -> None:
+        """Run the loop until :meth:`stop`; close every socket on exit."""
+        batcher = self.app.batcher
+        select = self._selector.select
+        listener, wake = self._listener, self._wake
+        try:
+            while not self._stopping:
+                # A write parsed in the last pass's step 3 waits for
+                # this pass's drain: poll, don't block.
+                for key, mask in select(0 if self._parked else None):
+                    conn = key.data
+                    if conn is None:
+                        if key.fileobj is listener:
+                            self._accept()
+                        else:
+                            wake.recv(4096)
+                    elif mask & _WRITE:
+                        self._flush(conn)
+                        # Requests read before the output backed up.
+                        self._parse(conn)
+                    elif not conn.parked:
+                        try:
+                            data = conn.sock.recv(_RECV_BYTES)
+                        except (BlockingIOError, InterruptedError):
+                            continue
+                        except OSError:
+                            data = b""
+                        if data:
+                            conn.inbuf += data
+                            self._parse(conn)
+                        else:  # the peer is gone
+                            self._close(conn)
+                if self._parked and batcher is not None:
+                    batcher.drain()
+                resumed, self._parked = self._parked, []
+                for conn in resumed:
+                    self._parse(conn)
+            # Stopped: apply what was parsed, answer whom we still can.
+            if self._parked and batcher is not None:
+                batcher.drain()
+        finally:
+            for key in list(self._selector.get_map().values()):
+                if key.data is not None:
+                    self._close(key.data)
+            self._selector.close()
+            for sock in (self._listener, self._wake, self._waker):
+                sock.close()
+
+    # -- connections -----------------------------------------------------
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the peer gave up, or out of descriptors
+            return
+        sock.setblocking(False)
+        # Responses go out in one send each; Nagle would hold the next
+        # one back for the client's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._selector.register(sock, _READ, _Connection(sock))
+
+    def _parse(self, conn: _Connection) -> None:
+        """Serve the complete requests in ``conn``'s input, in order,
+        until one parks on the batcher or output is left unsent."""
+        buf = conn.inbuf
+        while not (conn.parked or conn.outbuf or conn.closed or conn.closing):
+            end = buf.find(b"\r\n\r\n", 0, MAX_HEADER_BYTES + 4)
+            if end < 0:
+                # Over the cap, or a head ended by bare LFs (only CRLF
+                # ends one here): answer rather than wait for more.
+                if len(buf) > MAX_HEADER_BYTES or b"\n\n" in buf:
+                    self._send(conn, _MALFORMED, False)
+                return
+            try:
+                method, path, length, keep_alive = _parse_head(buf[:end])
+            except ValueError:
+                self._send(conn, _MALFORMED, False)
+                return
+            start = end + 4
+            if len(buf) < start + length:
+                return
+            body = bytes(buf[start : start + length])
+            del buf[: start + length]
+            reply = self.app.handle(method, path, body)
+            if isinstance(reply, Pending):
+                conn.parked = True
+                reply.callback = lambda r, k=keep_alive: self._send(conn, r, k)
+                self._parked.append(conn)
+            else:
+                self._send(conn, reply, keep_alive)
+
+    def _send(self, conn: _Connection, response: Response, keep_alive: bool) -> None:
+        conn.parked = False
+        if conn.closed:
+            return
+        conn.outbuf += _encode(response, keep_alive)
+        conn.closing = not keep_alive
+        self._flush(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        """Send what the socket takes; wait for writability for the
+        rest, and read again (or close) once it is all sent."""
+        out = conn.outbuf
+        try:
+            sent = conn.sock.send(out)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:
+            self._close(conn)
+            return
+        del out[:sent]
+        if out:
+            events = _WRITE
+        elif conn.closing:
+            self._close(conn)
+            return
+        else:
+            events = _READ
+        if events != conn.events:
+            conn.events = events
+            self._selector.modify(conn.sock, events, conn)
+
+    def _close(self, conn: _Connection) -> None:
+        if conn.closed:
+            return
+        conn.closed = True
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
+
+def serve_app(app: ServingApp, host: str = "127.0.0.1", port: int = 8077) -> None:
+    """Serve ``app`` in the calling thread until interrupted."""
+    server = ServerHandle(app, host, port)
+    server._bind()
+    server._serve()

@@ -128,6 +128,12 @@ class BufferPool:
         self.store.__exit__(*exc)
 
     @property
+    def dead(self) -> bool:
+        """Pass through to the store: true once a durable store died
+        (a plain store never does)."""
+        return bool(getattr(self.store, "dead", False))
+
+    @property
     def touched(self) -> dict[Any, int | None]:
         """Pass through to the store."""
         return self.store.touched

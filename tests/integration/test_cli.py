@@ -122,24 +122,42 @@ class TestCompare:
         # ``repro serve`` imports repro.cli before it can answer, and
         # ``repro perf`` the runner; the comparison baselines are only
         # for ``compare``.
-        probe = (
-            "import sys, repro.cli, repro.perf.runner; "
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('repro.baselines', 'repro.bench'))))"
+        loaded = modules_after_import(
+            "repro.cli, repro.perf.runner", ("repro.baselines", "repro.bench")
         )
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
+        assert loaded == []
+
+    def test_serving_imports_leave_asyncio_and_ssl_out(self):
+        # The server is one selectors loop; asyncio (and the ssl module
+        # with libssl/libcrypto it pulls in) would cost the served
+        # process several MB of resident memory it never uses.
+        loaded = modules_after_import(
+            "repro.cli, repro.server", ("asyncio", "ssl", "_ssl")
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            check=True,
-            capture_output=True,
-            text=True,
-            env=env,
-        ).stdout
-        assert out.strip() == "[]"
+        assert loaded == []
+
+
+def modules_after_import(modules, prefixes):
+    """The modules named by ``prefixes`` that a fresh interpreter has
+    loaded after ``import {modules}``."""
+    probe = (
+        f"import json, sys, {modules}; "
+        f"print(json.dumps(sorted(m for m in sys.modules if any("
+        f"m == p or m.startswith(p + '.') for p in {prefixes!r}))))"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        check=True,
+        capture_output=True,
+        text=True,
+        env=env,
+    ).stdout
+    return json.loads(out)
 
 
 def run_main(args):

@@ -210,6 +210,50 @@ class TestAudit:
         assert report.clean, report.drift
         monitor.detach()
 
+    def test_aborted_transactions_audit_clean(self, unit2):
+        """An abort puts pages back after the op's own ``op_end``."""
+        tree = build(unit2)
+        points = make_points(60, 2, seed=1)
+        for i, point in enumerate(points[:40]):
+            tree.insert(point, i)
+        monitor = GuaranteeMonitor(tree).attach()
+        before = monitor.to_dict()
+        for i, point in enumerate(points[40:]):
+            with pytest.raises(RuntimeError):
+                with tree.transaction("aborted"):
+                    tree.insert(point, i)
+                    raise RuntimeError("abort")
+        report = monitor.audit()
+        assert report.clean, report.drift
+        assert monitor.to_dict()["occupancy_by_level"] == (
+            before["occupancy_by_level"]
+        )
+        monitor.detach()
+
+    def test_next_op_after_an_abort_folds_from_the_put_back_pages(
+        self, unit2
+    ):
+        tree = build(unit2)
+        points = make_points(60, 2, seed=2)
+        monitor = GuaranteeMonitor(tree).attach()
+        for i, point in enumerate(points[:40]):
+            tree.insert(point, i)
+        for i, point in enumerate(points[40:50]):
+            with pytest.raises(RuntimeError):
+                with tree.transaction("aborted"):
+                    tree.insert(point, i)
+                    tree.delete(points[i])
+                    raise RuntimeError("abort")
+            # No audit in between: the next op's op_begin re-derives.
+            tree.insert(points[50 + i], i)
+            stats = tree.tree_stats()
+            assert monitor.pages_by_level == {
+                level: len(occ)
+                for level, occ in stats.occupancies_by_level.items()
+            }
+        assert monitor.audit().clean
+        monitor.detach()
+
     def test_audit_reports_drift_when_state_corrupted(self, unit2):
         tree = build(unit2)
         monitor = GuaranteeMonitor(tree).attach()

@@ -1,14 +1,13 @@
 """Deterministic tests of the loop-side write batcher.
 
-The batcher commits on the event loop: every ``submit`` made in one
-loop iteration joins one group, drained by a single ``call_soon``
-callback.  Submitting from plain synchronous code inside a coroutine
-therefore makes the grouping exact — nothing here depends on timing.
-The service under the batcher records each ``apply_ops`` call (and the
-thread it ran on) before delegating to a real service.
+The serving loop submits every write it parses in one pass and then
+drains the batcher once, so here a group is exactly the submits made
+before one ``drain()`` — nothing depends on timing.  Each request's
+callback records what it settled with.  The service under the batcher
+records each ``apply_ops`` call (and the thread it ran on) before
+delegating to a real service.
 """
 
-import asyncio
 import http.client
 import json
 import threading
@@ -17,7 +16,7 @@ import pytest
 
 from repro.concurrency import delete_op, insert_op
 from repro.errors import DuplicateKeyError, KeyNotFoundError, ReproError
-from repro.server.app import ServingApp
+from repro.server.app import Pending, ServingApp
 from repro.server.batch import WriteBatcher
 from repro.server.http import ServerHandle
 from tests.concurrency.conftest import fail_inserts_of
@@ -52,20 +51,23 @@ def recorded():
         batcher.close()
 
 
-def settle(futures):
-    """Await every future, returning results and exceptions alike."""
-    return asyncio.gather(*futures, return_exceptions=True)
+def submit_all(batcher, requests):
+    """Submit each request's ops; return the list its outcomes land in
+    (one slot per request, filled when the request settles)."""
+    settled = [None] * len(requests)
+    for i, ops in enumerate(requests):
+        batcher.submit(ops, lambda outcome, i=i: settled.__setitem__(i, outcome))
+    return settled
 
 
 class TestGrouping:
     def test_lone_submit_commits_as_a_group_of_one(self, recorded):
         service, batcher = recorded
         op = insert_op(point(1), "v")
-
-        async def scenario():
-            return await batcher.submit([op])
-
-        assert asyncio.run(scenario()) == ([(True, None)], 1)
+        settled = submit_all(batcher, [[op]])
+        assert settled == [None]  # nothing commits before the drain
+        batcher.drain()
+        assert settled == [([(True, None)], 1)]
         assert service.groups == [[op]]
         # The caller's op object reaches the service unchanged.
         assert service.groups[0][0] is op
@@ -73,16 +75,14 @@ class TestGrouping:
 
     def test_submits_in_one_loop_iteration_share_one_commit(self, recorded):
         service, batcher = recorded
-
-        async def scenario():
-            first = [batcher.submit([insert_op(point(i), i)]) for i in (0, 1)]
-            results = await settle(first)
-            # A submit in a later iteration starts the next group.
-            results.append(await batcher.submit([insert_op(point(2), 2)]))
-            return results
-
-        results = asyncio.run(scenario())
-        assert [lsn for _, lsn in results] == [1, 1, 2]
+        first = submit_all(
+            batcher, [[insert_op(point(i), i)] for i in (0, 1)]
+        )
+        batcher.drain()
+        # A submit after the drain starts the next group.
+        second = submit_all(batcher, [[insert_op(point(2), 2)]])
+        batcher.drain()
+        assert [lsn for _, lsn in first + second] == [1, 1, 2]
         assert [len(g) for g in service.groups] == [2, 1]
         assert batcher.stats.batches == 2
         assert batcher.stats.max_batch_seen == 2
@@ -91,13 +91,10 @@ class TestGrouping:
 
     def test_backlog_splits_into_groups_of_at_most_max_batch(self, recorded):
         service, batcher = recorded
-
-        async def scenario():
-            return await settle(
-                [batcher.submit([insert_op(point(i), i)]) for i in range(7)]
-            )
-
-        results = asyncio.run(scenario())
+        results = submit_all(
+            batcher, [[insert_op(point(i), i)] for i in range(7)]
+        )
+        batcher.drain()
         assert [lsn for _, lsn in results] == [1, 1, 1, 2, 2, 2, 3]
         assert [len(g) for g in service.groups] == [3, 3, 1]
         assert batcher.stats.max_batch_seen == 3
@@ -105,18 +102,18 @@ class TestGrouping:
 
     def test_a_failing_op_fails_only_its_own_request(self, recorded):
         service, batcher = recorded
-
-        async def scenario():
-            await batcher.submit([insert_op(point(0), 0)])
-            return await settle(
-                [
-                    batcher.submit([insert_op(point(0), "again")]),
-                    batcher.submit([insert_op(point(1), "v")]),
-                    batcher.submit([delete_op(point(2))]),
-                ]
-            )
-
-        duplicate, fresh, missing = asyncio.run(scenario())
+        submit_all(batcher, [[insert_op(point(0), 0)]])
+        batcher.drain()
+        results = submit_all(
+            batcher,
+            [
+                [insert_op(point(0), "again")],
+                [insert_op(point(1), "v")],
+                [delete_op(point(2))],
+            ],
+        )
+        batcher.drain()
+        duplicate, fresh, missing = results
         (ok, exc), = duplicate[0]
         assert not ok and isinstance(exc, DuplicateKeyError)
         assert fresh == ([(True, None)], 2)
@@ -131,8 +128,8 @@ class TestGrouping:
         app = ServingApp(service, batcher=batcher)
         service.insert(point(0), 0)
         fail_inserts_of(service.tree, monkeypatch, "boom")
-
-        async def scenario():
+        responses = [None] * 3
+        try:
             replies = [
                 app.handle("POST", path, json.dumps(body).encode())
                 for path, body in (
@@ -141,12 +138,13 @@ class TestGrouping:
                     ("/v1/delete", {"point": point(0)}),
                 )
             ]
-            return await asyncio.gather(*replies)
-
-        try:
-            inserted, failed, deleted = asyncio.run(scenario())
+            for i, reply in enumerate(replies):
+                assert isinstance(reply, Pending)
+                reply.callback = lambda r, i=i: responses.__setitem__(i, r)
+            batcher.drain()
         finally:
             batcher.close()
+        inserted, failed, deleted = responses
         assert (inserted.status, deleted.status) == (201, 200)
         assert failed.status == 500
         assert failed.payload["kind"] == "RuntimeError"
@@ -165,34 +163,13 @@ class TestGrouping:
             return real_apply(ops)
 
         service.apply_ops = fail_first_group
-
-        async def scenario():
-            return await settle(
-                [batcher.submit([insert_op(point(i), i)]) for i in range(4)]
-            )
-
-        results = asyncio.run(scenario())
+        results = submit_all(
+            batcher, [[insert_op(point(i), i)] for i in range(4)]
+        )
+        batcher.drain()
         assert all(isinstance(r, ReproError) for r in results[:3])
         assert results[3] == ([(True, None)], 1)
         assert batcher.stats.batches == 1
-
-    def test_a_cancelled_request_does_not_break_the_drain(self, recorded):
-        service, batcher = recorded
-
-        async def scenario():
-            futures = [
-                batcher.submit([insert_op(point(i), i)]) for i in range(3)
-            ]
-            futures[1].cancel()
-            return await settle(futures)
-
-        first, cancelled, third = asyncio.run(scenario())
-        assert isinstance(cancelled, asyncio.CancelledError)
-        assert first == third == ([(True, None)], 1)
-        # The cancelled request was never applied.
-        assert [len(g) for g in service.groups] == [2]
-        with pytest.raises(KeyNotFoundError):
-            service.inner.get(point(1))
 
 
 class _InstantService:
@@ -210,20 +187,15 @@ class TestClose:
         batcher.close()
         batcher.close()
         with pytest.raises(ReproError, match="closed"):
-            batcher.submit([insert_op(point(0))])
+            batcher.submit([insert_op(point(0))], lambda outcome: None)
 
     def test_close_fails_pending_requests(self):
         service = _InstantService()
         batcher = WriteBatcher(service)
-
-        async def scenario():
-            futures = [
-                batcher.submit([delete_op(point(i))]) for i in range(2)
-            ]
-            batcher.close()
-            return await settle(futures)
-
-        results = asyncio.run(scenario())
+        results = submit_all(
+            batcher, [[delete_op(point(i))] for i in range(2)]
+        )
+        batcher.close()
         assert all(
             isinstance(r, ReproError) and "closed" in str(r) for r in results
         )
@@ -233,20 +205,12 @@ class TestClose:
         """A drain that never ran: the loop stopped with a write queued."""
         service = _InstantService()
         batcher = WriteBatcher(service)
-        loop = asyncio.new_event_loop()
-
-        async def submit_then_stop():
-            future = batcher.submit([delete_op(point(0))])
-            asyncio.get_running_loop().stop()
-            return future
-
-        try:
-            future = loop.run_until_complete(submit_then_stop())
-            assert not future.done()
-            batcher.close()
-            assert isinstance(future.exception(), ReproError)
-        finally:
-            loop.close()
+        settled = []
+        batcher.submit([delete_op(point(0))], settled.append)
+        batcher.close()
+        # A drain after the close has nothing left to apply.
+        batcher.drain()
+        assert len(settled) == 1 and isinstance(settled[0], ReproError)
         assert service.calls == 0
 
 

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.concurrency import TreeService
+from repro.core.tree import BVTree
 from repro.errors import StorageError
+from repro.geometry.space import DataSpace
 from repro.storage.buffer import BufferPool
+from repro.storage.durable.store import DurableStore
+from repro.storage.faults import FaultPlan
 from repro.storage.pager import PageStore
 
 
@@ -169,3 +174,30 @@ class TestPeek:
         assert len(pool) == 0
         pool.read(page)
         assert pool.stats.misses == 2
+
+
+class TestDeadStore:
+    def test_forwards_dead_so_the_service_reads_poisoned(self, tmp_path):
+        store = DurableStore(
+            tmp_path, faults=FaultPlan(crash_after_appends=8), sync="os"
+        )
+        pool = BufferPool(store)
+        tree = BVTree(
+            DataSpace.unit(2, resolution=8),
+            store=pool,
+            data_capacity=4,
+            fanout=4,
+        )
+        service = TreeService(tree)
+        assert not service.poisoned
+        with pytest.raises(StorageError):
+            for i in range(64):
+                service.insert((i / 64 + 1 / 128, 0.5), i)
+        assert store.dead
+        assert service.poisoned
+        assert pool.dead
+        with pytest.raises(StorageError):
+            service.insert((0.5, 0.25), "after")
+
+    def test_a_plain_store_is_never_dead(self, pool):
+        assert pool.dead is False
