@@ -152,7 +152,8 @@ echo "== serve smoke =="
 # store with the write batcher and two writers over loopback sockets,
 # serve_read an in-memory one with one reader doing gets, ranges and
 # kNN.  Then boot a server and require its /metrics exposition to pass
-# the Prometheus lint.
+# the Prometheus lint and to carry the kNN pages _sum/_count lines the
+# benchmark reads its page metrics from.
 serve_json="${TMPDIR:-/tmp}/repro-serve-smoke.json"
 for workload in serve_write serve_read; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
@@ -206,8 +207,16 @@ conn = http.client.HTTPConnection("127.0.0.1", 18077, timeout=5)
 conn.request("POST", "/v1/knn", json.dumps({"point": [0.5, 0.5], "k": 3}))
 assert conn.getresponse().read()
 conn.request("GET", "/metrics")
-problems = lint_prometheus(conn.getresponse().read().decode())
+text = conn.getresponse().read().decode()
+problems = lint_prometheus(text)
 assert not problems, f"serve /metrics failed promtext lint: {problems}"
+samples = dict(
+    line.rsplit(" ", 1) for line in text.splitlines() if not line.startswith("#")
+)
+assert "repro_serve_knn_pages_sum" in samples, "serve /metrics lost the kNN pages _sum"
+assert float(samples.get("repro_serve_knn_pages_count", 0)) >= 1, (
+    "serve /metrics lost the kNN pages _count"
+)
 PY
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true

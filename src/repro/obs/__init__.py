@@ -15,7 +15,7 @@ not averages:
   buffer and a JSONL file (every consumer below is a subscriber too,
   declaring the event kinds it takes);
 - :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
-  fixed-bucket histograms, derivable from the event stream via
+  log-linear histograms (quantiles within 1/32), derivable from the event stream via
   :class:`~repro.obs.metrics.MetricsSink`; the perf harness snapshots a
   registry into ``BENCH_<suite>.json``;
 - :mod:`~repro.obs.explain` — ``BVTree.explain(...)`` reports (visited

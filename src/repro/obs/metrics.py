@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges and fixed-bucket histograms.
+"""The metrics registry: counters, gauges and log-linear histograms.
 
 Where the tracer records *which* events happened, the registry records
 *distributions*: per-operation nodes visited, guard checks per descent,
@@ -10,8 +10,9 @@ Instruments are deliberately minimal and JSON-ready:
 
 - :class:`Counter` — a monotone total;
 - :class:`Gauge` — a point-in-time value (last write wins);
-- :class:`Histogram` — fixed upper-bound buckets plus count/total, so
-  two snapshots can be diffed bucket-by-bucket (no dynamic rebinning).
+- :class:`Histogram` — log-linear buckets (each power of two split into
+  :data:`SUB_BUCKETS` equal ones) plus count/total, so a quantile is
+  within 1/32 of the true order statistic whatever the value's scale.
 
 :class:`MetricsSink` turns the registry into a
 :class:`~repro.obs.sinks.TraceSink`: fed a tree's event stream it
@@ -23,7 +24,8 @@ can never disagree.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from math import ceil, frexp, ldexp
 from typing import Any, Sequence
 
 from repro.errors import ReproError
@@ -43,21 +45,33 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSink",
-    "NODES_VISITED_BUCKETS",
-    "SPLIT_FANOUT_BUCKETS",
+    "SUB_BUCKETS",
     "TimeSeriesSink",
+    "bucket_edge",
     "lint_prometheus",
     "to_prometheus",
 ]
 
-#: Default buckets for per-descent page/guard counts: trees in this repo
-#: are a handful of levels tall, so single-step resolution up to 8 then
-#: coarser tails is the informative shape.
-NODES_VISITED_BUCKETS = (1, 2, 3, 4, 5, 6, 8, 12, 16)
+#: Equal-width buckets per power of two in every :class:`Histogram`.
+SUB_BUCKETS = 32
+#: A ``frexp`` mantissa in ``[0.5, 1)`` times this lies in
+#: ``[SUB_BUCKETS, 2 * SUB_BUCKETS)``, one unit per bucket.
+_SCALE = 2 * SUB_BUCKETS
+_SHIFT = _SCALE.bit_length() - 1  # _SCALE == 2**_SHIFT
 
-#: Default buckets for split fan-out (records or entries moved by one
-#: split) — capacities in the benchmarks run 4..64.
-SPLIT_FANOUT_BUCKETS = (2, 4, 8, 16, 24, 32, 48, 64)
+
+def bucket_edge(value: float) -> float:
+    """The upper edge of the :class:`Histogram` bucket holding ``value``.
+
+    With ``value = m * 2**e`` and ``0.5 <= m < 1`` (``frexp``), the
+    bucket is ``e * 32 + ceil((2m - 1) * 32)`` and its edge is
+    ``ceil(64m) * 2**(e - 6)``: the smallest multiple of the octave's
+    bucket width at or above ``value``.  So the edge is never below the
+    value and at most 1/32 above it, every integer 0..64 is its own
+    edge, and zero's edge is 0.0.  Edges are exact floats.
+    """
+    m, e = frexp(value)
+    return ldexp(ceil(m * _SCALE), e - _SHIFT)
 
 
 class Counter:
@@ -106,43 +120,40 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram: counts of observations per upper bound.
+    """Log-linear histogram: observation counts per bucket edge.
 
-    ``buckets`` are inclusive upper bounds in strictly increasing order;
-    an implicit overflow bucket catches everything above the last bound.
+    Each power of two is split into :data:`SUB_BUCKETS` equal buckets
+    (see :func:`bucket_edge`); zero has a bucket of its own.  Only
+    occupied buckets are stored, as ``counts`` ``{upper edge: count}``,
+    so there is nothing to configure and no overflow bucket.
     ``count``/``total`` give the observation count and sum, so mean and
-    rate-per-op derive from one snapshot.
+    rate-per-op derive from one snapshot.  Values must be finite.
     """
 
-    __slots__ = ("name", "buckets", "counts", "count", "total")
+    __slots__ = ("name", "counts", "count", "total")
 
-    def __init__(self, name: str, buckets: Sequence[float]):
-        bounds = tuple(buckets)
-        if not bounds:
-            raise ReproError(f"histogram {name!r} needs at least one bucket")
-        if any(b >= a for b, a in zip(bounds, bounds[1:])):
-            raise ReproError(
-                f"histogram {name!r} buckets must strictly increase: {bounds}"
-            )
+    def __init__(self, name: str):
         self.name = name
-        self.buckets = bounds
-        self.counts = [0] * (len(bounds) + 1)  # +1: overflow bucket
+        self.counts: dict[float, int] = {}
         self.count = 0
         self.total = 0.0
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        self.counts[bisect_left(self.buckets, value)] += 1
+        edge = bucket_edge(value)
+        counts = self.counts
+        counts[edge] = counts.get(edge, 0) + 1
         self.count += 1
         self.total += value
 
     def observe_many(self, values: Sequence[float]) -> None:
         """Fold a whole batch of observations at once.
 
-        Equivalent to calling :meth:`observe` per value but O(n log n +
-        buckets) instead of n Python-level calls: one C-level sort, then
-        one bisect per bucket bound turns the sorted batch into
-        cumulative counts.  This is what makes sample buffering on the
+        Equivalent to calling :meth:`observe` per value but one C-level
+        sort plus one bisect per occupied bucket instead of n
+        Python-level calls: the smallest value not yet folded names its
+        bucket's edge, and every sorted value up to that edge shares
+        the bucket.  This is what makes sample buffering on the
         profiler's exact-match hot path pay off — the deferred fold
         costs a few nanoseconds per sample instead of a whole observe.
         """
@@ -151,17 +162,12 @@ class Histogram:
             return
         ordered = sorted(values)
         counts = self.counts
-        prev = 0
-        # A value equal to a bound belongs to that bound's bucket
-        # (observe uses bisect_left over the bounds), so the cumulative
-        # count at each bound is bisect_right over the sorted values.
-        for i, bound in enumerate(self.buckets):
-            cumulative = bisect_right(ordered, bound)
-            counts[i] += cumulative - prev
-            prev = cumulative
-            if cumulative == n:
-                break
-        counts[-1] += n - prev  # overflow bucket
+        i = 0
+        while i < n:
+            edge = bucket_edge(ordered[i])
+            j = bisect_right(ordered, edge, i)
+            counts[edge] = counts.get(edge, 0) + j - i
+            i = j
         self.count += n
         self.total += sum(ordered)
 
@@ -176,14 +182,12 @@ class Histogram:
         return self.total / self.count if self.count else None
 
     def quantile(self, q: float) -> float | None:
-        """The upper bound of the bucket holding the ``q``-quantile.
+        """The upper edge of the bucket holding the ``q``-quantile.
 
-        ``q`` must be in ``[0, 1]``.  Returns ``None`` when the
-        histogram is empty, and ``None`` when the quantile falls in the
-        overflow bucket (the histogram has no upper bound there — the
-        caller knows only "above the last bound").  The answer is the
-        bucket's inclusive upper bound, i.e. conservative to one bucket
-        width, which is the best a fixed-bucket histogram can say.
+        ``q`` must be in ``[0, 1]``; the rank is ``ceil(count * q)``
+        (at least 1).  The answer is never below that order statistic
+        and at most 1/32 above it; integers up to 64 come back exactly.
+        Returns ``None`` only when the histogram is empty.
         """
         if not 0.0 <= q <= 1.0:
             raise ReproError(
@@ -192,19 +196,20 @@ class Histogram:
             )
         if not self.count:
             return None
-        rank = max(1, -(-self.count * q // 1))  # ceil(count * q), min 1
+        rank = max(1, ceil(self.count * q))
         cumulative = 0
-        for bound, bucket_count in zip(self.buckets, self.counts):
+        for edge, bucket_count in sorted(self.counts.items()):
             cumulative += bucket_count
             if cumulative >= rank:
-                return float(bound)
-        return None  # the quantile lies in the overflow bucket
+                break
+        return edge
 
     def to_dict(self) -> dict[str, Any]:
+        buckets = sorted(self.counts.items())
         return {
             "type": "histogram",
-            "buckets": list(self.buckets),
-            "counts": list(self.counts),
+            "buckets": [edge for edge, _ in buckets],
+            "counts": [bucket_count for _, bucket_count in buckets],
             "count": self.count,
             "total": self.total,
             "mean": self.mean,
@@ -231,29 +236,9 @@ class MetricsRegistry:
         """The gauge registered under ``name`` (created on first use)."""
         return self._get_or_create(name, Gauge, lambda: Gauge(name))
 
-    def histogram(
-        self, name: str, buckets: Sequence[float] | None = None
-    ) -> Histogram:
-        """The histogram under ``name`` (created with ``buckets``).
-
-        ``buckets`` is required on first use and ignored afterwards (the
-        fixed-bucket contract is what keeps snapshots diffable).
-        """
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise ReproError(
-                    f"metric {name!r} is a {type(existing).__name__}, "
-                    f"not a Histogram"
-                )
-            return existing
-        if buckets is None:
-            raise ReproError(
-                f"histogram {name!r} does not exist yet; pass its buckets"
-            )
-        created = Histogram(name, buckets)
-        self._instruments[name] = created
-        return created
+    def histogram(self, name: str) -> Histogram:
+        """The histogram registered under ``name`` (created on first use)."""
+        return self._get_or_create(name, Histogram, lambda: Histogram(name))
 
     def names(self) -> list[str]:
         """Registered metric names, sorted."""
@@ -328,20 +313,14 @@ class MetricsSink:
         elif kind == OP_END:
             steps = self._steps_by_op.pop(event.op, None)
             if steps is not None:
-                registry.histogram(
-                    "descent.nodes_visited", NODES_VISITED_BUCKETS
-                ).observe(steps)
+                registry.histogram("descent.nodes_visited").observe(steps)
             guards = self._guards_by_op.pop(event.op, None)
             if guards is not None:
-                registry.histogram(
-                    "descent.guard_checks", NODES_VISITED_BUCKETS
-                ).observe(guards)
+                registry.histogram("descent.guard_checks").observe(guards)
         elif kind in (DATA_SPLIT, INDEX_SPLIT):
             moved = event.fields.get("moved")
             if moved is not None:
-                registry.histogram(
-                    "split.fanout", SPLIT_FANOUT_BUCKETS
-                ).observe(moved)
+                registry.histogram("split.fanout").observe(moved)
         elif kind == PAGE_READ:
             self._reads += 1
             if event.fields.get("physical") is False:
@@ -517,7 +496,8 @@ def to_prometheus(
     Counters expose as ``<ns>_<name>_total``, gauges as ``<ns>_<name>``
     (a gauge never set is *omitted* — its ``None`` state has no legal
     sample), histograms as the standard cumulative ``_bucket{le=...}``
-    series plus ``_sum``/``_count`` with an explicit ``+Inf`` bucket.
+    series at their occupied bucket edges, then an explicit ``+Inf``
+    bucket and ``_sum``/``_count``.
     Dots in registry names become underscores; output is sorted by
     registry name so two snapshots diff cleanly.  The result passes
     :func:`lint_prometheus`, which CI asserts on the live exposition.
@@ -542,12 +522,10 @@ def to_prometheus(
             lines.append(f"# HELP {metric} {name} (histogram)")
             lines.append(f"# TYPE {metric} histogram")
             cumulative = 0
-            for bound, bucket_count in zip(
-                instrument.buckets, instrument.counts
-            ):
+            for edge, bucket_count in sorted(instrument.counts.items()):
                 cumulative += bucket_count
                 lines.append(
-                    f'{metric}_bucket{{le="{_prom_value(float(bound))}"}}'
+                    f'{metric}_bucket{{le="{_prom_value(edge)}"}}'
                     f" {cumulative}"
                 )
             lines.append(
@@ -573,8 +551,9 @@ def lint_prometheus(text: str) -> list[str]:
     non-comment line parses as ``name[{labels}] value``, that metric
     names are legal, that each ``# TYPE`` appears once and before its
     metric's samples, that histograms carry a ``+Inf`` bucket with
-    cumulative non-decreasing bucket counts matching ``_count``, and
-    that no sample (name + labels) repeats.  An empty list means the
+    strictly increasing ``le`` bounds and cumulative non-decreasing
+    bucket counts matching ``_count``, and that no sample (name +
+    labels) repeats.  An empty list means the
     exposition is clean; CI fails the obs-smoke job on any finding.
     """
     problems: list[str] = []
@@ -681,6 +660,15 @@ def lint_prometheus(text: str) -> list[str]:
         les = [le for _, le, _ in buckets]
         if "+Inf" not in les:
             problems.append(f"histogram {base}: missing +Inf bucket")
+        try:
+            bounds = [float(le.replace("+Inf", "inf")) for le in les]
+        except ValueError:
+            problems.append(f"histogram {base}: unparseable le bound")
+        else:
+            if any(b >= a for b, a in zip(bounds, bounds[1:])):
+                problems.append(
+                    f"histogram {base}: le bounds do not strictly increase"
+                )
         values = [value for _, _, value in buckets]
         if any(b > a for b, a in zip(values, values[1:])):
             problems.append(

@@ -130,7 +130,7 @@ class GuaranteeMonitor:
         #: page id -> {guard level: count} for index pages with guards.
         self._page_guards: dict[int, dict[int, int]] = {}
         #: guard entry level -> count, aggregated over all index pages.
-        self.guards_by_level: dict[int, int] = {}
+        self._guards: dict[int, int] = {}
         #: structural event kind -> count since attach.
         self.event_counts: dict[str, int] = {}
         self.max_height_seen = 0
@@ -162,6 +162,8 @@ class GuaranteeMonitor:
         if self.attached:
             self.tree.tracer.unsubscribe(self)
             self.attached = False
+            self._settle()
+            self._named.clear()
 
     def __enter__(self) -> "GuaranteeMonitor":
         return self.attach()
@@ -174,7 +176,7 @@ class GuaranteeMonitor:
         self._pages.clear()
         self._occ.clear()
         self._page_guards.clear()
-        self.guards_by_level.clear()
+        self._guards.clear()
         self._named.clear()
         store = self.tree.store
         for page_id in store.page_ids():
@@ -251,7 +253,7 @@ class GuaranteeMonitor:
                     guards[entry.level] = guards.get(entry.level, 0) + 1
             if guards:
                 self._page_guards[page_id] = guards
-                agg = self.guards_by_level
+                agg = self._guards
                 for glevel, n in guards.items():
                     agg[glevel] = agg.get(glevel, 0) + n
         else:
@@ -262,7 +264,12 @@ class GuaranteeMonitor:
         bucket[size] = bucket.get(size, 0) + 1
 
     def _settle(self) -> None:
-        """Re-derive each named page an abort put back or dropped."""
+        """Re-derive each named page an abort put back or dropped.
+
+        Every gauge calls this first: an abort raises after the op's own
+        ``op_end``, so nothing else would tell the monitor that pages
+        went back until the next transaction begins.
+        """
         peek = self.tree.store.peek
         for page_id, folded in self._named.items():
             try:
@@ -289,7 +296,7 @@ class GuaranteeMonitor:
                 del self._occ[level]
         guards = self._page_guards.pop(page_id, None)
         if guards:
-            agg = self.guards_by_level
+            agg = self._guards
             for glevel, n in guards.items():
                 left = agg[glevel] - n
                 if left:
@@ -303,20 +310,29 @@ class GuaranteeMonitor:
 
     def occupancy(self, level: int) -> dict[int, int]:
         """Histogram ``{population: page count}`` at ``level`` (copy)."""
+        self._settle()
         return dict(self._occ.get(level, {}))
 
     @property
     def levels(self) -> list[int]:
         """The levels with at least one live page, ascending."""
+        self._settle()
         return sorted(self._occ)
 
     @property
     def pages_by_level(self) -> dict[int, int]:
         """Live node counts per level (level 0 = data pages)."""
+        self._settle()
         return {
             level: sum(bucket.values())
             for level, bucket in sorted(self._occ.items())
         }
+
+    @property
+    def guards_by_level(self) -> dict[int, int]:
+        """Guard entries per entry level, over all index pages (live)."""
+        self._settle()
+        return self._guards
 
     @property
     def height(self) -> int:
@@ -339,6 +355,7 @@ class GuaranteeMonitor:
         checker) the root page's population is excluded; if the root is
         the only page at its level the answer is ``None``.
         """
+        self._settle()
         bucket = self._occ.get(level)
         if not bucket:
             return None
@@ -361,6 +378,7 @@ class GuaranteeMonitor:
         Sorted ascending; with ``limit``, at most that many (the health
         findings carry a bounded offender list).
         """
+        self._settle()
         root = self.tree.root_page
         out = sorted(
             page_id
@@ -371,6 +389,7 @@ class GuaranteeMonitor:
 
     def mean_occupancy(self, level: int) -> float | None:
         """Mean population at ``level``; ``None`` if no page there."""
+        self._settle()
         bucket = self._occ.get(level)
         if not bucket:
             return None
@@ -384,11 +403,12 @@ class GuaranteeMonitor:
         :class:`~repro.obs.TimeSeriesSink` (pass this method as its
         ``prepare`` hook so every sample sees current values).
         """
+        self._settle()
         registry.gauge("monitor.points").set(self.points)
         registry.gauge("monitor.height").set(self.height)
         registry.gauge("monitor.max_splits_per_op").set(self.max_splits_per_op)
         registry.gauge("monitor.guards_total").set(
-            sum(self.guards_by_level.values())
+            sum(self._guards.values())
         )
         for level, pages in self.pages_by_level.items():
             registry.gauge(f"monitor.pages.l{level}").set(pages)
@@ -431,9 +451,9 @@ class GuaranteeMonitor:
                     f"incremental {dict(sorted(mine.items()))} != "
                     f"sweep {dict(sorted(theirs.items()))}"
                 )
-        if self.guards_by_level != stats.guards_by_level:
+        if self._guards != stats.guards_by_level:
             drift.append(
-                f"guards_by_level: incremental {self.guards_by_level} != "
+                f"guards_by_level: incremental {self._guards} != "
                 f"sweep {stats.guards_by_level}"
             )
         histogram_points = sum(
@@ -457,6 +477,7 @@ class GuaranteeMonitor:
 
     def to_dict(self) -> dict[str, Any]:
         """The gauges as one JSON-ready mapping."""
+        self._settle()
         return {
             "points": self.points,
             "height": self.height,
@@ -468,7 +489,7 @@ class GuaranteeMonitor:
             },
             "guards_by_level": {
                 str(level): n
-                for level, n in sorted(self.guards_by_level.items())
+                for level, n in sorted(self._guards.items())
             },
             "occupancy_by_level": {
                 str(level): {

@@ -66,12 +66,9 @@ from repro.obs.events import OP_BEGIN, OP_END, TraceEvent
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
-    "CASCADE_BUCKETS",
     "GET_BATCH",
     "KindProfile",
-    "LATENCY_BUCKETS_US",
     "OpProfiler",
-    "PAGES_BUCKETS",
     "QUERY_KINDS",
     "SlowOpLog",
     "UPDATE_KINDS",
@@ -80,35 +77,6 @@ __all__ = [
 #: Exact-match samples buffered on the hot path between histogram folds
 #: (see :meth:`OpProfiler.end_get`).
 GET_BATCH = 512
-
-#: Latency buckets in microseconds: fine resolution around the
-#: single-descent regime (tens of us in-memory), coarse tails for range
-#: scans and bulk loads.
-LATENCY_BUCKETS_US = (
-    10.0,
-    25.0,
-    50.0,
-    100.0,
-    250.0,
-    500.0,
-    1_000.0,
-    2_500.0,
-    5_000.0,
-    10_000.0,
-    25_000.0,
-    50_000.0,
-    100_000.0,
-    250_000.0,
-    1_000_000.0,
-)
-
-#: Pages-touched buckets: a descent reads ``height + 1`` pages, range
-#: and k-NN traversals tens, bulk loads hundreds.
-PAGES_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 256, 512)
-
-#: Split-cascade buckets (0 = the common no-split case; the paper's
-#: guarantee keeps single-record chains short).
-CASCADE_BUCKETS = (0, 1, 2, 3, 4, 6, 8, 12)
 
 #: Kinds whose slow-op records get an automatic EXPLAIN attachment.
 QUERY_KINDS = frozenset({"get", "range", "knn"})
@@ -142,14 +110,10 @@ class KindProfile:
     def __init__(self, kind: str, registry: MetricsRegistry):
         prefix = f"profile.{kind}"
         self.kind = kind
-        self.latency_us: Histogram = registry.histogram(
-            f"{prefix}.latency_us", LATENCY_BUCKETS_US
-        )
-        self.pages: Histogram = registry.histogram(
-            f"{prefix}.pages", PAGES_BUCKETS
-        )
+        self.latency_us: Histogram = registry.histogram(f"{prefix}.latency_us")
+        self.pages: Histogram = registry.histogram(f"{prefix}.pages")
         self.cascade: Histogram | None = (
-            registry.histogram(f"{prefix}.cascade", CASCADE_BUCKETS)
+            registry.histogram(f"{prefix}.cascade")
             if kind in UPDATE_KINDS
             else None
         )
@@ -187,7 +151,7 @@ class KindProfile:
             self.max_latency_us.set(latency_us)
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-ready summary (quantiles are bucket upper bounds)."""
+        """A JSON-ready summary (quantiles are bucket upper edges)."""
         out: dict[str, Any] = {
             "ops": self.ops,
             "errors": self.errors.value,

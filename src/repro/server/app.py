@@ -44,7 +44,6 @@ from repro.errors import (
     TreeInvariantError,
 )
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, to_prometheus
-from repro.obs.profile import LATENCY_BUCKETS_US, PAGES_BUCKETS
 from repro.server.batch import Settled, WriteBatcher
 
 __all__ = ["Pending", "Response", "ServingApp", "status_for"]
@@ -116,12 +115,8 @@ class _EndpointInstruments:
 
     def __init__(self, registry: MetricsRegistry, endpoint: str):
         prefix = f"serve.{endpoint}"
-        self.latency_us: Histogram = registry.histogram(
-            f"{prefix}.latency_us", LATENCY_BUCKETS_US
-        )
-        self.pages: Histogram = registry.histogram(
-            f"{prefix}.pages", PAGES_BUCKETS
-        )
+        self.latency_us: Histogram = registry.histogram(f"{prefix}.latency_us")
+        self.pages: Histogram = registry.histogram(f"{prefix}.pages")
         self.requests: Counter = registry.counter(f"{prefix}.requests")
         self.errors: Counter = registry.counter(f"{prefix}.errors")
 

@@ -18,8 +18,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     MetricsSink,
-    NODES_VISITED_BUCKETS,
     TimeSeriesSink,
+    bucket_edge,
 )
 
 
@@ -54,60 +54,75 @@ class TestGauge:
 
 class TestHistogram:
     def test_buckets_inclusive_upper_bounds(self):
-        hist = Histogram("h", buckets=(1, 2, 4))
+        """A value equal to an edge lands in that edge's bucket."""
+        hist = Histogram("h")
         for value in (1, 2, 2, 3, 9):
             hist.observe(value)
-        # counts: <=1, <=2, <=4, overflow
-        assert hist.counts == [1, 2, 1, 1]
+        assert hist.counts == {1.0: 1, 2.0: 2, 3.0: 1, 9.0: 1}
         assert hist.count == 5
         assert hist.total == 17.0
         assert hist.mean == pytest.approx(3.4)
 
+    def test_small_integers_are_edges_of_their_own(self):
+        assert [bucket_edge(i) for i in range(65)] == [
+            float(i) for i in range(65)
+        ]
+        assert bucket_edge(65) == 66.0  # above 64: two-wide buckets
+
+    def test_edges_are_log_linear(self):
+        # 32 equal buckets per power of two: width 2**(e - 6).
+        assert bucket_edge(100.0) == 100.0
+        assert bucket_edge(100.5) == 102.0
+        assert bucket_edge(1_000.0) == 1_008.0
+        assert bucket_edge(0.1) == 0.1015625
+
+    def test_zero_has_its_own_bucket(self):
+        hist = Histogram("h")
+        hist.observe(0)
+        hist.observe(5e-324)  # the smallest positive float
+        assert hist.counts == {0.0: 1, 5e-324: 1}
+        assert hist.quantile(0.5) == 0.0
+
     def test_empty_mean_is_none(self):
         """Empty-state contract: no observations means no mean."""
-        hist = Histogram("h", buckets=(1,))
+        hist = Histogram("h")
         assert hist.mean is None
         assert hist.to_dict()["mean"] is None
 
     def test_quantile_empty_is_none(self):
-        assert Histogram("h", buckets=(1, 2)).quantile(0.5) is None
+        assert Histogram("h").quantile(0.5) is None
 
     def test_quantile_bucket_upper_bounds(self):
-        hist = Histogram("h", buckets=(1, 2, 4))
-        for value in (1, 1, 2, 3):
+        hist = Histogram("h")
+        for value in (1, 1, 2, 100.5):
             hist.observe(value)
         assert hist.quantile(0.0) == 1.0  # rank clamps to 1
         assert hist.quantile(0.5) == 1.0
         assert hist.quantile(0.75) == 2.0
-        assert hist.quantile(1.0) == 4.0
+        assert hist.quantile(1.0) == 102.0
 
-    def test_quantile_overflow_bucket_is_none(self):
-        hist = Histogram("h", buckets=(1,))
-        hist.observe(99)
-        assert hist.quantile(1.0) is None
+    def test_quantile_of_a_large_value_is_an_edge(self):
+        """No overflow bucket: any finite value has a quantile."""
+        hist = Histogram("h")
+        hist.observe(3e9)
+        assert 3e9 <= hist.quantile(1.0) <= 3e9 * 33 / 32
 
     def test_quantile_rejects_out_of_range(self):
         with pytest.raises(ReproError, match="quantile"):
-            Histogram("h", buckets=(1,)).quantile(1.5)
-
-    def test_rejects_empty_buckets(self):
-        with pytest.raises(ReproError, match="at least one bucket"):
-            Histogram("h", buckets=())
-
-    def test_rejects_non_increasing_buckets(self):
-        with pytest.raises(ReproError, match="strictly increase"):
-            Histogram("h", buckets=(1, 1, 2))
+            Histogram("h").quantile(1.5)
 
     def test_to_dict_shape(self):
-        hist = Histogram("h", buckets=(2, 4))
+        """Occupied buckets only, ascending edges."""
+        hist = Histogram("h")
         hist.observe(3)
+        hist.observe(1_000)
         assert hist.to_dict() == {
             "type": "histogram",
-            "buckets": [2, 4],
-            "counts": [0, 1, 0],
-            "count": 1,
-            "total": 3.0,
-            "mean": 3.0,
+            "buckets": [3.0, 1_008.0],
+            "counts": [1, 1],
+            "count": 2,
+            "total": 1_003.0,
+            "mean": 501.5,
         }
 
 
@@ -116,8 +131,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("g") is registry.gauge("g")
-        hist = registry.histogram("h", buckets=(1, 2))
-        assert registry.histogram("h") is hist
+        assert registry.histogram("h") is registry.histogram("h")
 
     def test_type_mismatch_is_an_error(self):
         registry = MetricsRegistry()
@@ -125,11 +139,7 @@ class TestMetricsRegistry:
         with pytest.raises(ReproError, match="not a Gauge"):
             registry.gauge("a")
         with pytest.raises(ReproError, match="not a Histogram"):
-            registry.histogram("a", buckets=(1,))
-
-    def test_histogram_needs_buckets_on_first_use(self):
-        with pytest.raises(ReproError, match="pass its buckets"):
-            MetricsRegistry().histogram("h")
+            registry.histogram("a")
 
     def test_names_and_snapshot_and_reset(self):
         registry = MetricsRegistry()
@@ -177,7 +187,7 @@ class TestMetricsSink:
         visited = snap["descent.nodes_visited"]
         assert visited["count"] == 2
         assert visited["total"] == 3.0
-        assert visited["buckets"] == list(NODES_VISITED_BUCKETS)
+        assert visited["buckets"] == [1.0, 2.0]
         guards = snap["descent.guard_checks"]
         assert guards["count"] == 1
         assert guards["total"] == 1.0
@@ -247,7 +257,7 @@ class TestTimeSeriesSink:
 
     def test_histogram_contributes_count_and_mean_columns(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("h", buckets=(4, 8))
+        hist = registry.histogram("h")
         series = TimeSeriesSink(registry, every=1)
         series.tick()  # empty histogram: count 0, mean None
         hist.observe(3)

@@ -11,7 +11,7 @@ the workload space.
 import pytest
 
 from repro.core.tree import BVTree
-from repro.obs import GuaranteeMonitor
+from repro.obs import GuaranteeMonitor, MetricsRegistry
 from repro.obs.sinks import RingSink
 from repro.storage import BufferPool, PageStore
 from tests.conftest import make_points
@@ -228,6 +228,46 @@ class TestAudit:
         assert monitor.to_dict()["occupancy_by_level"] == (
             before["occupancy_by_level"]
         )
+        monitor.detach()
+
+    def test_gauges_after_an_abort_read_the_put_back_pages(self, unit2):
+        """No audit first: every gauge settles the aborted op's pages."""
+        tree = build(unit2)
+        points = make_points(60, 2, seed=1)
+        for i, point in enumerate(points[:40]):
+            tree.insert(point, i)
+        monitor = GuaranteeMonitor(tree).attach()
+        for i, point in enumerate(points[40:]):
+            with pytest.raises(RuntimeError):
+                with tree.transaction("aborted"):
+                    tree.insert(point, i)
+                    raise RuntimeError("abort")
+        stats = tree.tree_stats()
+        level0 = monitor.occupancy(0)
+        assert sum(size * n for size, n in level0.items()) == tree.count
+        assert monitor.levels == sorted(stats.occupancies_by_level)
+        assert monitor.pages_by_level == {
+            level: len(occ)
+            for level, occ in stats.occupancies_by_level.items()
+        }
+        assert monitor.guards_by_level == stats.guards_by_level
+        assert monitor.mean_occupancy(0) == pytest.approx(
+            tree.count / len(stats.occupancies_by_level[0])
+        )
+        assert monitor.min_occupancy(0) == min(
+            stats.occupancies_by_level[0]
+        )
+        assert monitor.pages_below(0, 1) == ()
+        registry = MetricsRegistry()
+        monitor.publish(registry)
+        assert registry.gauge("monitor.pages.l0").value == len(
+            stats.occupancies_by_level[0]
+        )
+        assert monitor.to_dict()["pages_by_level"] == {
+            str(level): len(occ)
+            for level, occ in stats.occupancies_by_level.items()
+        }
+        assert monitor.audit().clean
         monitor.detach()
 
     def test_next_op_after_an_abort_folds_from_the_put_back_pages(

@@ -17,7 +17,7 @@ def sample_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("ops.total").inc(42)
     registry.gauge("buffer.hit_ratio").set(0.875)
-    hist = registry.histogram("descent.nodes", (1, 2, 4, 8))
+    hist = registry.histogram("descent.nodes")
     for value in (1, 1, 3, 5, 9, 20):
         hist.observe(value)
     return registry
@@ -49,6 +49,7 @@ class TestExposition:
         counts = [int(line.split()[-1]) for line in lines]
         assert counts == sorted(counts)
         assert 'le="+Inf"' in lines[-1]
+        assert counts == [2, 3, 4, 5, 6, 6]  # edges 1, 3, 5, 9, 20, +Inf
         assert counts[-1] == 6
         assert "repro_descent_nodes_count 6" in text
         assert "repro_descent_nodes_sum 39" in text
@@ -90,6 +91,30 @@ class TestPromLint:
         ])
         assert lint_prometheus(text)
 
+    def test_flags_le_bounds_out_of_order(self):
+        text = "\n".join([
+            '# HELP repro_h x (histogram)',
+            '# TYPE repro_h histogram',
+            'repro_h_bucket{le="2"} 5',
+            'repro_h_bucket{le="1"} 5',
+            'repro_h_bucket{le="+Inf"} 5',
+            'repro_h_sum 9',
+            'repro_h_count 5',
+        ])
+        assert any("strictly increase" in p for p in lint_prometheus(text))
+
+    def test_flags_repeated_le_bound(self):
+        text = "\n".join([
+            '# HELP repro_h x (histogram)',
+            '# TYPE repro_h histogram',
+            'repro_h_bucket{le="1"} 5',
+            'repro_h_bucket{le="1.0"} 5',
+            'repro_h_bucket{le="+Inf"} 5',
+            'repro_h_sum 9',
+            'repro_h_count 5',
+        ])
+        assert any("strictly increase" in p for p in lint_prometheus(text))
+
     def test_flags_missing_inf_bucket(self):
         text = "\n".join([
             '# HELP repro_h x (histogram)',
@@ -124,35 +149,36 @@ class TestObserveMany:
     def test_matches_sequential_observe(self):
         rng = random.Random(17)
         values = [rng.uniform(0, 600) for _ in range(500)]
-        buckets = (10.0, 50.0, 100.0, 250.0, 500.0)
-        one = Histogram("a", buckets)
+        one = Histogram("a")
         for value in values:
             one.observe(value)
-        many = Histogram("b", buckets)
+        many = Histogram("b")
         many.observe_many(values)
         assert many.counts == one.counts
         assert many.count == one.count
         assert many.total == pytest.approx(one.total)
 
     def test_bound_ties_match(self):
-        """Values equal to a bucket bound land identically both ways."""
-        buckets = (1.0, 2.0, 4.0)
-        values = [1.0, 1.0, 2.0, 4.0, 4.0, 5.0]
-        one = Histogram("a", buckets)
+        """Values equal to a bucket edge land identically both ways."""
+        values = [1.0, 1.0, 2.0, 64.0, 66.0, 66.0, 65.0, 0.0]
+        one = Histogram("a")
         for value in values:
             one.observe(value)
-        many = Histogram("b", buckets)
+        many = Histogram("b")
         many.observe_many(values)
-        assert many.counts == one.counts
+        assert many.counts == one.counts == {
+            0.0: 1, 1.0: 2, 2.0: 1, 64.0: 1, 66.0: 3
+        }
 
     def test_empty_batch_is_noop(self):
-        hist = Histogram("a", (1.0,))
+        hist = Histogram("a")
         hist.observe_many([])
         assert hist.count == 0
+        assert hist.counts == {}
 
     def test_incremental_batches_accumulate(self):
-        hist = Histogram("a", (1.0, 3.0))
+        hist = Histogram("a")
         hist.observe_many([0.5, 2.0])
-        hist.observe_many([2.5, 9.0])
+        hist.observe_many([2.0, 9.0])
         assert hist.count == 4
-        assert hist.counts == [1, 2, 1]
+        assert hist.counts == {0.5: 1, 2.0: 2, 9.0: 1}
